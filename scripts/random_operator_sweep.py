@@ -13,24 +13,10 @@ import argparse
 import csv
 import sys
 
-import numpy as np
-
-from hypernorm.core import OperatorInstance
+from hypernorm.core import random_operator
 from hypernorm.oracles import norm_2_to_q_lower
 from hypernorm.sdp import SolveOptions
 from hypernorm.tensorsdp import a22_value
-
-
-def draw(dist, n, m, seed):
-    rng = np.random.default_rng(seed)
-    if dist == "sign":
-        a = rng.choice([-1.0, 1.0], size=(m, n))
-    elif dist == "gaussian":
-        a = rng.normal(size=(m, n))
-    else:
-        a = rng.normal(size=(m, n))
-        a *= np.sqrt(n) / np.linalg.norm(a, axis=1)[:, None]
-    return OperatorInstance(a / np.sqrt(n), "expectation")
 
 
 def main():
@@ -49,7 +35,7 @@ def main():
         for n in args.n:
             m = args.ratio * n * n
             for seed in range(args.seeds):
-                inst = draw(dist, n, m, seed)
+                inst = random_operator(dist, n, m, seed)
                 res = a22_value(inst, SolveOptions(tol=1e-7, max_iter=20_000),
                                 return_details=True)
                 ora = norm_2_to_q_lower(inst, 4, restarts=args.restarts, seed=seed)

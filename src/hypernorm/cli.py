@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .core import OperatorInstance, load_matrix, matrix_to_json
+from .core import OperatorInstance, load_matrix, matrix_to_json, random_operator
 from .dps import dps_value, h_ext
 from .lasserre import lasserre_roundtrip
 from .oracles import elementary_norms, h_sep_lower, norm_2_to_q_lower
@@ -188,17 +188,7 @@ def _cmd_reduce_pad(args):
 
 def _cmd_random_suite(args):
     def one(seed):
-        rng = np.random.default_rng(seed)
-        if args.dist == "sign":
-            a = rng.choice([-1.0, 1.0], size=(args.m, args.n))
-        elif args.dist == "gaussian":
-            a = rng.normal(size=(args.m, args.n))
-        elif args.dist == "unit":
-            a = rng.normal(size=(args.m, args.n))
-            a *= np.sqrt(args.n) / np.linalg.norm(a, axis=1)[:, None]
-        else:
-            raise ValueError(f"unknown distribution {args.dist!r}")
-        inst = OperatorInstance(a / np.sqrt(args.n), "expectation")
+        inst = random_operator(args.dist, args.n, args.m, seed)
         res = a22_value(inst, SolveOptions(tol=args.tol, max_iter=args.max_iter),
                         return_details=True)
         ora = norm_2_to_q_lower(inst, 4, restarts=args.restarts, seed=seed)

@@ -28,6 +28,7 @@ __all__ = [
     "matrix_from_json",
     "load_matrix",
     "save_matrix",
+    "random_operator",
 ]
 
 
@@ -191,3 +192,23 @@ def load_matrix(path) -> np.ndarray:
 def save_matrix(path, a: np.ndarray):
     with open(path, "w") as fh:
         json.dump(matrix_to_json(a), fh)
+
+
+def random_operator(dist: str, n: int, m: int, seed: int) -> OperatorInstance:
+    """An m x n random operator in the expectation convention, rows scaled by 1/sqrt(n).
+
+    ``dist`` picks the row ensemble: ``"sign"`` (uniform +-1 entries),
+    ``"gaussian"`` (standard normal entries) or ``"unit"`` (Gaussian rows
+    rescaled to length sqrt(n)).  The draw is a function of ``seed`` alone.
+    """
+    rng = np.random.default_rng(seed)
+    if dist == "sign":
+        a = rng.choice([-1.0, 1.0], size=(m, n))
+    elif dist == "gaussian":
+        a = rng.normal(size=(m, n))
+    elif dist == "unit":
+        a = rng.normal(size=(m, n))
+        a *= np.sqrt(n) / np.linalg.norm(a, axis=1)[:, None]
+    else:
+        raise ValueError(f"unknown distribution {dist!r}")
+    return OperatorInstance(a / np.sqrt(n), "expectation")

@@ -9,7 +9,6 @@ order indexes every moment matrix in the package.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +20,7 @@ __all__ = [
     "grlex_key",
     "Polynomial",
     "objective_expand",
+    "quartic_gram",
     "multilinear_reduce",
     "FourierFunction",
     "chi_table",
@@ -133,32 +133,37 @@ def sphere_poly(n: int) -> Polynomial:
     return Polynomial(n, terms)
 
 
+def quartic_gram(rows: np.ndarray) -> np.ndarray:
+    """The n^2 x n^2 Gram matrix sum_i (a_i (x) a_i)(a_i (x) a_i)^T of real rows.
+
+    Entry ``[j*n + k, l*n + m]`` is sum_i a_ij a_ik a_il a_im, so
+    ``<x (x) x, T (x (x) x)> = sum_i <a_i, x>^4``.
+    """
+    pairs = np.einsum("ia,ib->iab", rows, rows).reshape(rows.shape[0], -1)
+    return pairs.T @ pairs
+
+
 def objective_expand(instance: OperatorInstance) -> Polynomial:
     """Expand the quartic form sum_i w_i <a_i, x>^4 into coefficient form.
 
     The row weights are the exact convention scalings of the instance, so the
     resulting degree-4 polynomial evaluated on counting-unit x equals
-    |A x|_4^4 in the instance's declared convention.
+    |A x|_4^4 in the instance's declared convention.  The coefficient of
+    x^alpha is multinomial(alpha) times the quartic Gram entry at the sorted
+    variable indices of alpha; monomials with an exactly zero coefficient are
+    dropped.
     """
     if instance.is_complex:
         raise ValueError("quartic expansion needs a real operator; realify first")
-    rows = instance.quartic_rows()
     n = instance.n
-    terms: dict = {}
-    for row in rows:
-        nz = [j for j in range(n) if row[j] != 0.0]
-        for combo in itertools.combinations_with_replacement(nz, 4):
-            alpha = [0] * n
-            coeff = 1.0
-            for j in combo:
-                alpha[j] += 1
-                coeff *= row[j]
-            mult = math.factorial(4)
-            for e in alpha:
-                mult //= math.factorial(e)
-            key = tuple(alpha)
-            terms[key] = terms.get(key, 0.0) + mult * coeff
-    return Polynomial(n, terms)
+    gram = quartic_gram(instance.quartic_rows())
+    combos = np.array(list(itertools.combinations_with_replacement(range(n), 4)))
+    values = gram[combos[:, 0] * n + combos[:, 1], combos[:, 2] * n + combos[:, 3]]
+    exps = (combos[:, :, None] == np.arange(n)).sum(axis=1)
+    fact = np.array([1.0, 1.0, 2.0, 6.0, 24.0])
+    mult = 24.0 / np.prod(fact[exps], axis=1)
+    keep = np.flatnonzero(values)
+    return Polynomial(n, {tuple(exps[t].tolist()): mult[t] * values[t] for t in keep})
 
 
 def multilinear_reduce(p: Polynomial) -> Polynomial:

@@ -21,17 +21,19 @@ whose re-substitution residual is reported.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .core import OperatorInstance
 from .oracles import elementary_norms, norm_2_to_q_lower
 from .polybasis import Polynomial, chi_table, monomial_basis, objective_expand
-from .polybasis import sphere_poly
+from .polybasis import quartic_gram, sphere_poly
 from .pseudoexp import PseudoExpectation
-from .sdp import SdpProblem, SolveOptions, solve_sdp
+from .sdp import SdpProblem, SolveOptions, _psd_part, solve_sdp
 
 __all__ = [
     "MomentRelaxation",
@@ -64,7 +66,6 @@ class MomentRelaxation:
         if objective.degree() > d:
             raise ValueError("objective degree exceeds the relaxation level")
         self.n, self.d = n, d
-        self.objective = objective
         self.basis = monomial_basis(n, d // 2)
         self.index = {a: k for k, a in enumerate(self.basis)}
         N = len(self.basis)
@@ -76,6 +77,20 @@ class MomentRelaxation:
                 mono = tuple(x + y for x, y in zip(self.basis[i], self.basis[j]))
                 classes.setdefault(mono, []).append((i, j))
         self.classes = classes
+        # coefficient rows of the SoS residual: one per monomial of degree <= d
+        row_of = {mono: r for r, mono in enumerate(classes)}
+        inc_r, inc_c = [], []
+        for r, pos in enumerate(classes.values()):
+            for i, j in pos:
+                inc_r.append(r)
+                inc_c.append(i * N + j)
+                if i != j:
+                    inc_r.append(r)
+                    inc_c.append(j * N + i)
+        # incidence @ G.ravel() = coefficients of sum_ij G[i, j] x^(a_i + a_j)
+        self._incidence = sp.csr_matrix((np.ones(len(inc_r)), (inc_r, inc_c)),
+                                        shape=(len(classes), N * N))
+        self._zero_row = row_of[(0,) * n]
 
         cons, b = [], []
         cons.append([_entry(0, 0, 0, 1.0)])
@@ -86,22 +101,32 @@ class MomentRelaxation:
                 b.append(0.0)
         self.sphere_gammas = monomial_basis(n, d - 2)
         self.sphere_row0 = len(cons)
-        for gamma in self.sphere_gammas:
+        sph_r, sph_c, sph_v = [], [], []
+        for col, gamma in enumerate(self.sphere_gammas):
             row = {}
             for k in range(n):
                 up = tuple(g + (2 if t == k else 0) for t, g in enumerate(gamma))
                 i, j = classes[up][0]
                 row[(i, j)] = row.get((i, j), 0.0) + 1.0
+                sph_r.append(row_of[up])
             i, j = classes[gamma][0]
             row[(i, j)] = row.get((i, j), 0.0) - 1.0
             cons.append([_entry(0, i, j, c) for (i, j), c in row.items()])
             b.append(0.0)
+            sph_r.append(row_of[gamma])
+            sph_c.extend([col] * (n + 1))
+            sph_v.extend([1.0] * n + [-1.0])
+        # sphere @ q = coefficients of q(x) (|x|^2 - 1), q given on sphere_gammas
+        self._sphere = sp.csr_matrix((sph_v, (sph_r, sph_c)),
+                                     shape=(len(classes), len(self.sphere_gammas)))
+        self._objective_vec = np.zeros(len(classes))
 
         C = np.zeros((N, N))
         for mono, c in objective.terms.items():
             pos = classes.get(mono)
             if pos is None:
                 raise ValueError(f"objective monomial {mono} not representable at level {d}")
+            self._objective_vec[row_of[mono]] = c
             weight = sum(2.0 if i != j else 1.0 for i, j in pos)
             for i, j in pos:
                 C[i, j] += c / weight
@@ -143,33 +168,40 @@ class MomentRelaxation:
         w, v = np.linalg.eigh(shifted)
         w = np.maximum(w, 0.0)
         squares = []
+        kept = []
         for k in range(len(w)):
             if w[k] <= 1e-14 * max(1.0, w[-1]):
                 continue
             coeffs = np.sqrt(w[k]) * v[:, k]
             squares.append(Polynomial(n, {a: coeffs[t] for t, a in enumerate(self.basis)}))
+            kept.append(coeffs)
 
-        norm2 = Polynomial(n, {tuple(2 * (j == t) for t in range(n)): 1.0 for j in range(n)})
-        # W(x) with (|x|^2 - 1) W(x) = sum_k |x|^(2k) - (d/2 + 1)
-        wpoly = Polynomial.constant(n, 0.0)
-        power = Polynomial.constant(n, 1.0)
-        for j in range(d // 2):
-            wpoly = wpoly + float(d // 2 - j) * power
-            power = power * norm2
-        mult = Polynomial.constant(n, 0.0)
+        # q(x) = -sum_g y_g x^g - shift * W(x), where
+        # (|x|^2 - 1) W(x) = sum_k |x|^(2k) - (d/2 + 1), i.e.
+        # W(x) = sum_{j < d/2} (d/2 - j) |x|^(2j)
+        terms = {}
         for t, gamma in enumerate(self.sphere_gammas):
             yg = y[self.sphere_row0 + t]
             if yg != 0.0:
-                mult = mult + Polynomial(n, {gamma: -yg})
-        mult = mult + (-shift) * wpoly
+                terms[gamma] = -yg
+        for gamma in self.sphere_gammas:
+            if any(e % 2 for e in gamma):
+                continue
+            c = float(d // 2 - sum(gamma) // 2) * _multinomial([e // 2 for e in gamma]) * (-shift)
+            if c != 0.0:
+                terms[gamma] = terms.get(gamma, 0.0) + c
+        mult = Polynomial(n, terms)
 
         residual = None
         if expand_residual:
-            recon = Polynomial.constant(n, bound) - self.objective
-            for sq in squares:
-                recon = recon - sq * sq
-            recon = recon - mult * sphere_poly(n)
-            residual = recon.max_abs_coeff()
+            # bound - objective - q (|x|^2 - 1) - sum_j R_j^2, with sum_j R_j^2
+            # the class sums of the squares' Gram matrix G = sum_j c_j c_j^T
+            q = np.array([mult.coefficient(g) for g in self.sphere_gammas])
+            target = -self._objective_vec - self._sphere @ q
+            target[self._zero_row] += bound
+            factors = np.array(kept).reshape(-1, len(w))
+            gram = factors.T @ factors
+            residual = float(np.max(np.abs(target - self._incidence @ gram.ravel())))
         return SosCertificate(bound=bound, shift=shift, squares=squares,
                               ideal_multiplier=mult, residual=residual, y=y.copy())
 
@@ -246,8 +278,7 @@ def a22_matrix(instance: OperatorInstance) -> np.ndarray:
     rows = instance.quartic_rows()
     if np.iscomplexobj(rows):
         raise ValueError("two-two form needs a real operator")
-    pairs = np.einsum("ia,ib->iab", rows, rows).reshape(rows.shape[0], -1)
-    return pairs.T @ pairs
+    return quartic_gram(rows)
 
 
 def index_symmetrize(x: np.ndarray, n: int) -> np.ndarray:
@@ -259,7 +290,7 @@ def index_symmetrize(x: np.ndarray, n: int) -> np.ndarray:
     return (acc / 24.0).reshape(n * n, n * n)
 
 
-_S4 = [pi for pi in __import__("itertools").permutations(range(4))]
+_S4 = list(itertools.permutations(range(4)))
 
 
 def _a22_projector_admm(C: np.ndarray, n: int, opts: SolveOptions):
@@ -307,15 +338,6 @@ def _a22_projector_admm(C: np.ndarray, n: int, opts: SolveOptions):
     residuals = {"primal_infeas": float(np.linalg.norm(X - Z) / (1.0 + np.linalg.norm(X))),
                  "min_eig": min_eig}
     return value, X, status, it, residuals
-
-
-def _psd_part(m):
-    w, v = np.linalg.eigh((m + m.T) / 2.0)
-    pos = w > 0
-    if not np.any(pos):
-        return np.zeros_like(m)
-    vp = v[:, pos]
-    return (vp * w[pos]) @ vp.T
 
 
 @dataclass

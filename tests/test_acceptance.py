@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from hypernorm.core import OperatorInstance
+from hypernorm.core import OperatorInstance, random_operator
 from hypernorm.dps import dps_value, h_ext
 from hypernorm.lasserre import lasserre_roundtrip
 from hypernorm.oracles import h_sep_lower, norm_2_to_q_lower
@@ -62,18 +62,6 @@ def test_criterion_1_hypercontractivity(l, d):
 
 
 # -- 2. random-operator suite ------------------------------------------------
-
-
-def random_operator(dist, n, m, seed):
-    rng = np.random.default_rng(seed)
-    if dist == "sign":
-        a = rng.choice([-1.0, 1.0], size=(m, n))
-    elif dist == "gaussian":
-        a = rng.normal(size=(m, n))
-    else:
-        a = rng.normal(size=(m, n))
-        a *= np.sqrt(n) / np.linalg.norm(a, axis=1)[:, None]
-    return OperatorInstance(a / np.sqrt(n), "expectation")
 
 
 @pytest.mark.parametrize("dist", ["sign", "gaussian", "unit"])

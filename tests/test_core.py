@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from hypernorm.core import OperatorInstance, TensorShape, matrix_from_json, matrix_to_json
+from hypernorm.core import (
+    OperatorInstance,
+    TensorShape,
+    matrix_from_json,
+    matrix_to_json,
+    random_operator,
+)
 
 
 def test_matrix_json_roundtrip_real(rng):
@@ -70,3 +76,31 @@ def test_row_weights_validation(rng):
         OperatorInstance(a, "expectation", row_weights=np.array([1.0, 1.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
         OperatorInstance(a, "counting", row_weights=w)
+
+
+def _reference_draw(dist, n, m, seed):
+    # the sampler acceptance criterion 2 used before it moved into the package
+    rng = np.random.default_rng(seed)
+    if dist == "sign":
+        a = rng.choice([-1.0, 1.0], size=(m, n))
+    elif dist == "gaussian":
+        a = rng.normal(size=(m, n))
+    else:
+        a = rng.normal(size=(m, n))
+        a *= np.sqrt(n) / np.linalg.norm(a, axis=1)[:, None]
+    return OperatorInstance(a / np.sqrt(n), "expectation")
+
+
+@pytest.mark.parametrize("dist", ["sign", "gaussian", "unit"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_random_operator_reproduces_reference_draws(dist, seed):
+    n, m = 4, 800
+    got = random_operator(dist, n, m, seed)
+    ref = _reference_draw(dist, n, m, seed)
+    assert got.convention == "expectation"
+    assert np.array_equal(got.matrix, ref.matrix)
+
+
+def test_random_operator_rejects_unknown_distribution():
+    with pytest.raises(ValueError, match="unknown distribution"):
+        random_operator("cauchy", 4, 16, 0)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypernorm.polybasis import (
     multilinear_reduce,
     objective_expand,
 )
+from hypernorm.tensorsdp import a22_matrix
 
 
 def test_monomial_basis_counts_and_order():
@@ -74,6 +76,66 @@ class TestObjectiveExpand:
         ac = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         with pytest.raises(ValueError):
             objective_expand(OperatorInstance(ac))
+
+
+def _reference_expand(instance):
+    # the per-row expansion objective_expand used before the Gram-matrix form
+    n = instance.n
+    terms: dict = {}
+    for row in instance.quartic_rows():
+        nz = [j for j in range(n) if row[j] != 0.0]
+        for combo in itertools.combinations_with_replacement(nz, 4):
+            alpha = [0] * n
+            coeff = 1.0
+            for j in combo:
+                alpha[j] += 1
+                coeff *= row[j]
+            mult = math.factorial(4)
+            for e in alpha:
+                mult //= math.factorial(e)
+            key = tuple(alpha)
+            terms[key] = terms.get(key, 0.0) + mult * coeff
+    return Polynomial(n, terms)
+
+
+def _zeroed_rows():
+    a = np.random.default_rng(5).normal(size=(6, 5))
+    a[:, 3] = 0.0                        # a variable no row touches
+    a[0, :2] = 0.0
+    a[2, [0, 2, 4]] = 0.0
+    a[4] = 0.0
+    return OperatorInstance(a)
+
+
+def _weighted_rows():
+    rng = np.random.default_rng(6)
+    w = rng.uniform(0.1, 1.0, size=7)
+    return OperatorInstance(rng.normal(size=(7, 3)), "expectation", w / w.sum())
+
+
+EXPAND_CASES = {
+    "dense": lambda: OperatorInstance(np.random.default_rng(4).normal(size=(9, 4))),
+    "exact-zeros": _zeroed_rows,
+    "row-weights": _weighted_rows,
+    "one-variable": lambda: OperatorInstance(np.random.default_rng(7).normal(size=(5, 1))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXPAND_CASES))
+def test_objective_expand_matches_per_row_reference(case):
+    inst = EXPAND_CASES[case]()
+    got, ref = objective_expand(inst), _reference_expand(inst)
+    assert set(got.terms) == set(ref.terms)
+    scale = ref.max_abs_coeff()
+    assert max(abs(got.terms[a] - c) for a, c in ref.terms.items()) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("case", sorted(EXPAND_CASES))
+def test_a22_matrix_is_the_pairwise_gram(case):
+    inst = EXPAND_CASES[case]()
+    rows = inst.quartic_rows()
+    pairs = np.einsum("ia,ib->iab", rows, rows).reshape(rows.shape[0], -1)
+    assert np.array_equal(a22_matrix(inst), pairs.T @ pairs)
 
 
 class TestMultilinearReduce:

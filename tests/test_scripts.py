@@ -1,0 +1,39 @@
+"""Smoke tests for the command-line scripts under ``scripts/``: each runs as a
+subprocess on a small input and must write a well-formed CSV."""
+
+import csv
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    return list(csv.reader(io.StringIO(out.stdout)))
+
+
+def test_hyper_certificate_table():
+    rows = run_script("hyper_certificate_table.py", "--max-l", "3", "--max-d", "1")
+    assert rows[0] == ["l", "d", "n_coeffs", "value", "bound_9d", "oracle_fourth",
+                       "certificate_bound", "sos_residual", "seconds"]
+    body = rows[1:]
+    # (l, d) in {2, 3} x {0, 1}
+    assert [(r[0], r[1]) for r in body] == [("2", "0"), ("2", "1"), ("3", "0"), ("3", "1")]
+    for r in body:
+        assert float(r[7]) <= 1e-6
+
+
+def test_random_operator_sweep():
+    rows = run_script("random_operator_sweep.py", "--n", "4", "--seeds", "1", "--ratio", "5")
+    assert rows[0] == ["dist", "n", "m", "seed", "a22", "upper", "oracle", "oracle_floor"]
+    body = rows[1:]
+    assert [r[0] for r in body] == ["sign", "gaussian", "unit"]
+    for r in body:
+        assert (r[1], r[2], r[3]) == ("4", "80", "0")
+        assert float(r[4]) <= float(r[5]) + 1e-6

@@ -3,6 +3,7 @@ import pytest
 
 from hypernorm.core import OperatorInstance
 from hypernorm.oracles import norm_2_to_q_lower
+from hypernorm.polybasis import Polynomial, objective_expand, sphere_poly
 from hypernorm.pseudoexp import validate_pef
 from hypernorm.sdp import SolveOptions
 from hypernorm.tensorsdp import (
@@ -99,6 +100,34 @@ class TestTensorSdp:
         assert rough.certificate.bound >= ora.value**4 - 1e-9
         assert rough.certificate.bound >= full.value - 1e-5
         assert rough.certificate.residual <= 1e-6
+
+
+def _symbolic_residual(inst, cert):
+    # bound - objective - sum_j R_j^2 - q (|x|^2 - 1), expanded with Polynomial
+    recon = Polynomial.constant(inst.n, cert.bound) - objective_expand(inst)
+    for sq in cert.squares:
+        recon = recon - sq * sq
+    recon = recon - cert.ideal_multiplier * sphere_poly(inst.n)
+    return recon.max_abs_coeff()
+
+
+RESIDUAL_CASES = {
+    "L4-sign-6x3": (lambda: sign_instance(6, 3), 4, None),
+    "L6-gauss-4x2": (lambda: OperatorInstance(np.random.default_rng(3).normal(size=(4, 2))), 6, None),
+    "L8-gauss-5x3": (lambda: OperatorInstance(np.random.default_rng(8).normal(size=(5, 3))), 8, None),
+    "L4-hyper-3-1": (lambda: low_degree_instance(3, 1), 4, None),
+    "L4-underconverged": (lambda: sign_instance(6, 3, seed=2), 4, SolveOptions(max_iter=10)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESIDUAL_CASES))
+def test_certificate_residual_matches_symbolic_expansion(case):
+    make, level, opts = RESIDUAL_CASES[case]
+    inst = make()
+    cert = tensor_sdp(inst, level, opts).certificate
+    if case == "L4-underconverged":
+        assert cert.shift > 0.0
+    assert abs(_symbolic_residual(inst, cert) - cert.residual) <= 1e-12
 
 
 class TestA22:
