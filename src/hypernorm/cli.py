@@ -2,17 +2,15 @@
 experiment, and writes a machine-readable JSON report (stdout or --out) with
 the full configuration echoed for reproducibility.  A short human summary
 goes to stderr.  Exit codes: 0 success, 2 validation/precondition failure,
-3 solver non-convergence.
+3 solver non-convergence (including a ``RuntimeError`` raised by a solver).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -47,7 +45,7 @@ def _load_instance(path, convention):
 
 
 def _opts(args):
-    return SolveOptions(tol=args.tol, max_iter=args.max_iter, seed=args.seed)
+    return SolveOptions(tol=args.tol, max_iter=args.max_iter)
 
 
 def _cmd_norm24(args):
@@ -187,22 +185,14 @@ def _cmd_reduce_pad(args):
 
 
 def _cmd_random_suite(args):
-    def one(seed):
+    rows = []
+    for seed in range(args.seed, args.seed + args.seeds):
         inst = random_operator(args.dist, args.n, args.m, seed)
-        res = a22_value(inst, SolveOptions(tol=args.tol, max_iter=args.max_iter),
-                        return_details=True)
+        res = a22_value(inst, _opts(args), return_details=True)
         ora = norm_2_to_q_lower(inst, 4, restarts=args.restarts, seed=seed)
-        return {"seed": seed, "a22": res.value, "upper": res.bound, "status": res.status,
-                "oracle": ora.value,
-                "oracle_floor": (3.0 / (1.0 + 2.0 / args.n)) ** 0.25}
-
-    seeds = list(range(args.seed, args.seed + args.seeds))
-    workers = int(os.environ.get("HYPERNORM_THREADS", "0")) or 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, seeds))
-    else:
-        rows = [one(s) for s in seeds]
+        rows.append({"seed": seed, "a22": res.value, "upper": res.bound, "status": res.status,
+                     "oracle": ora.value,
+                     "oracle_floor": (3.0 / (1.0 + 2.0 / args.n)) ** 0.25})
     ok = all(r["status"] == "optimal" for r in rows)
     return {"dist": args.dist, "n": args.n, "m": args.m, "threshold": 3.5,
             "runs": rows}, 0 if ok else 3
@@ -324,11 +314,13 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         results, code = args.func(args)
-    except (ValueError, PreconditionError, FileNotFoundError) as exc:
+    except (ValueError, PreconditionError, FileNotFoundError, RuntimeError) as exc:
+        # a solver that fails at run time is non-convergence, not bad input
+        code = 3 if isinstance(exc, RuntimeError) else 2
         report = {"command": args.command, "config": _jsonable(config), "error": str(exc)}
         print(json.dumps(report, indent=2))
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return code
     report = {"command": args.command, "config": _jsonable(config),
               "results": _jsonable(results), "wall_time": time.time() - t0}
     text = json.dumps(report, indent=2)

@@ -50,11 +50,6 @@ def _ppt_subsets(r: int):
     return out
 
 
-def _sel(i, j, c=1.0):
-    """Entry-list coefficient whose constraint functional is c * X[i, j]."""
-    return c if i == j else c / 2.0
-
-
 def _sym_basis(dim):
     for a in range(dim):
         for b in range(a, dim):
@@ -62,6 +57,22 @@ def _sym_basis(dim):
             e[a, b] = 1.0
             e[b, a] = 1.0
             yield a, b, e
+
+
+def _linking_rows(images, blocks: int, size: int) -> list:
+    """Rows Y_k[i, j] = sum_(a, b) image_k(a, b)[i, j] * X[a, b], tying each
+    PPT block k + 1 entrywise to the partial transpose of block 0's lift."""
+    cons = []
+    for k in range(blocks):
+        for i in range(size):
+            for j in range(i, size):
+                entries = [(k + 1, i, j, 1.0)]
+                for (a, bb), mats in images.items():
+                    c = mats[k][i, j]
+                    if abs(c) > 1e-14:
+                        entries.append((0, a, bb, -float(c)))
+                cons.append(entries)
+    return cons
 
 
 @dataclass
@@ -104,21 +115,9 @@ def dps_value(m: np.ndarray, n: int, r: int = 1, ppt: bool = True,
     if not complex_input:
         blocks = [dim] + [dfull] * len(subsets)
         C = [obj] + [np.zeros((dfull, dfull)) for _ in subsets]
-        cons = [[(0, i, i, 1.0) for i in range(dim)]]
-        b = [1.0]
-        images = {}
-        for a, bb, e in _sym_basis(dim):
-            images[(a, bb)] = push(e)
-        for k in range(len(subsets)):
-            for i in range(dfull):
-                for j in range(i, dfull):
-                    entries = [(k + 1, i, j, _sel(i, j))]
-                    for (a, bb), mats in images.items():
-                        c = mats[k][i, j]
-                        if abs(c) > 1e-14:
-                            entries.append((0, a, bb, _sel(a, bb, -float(c))))
-                    cons.append(entries)
-                    b.append(0.0)
+        images = {(a, bb): push(e) for a, bb, e in _sym_basis(dim)}
+        cons = [[(0, i, i, 1.0) for i in range(dim)]] + _linking_rows(images, len(subsets), dfull)
+        b = [1.0] + [0.0] * (len(cons) - 1)
         problem = SdpProblem(blocks, C, cons, b)
         sol = solve_sdp(problem, opts or SolveOptions(tol=1e-8, max_iter=100_000))
         value = sol.primal_obj
@@ -156,38 +155,25 @@ def _dps_complex_embedded(obj, lift, shape_full, subsets, opts):
     # J-invariance: S[a, b] = S[a+dim, b+dim] and S[a, b+dim] + S[b, a+dim] = 0
     for a in range(dim):
         for bb in range(a, dim):
-            cons.append([(0, a, bb, _sel(a, bb)), (0, a + dim, bb + dim, _sel(a + dim, bb + dim, -1.0))])
+            cons.append([(0, a, bb, 1.0), (0, a + dim, bb + dim, -1.0)])
             b.append(0.0)
     for a in range(dim):
         for bb in range(a, dim):
             if a == bb:
-                cons.append([(0, a, a + dim, _sel(a, a + dim))])
+                cons.append([(0, a, a + dim, 1.0)])
             else:
-                cons.append([(0, a, bb + dim, _sel(a, bb + dim)),
-                             (0, bb, a + dim, _sel(bb, a + dim))])
+                cons.append([(0, a, bb + dim, 1.0), (0, bb, a + dim, 1.0)])
             b.append(0.0)
 
     # linking rows: Y_k = embedding of (lift sigma(S) lift^H)^{T_subset}
     images = {}
-    for a in range(D):
-        for bb in range(a, D):
-            e = np.zeros((D, D))
-            e[a, bb] = 1.0
-            e[bb, a] = 1.0
-            sig = _unembed(e)
-            full = lift @ sig @ lift.conj().T
-            images[(a, bb)] = [real_embedding(partial_transpose(full, shape_full, s))
-                               for s in subsets]
-    for k in range(len(subsets)):
-        for i in range(DF):
-            for j in range(i, DF):
-                entries = [(k + 1, i, j, _sel(i, j))]
-                for (a, bb), mats in images.items():
-                    c = mats[k][i, j]
-                    if abs(c) > 1e-14:
-                        entries.append((0, a, bb, _sel(a, bb, -float(c))))
-                cons.append(entries)
-                b.append(0.0)
+    for a, bb, e in _sym_basis(D):
+        full = lift @ _unembed(e) @ lift.conj().T
+        images[(a, bb)] = [real_embedding(partial_transpose(full, shape_full, s))
+                           for s in subsets]
+    link = _linking_rows(images, len(subsets), DF)
+    cons += link
+    b += [0.0] * len(link)
     problem = SdpProblem(blocks, C, cons, b)
     sol = solve_sdp(problem, opts or SolveOptions(tol=1e-8, max_iter=100_000))
     return sol.primal_obj, sol

@@ -20,16 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import gram_factor, psd_project
-from .polybasis import Polynomial, monomial_basis
+from .polybasis import Polynomial, class_means, moment_classes, monomial_basis, spread_objective
 from .pseudoexp import PseudoExpectation, pseudo_expect, validate_pef
-from .sdp import SdpProblem, SolveOptions, solve_sdp
+from .sdp import SdpProblem, SolveOptions, equality_rows, solve_sdp
 from .sse import RegularGraph
 
 __all__ = ["lasserre_roundtrip", "RoundtripReport", "solve_lasserre_maxcut", "solve_sos_maxcut"]
-
-
-def _sel(i, j, c=1.0):
-    return (0, i, j, c if i == j else c / 2.0)
 
 
 def _cut_sets(n):
@@ -39,24 +35,31 @@ def _cut_sets(n):
     return sets
 
 
+def _cut_classes(sets) -> dict:
+    """Map each symmetric difference S ^ T to the Gram positions (a, b), a <= b,
+    whose inner product <v_S, v_T> it determines."""
+    classes: dict = {}
+    for a in range(len(sets)):
+        for b in range(a, len(sets)):
+            classes.setdefault(tuple(sorted(sets[a] ^ sets[b])), []).append((a, b))
+    return classes
+
+
+def _cube_ideal(n):
+    """The generators x_i^2 - 1 of the cube ideal."""
+    return [Polynomial(n, {tuple(2 * (t == i) for t in range(n)): 1.0, (0,) * n: -1.0})
+            for i in range(n)]
+
+
 def solve_lasserre_maxcut(g: RegularGraph, opts: SolveOptions | None = None):
     """Vector relaxation over {v_S : |S| <= 2} with consistent inner products."""
     n = g.n
     sets = _cut_sets(n)
     idx = {s: k for k, s in enumerate(sets)}
     N = len(sets)
-    classes: dict = {}
-    for a in range(N):
-        for b in range(a, N):
-            key = tuple(sorted(sets[a] ^ sets[b]))
-            classes.setdefault(key, []).append((a, b))
-    cons = [[_sel(idx[frozenset()], idx[frozenset()], 1.0)]]
-    b = [1.0]
-    for key in sorted(classes):
-        pos = classes[key]
-        for (a0, b0), (a1, b1) in zip(pos, pos[1:]):
-            cons.append([_sel(a0, b0, 1.0), _sel(a1, b1, -1.0)])
-            b.append(0.0)
+    empty = idx[frozenset()]
+    cons = [[(0, empty, empty, 1.0)]] + equality_rows(_cut_classes(sets))
+    b = [1.0] + [0.0] * (len(cons) - 1)
     C = np.zeros((N, N))
     w = 1.0 / (4.0 * len(g.edges))
     for u, v in g.edges:
@@ -87,19 +90,9 @@ def solve_sos_maxcut(g: RegularGraph, opts: SolveOptions | None = None):
     if n > 8:
         raise ValueError("moment relaxation limited to 8 vertices")
     basis = monomial_basis(n, 2)
-    N = len(basis)
-    classes: dict = {}
-    for a in range(N):
-        for b in range(a, N):
-            mono = tuple(x + y for x, y in zip(basis[a], basis[b]))
-            classes.setdefault(mono, []).append((a, b))
-    cons = [[_sel(0, 0, 1.0)]]
-    b = [1.0]
-    for mono in sorted(classes):
-        pos = classes[mono]
-        for (a0, b0), (a1, b1) in zip(pos, pos[1:]):
-            cons.append([_sel(a0, b0, 1.0), _sel(a1, b1, -1.0)])
-            b.append(0.0)
+    classes = moment_classes(basis)
+    cons = [[(0, 0, 0, 1.0)]] + equality_rows(classes)
+    b = [1.0] + [0.0] * (len(cons) - 1)
     # the ideal rows E[x^mono] = E[x^(mono mod 2)] form a star per class, which
     # spans the same constraints as all multiplier pairs without creating
     # dependent cycles
@@ -109,26 +102,12 @@ def solve_sos_maxcut(g: RegularGraph, opts: SolveOptions | None = None):
             continue
         pi, pj = classes[mono][0]
         qi, qj = classes[reduced][0]
-        cons.append([_sel(pi, pj, 1.0), _sel(qi, qj, -1.0)])
+        cons.append([(0, pi, pj, 1.0), (0, qi, qj, -1.0)])
         b.append(0.0)
-    obj = _cut_objective(g)
-    C = np.zeros((N, N))
-    for mono, c in obj.terms.items():
-        pos = classes[mono]
-        weight = sum(2.0 if i != j else 1.0 for i, j in pos)
-        for i, j in pos:
-            C[i, j] += c / weight
-            if i != j:
-                C[j, i] += c / weight
-    problem = SdpProblem([N], [C], cons, b)
+    C = spread_objective(_cut_objective(g), classes, len(basis))
+    problem = SdpProblem([len(basis)], [C], cons, b)
     sol = solve_sdp(problem, opts or SolveOptions(tol=1e-9))
-    moments = {}
-    X = sol.X[0]
-    for mono, pos in classes.items():
-        moments[mono] = float(np.mean([X[i, j] for i, j in pos]))
-    ideal = [Polynomial(n, {tuple(2 * (t == i) for t in range(n)): 1.0, (0,) * n: -1.0})
-             for i in range(n)]
-    pe = PseudoExpectation(n, 4, moments, ideal)
+    pe = PseudoExpectation(n, 4, class_means(sol.X[0], classes), _cube_ideal(n))
     return sol.primal_obj, pe, sol
 
 
@@ -155,9 +134,7 @@ def lasserre_to_pe(y: np.ndarray, sets, n: int) -> tuple[PseudoExpectation, floa
         val, sp = multilinear_moment(mono_set)
         moments[alpha] = val
         spread = max(spread, sp)
-    ideal = [Polynomial(n, {tuple(2 * (t == i) for t in range(n)): 1.0, (0,) * n: -1.0})
-             for i in range(n)]
-    return PseudoExpectation(n, 4, moments, ideal), spread
+    return PseudoExpectation(n, 4, moments, _cube_ideal(n)), spread
 
 
 def pe_to_lasserre(pe: PseudoExpectation, psd_slack: float = 1e-7):
@@ -202,12 +179,8 @@ def lasserre_roundtrip(g: RegularGraph, opts: SolveOptions | None = None,
     y_from_pe, _, sets2 = pe_to_lasserre(pe)
     idx = {s: k for k, s in enumerate(sets2)}
     gram_spread = 0.0
-    classes: dict = {}
-    for a in range(len(sets2)):
-        for b in range(a, len(sets2)):
-            key = tuple(sorted(sets2[a] ^ sets2[b]))
-            classes.setdefault(key, []).append(y_from_pe[a, b])
-    for vals in classes.values():
+    for pos in _cut_classes(sets2).values():
+        vals = [y_from_pe[a, b] for a, b in pos]
         gram_spread = max(gram_spread, float(np.max(vals) - np.min(vals)))
     w = 1.0 / (4.0 * len(g.edges))
     sos_conv_obj = 0.0

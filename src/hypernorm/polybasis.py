@@ -1,5 +1,6 @@
-"""Monomial bases, sparse polynomial arithmetic, Boolean-cube Fourier
-analysis, and expansion of quartic-form objectives into coefficient form.
+"""Monomial bases, sparse polynomial arithmetic, moment-matrix classes,
+Boolean-cube Fourier analysis, and expansion of quartic-form objectives into
+coefficient form.
 
 Monomials are exponent tuples over n variables ordered graded-lexicographically
 (total degree first, then lexicographic with variable 1 heaviest); this fixed
@@ -22,6 +23,9 @@ __all__ = [
     "objective_expand",
     "quartic_gram",
     "multilinear_reduce",
+    "moment_classes",
+    "spread_objective",
+    "class_means",
     "FourierFunction",
     "chi_table",
     "low_degree_projector",
@@ -173,6 +177,44 @@ def multilinear_reduce(p: Polynomial) -> Polynomial:
         key = tuple(e % 2 for e in alpha)
         out[key] = out.get(key, 0.0) + c
     return Polynomial(p.n, out)
+
+
+# ---------------------------------------------------------------------------
+# Moment matrices.  Entry (i, j) of the moment matrix over a basis holds the
+# moment of x^(basis[i] + basis[j]); the upper-triangle positions sharing a
+# monomial form its class, listed in row-major order.
+# ---------------------------------------------------------------------------
+
+
+def moment_classes(basis) -> dict:
+    """Map each monomial to the upper-triangle positions (i, j) that hold it."""
+    classes: dict = {}
+    for i in range(len(basis)):
+        for j in range(i, len(basis)):
+            mono = tuple(x + y for x, y in zip(basis[i], basis[j]))
+            classes.setdefault(mono, []).append((i, j))
+    return classes
+
+
+def spread_objective(objective: Polynomial, classes: dict, size: int) -> np.ndarray:
+    """Symmetric C with <C, X> = sum_a c_a x^a on every class-consistent X,
+    each coefficient spread evenly over the entries of its class."""
+    C = np.zeros((size, size))
+    for mono, c in objective.terms.items():
+        pos = classes.get(mono)
+        if pos is None:
+            raise ValueError(f"objective monomial {mono} not representable in the moment matrix")
+        weight = sum(2.0 if i != j else 1.0 for i, j in pos)
+        for i, j in pos:
+            C[i, j] += c / weight
+            if i != j:
+                C[j, i] += c / weight
+    return C
+
+
+def class_means(X: np.ndarray, classes: dict) -> dict:
+    """Moments read off a moment matrix: the mean of each class's entries."""
+    return {mono: float(np.mean([X[i, j] for i, j in pos])) for mono, pos in classes.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from scipy.optimize import nnls
 from .core import OperatorInstance, TensorShape
 from .linalg import perm_operator, psd_project, reorder_factors, sym_eig
 from .oracles import h_sep_lower, inj3_lower, inj_sym4_lower, norm_2_to_q_lower
+from .polybasis import quartic_gram
 
 __all__ = [
     "ReductionArtifact",
@@ -97,8 +98,7 @@ def build_tensor_forms(instance: OperatorInstance, audit: bool = False,
     m, n = rows.shape
     a4 = _symmetric_fourth_power(rows)
     a3 = np.einsum("ia,ib->abi", rows, rows)
-    pairs = np.einsum("ia,ib->iab", rows, rows).reshape(m, -1)
-    a22 = pairs.T @ pairs
+    a22 = quartic_gram(rows)
     forms = {"A4": a4, "A3": a3, "A22": a22}
     if not audit:
         return forms, None
@@ -110,7 +110,7 @@ def build_tensor_forms(instance: OperatorInstance, audit: bool = False,
     vh = h_sep_lower(a22, (n, n), restarts=restarts, seed=seed).value
     from .tensorsdp import tensor_sdp
 
-    upper = tensor_sdp(instance, 4, expand_residual=False).certificate.bound
+    upper = tensor_sdp(instance, 4).certificate.bound
     vals = [v24, v4, v3, vh]
     scale = max(1.0, max(vals))
     gap = (max(vals) - min(vals)) / scale

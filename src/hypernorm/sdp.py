@@ -13,6 +13,8 @@ problem and options produce bitwise-identical iterates.
 
 from __future__ import annotations
 
+import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -20,26 +22,35 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-__all__ = ["SdpProblem", "SdpSolution", "DualCertificate", "SolveOptions", "solve_sdp", "certified_upper_bound"]
+__all__ = ["SdpProblem", "SdpSolution", "DualCertificate", "SolveOptions", "solve_sdp",
+           "certified_upper_bound", "equality_rows"]
 
 
 @dataclass
 class SolveOptions:
     tol: float = 1e-7
     max_iter: int = 200_000
-    seed: int = 0
     rho: float = 1.6          # over-relaxation on the multiplier step
     mu: float = 1.0           # initial penalty
     adapt_every: int = 100
-    verbose: bool = False
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if self.adapt_every < 1:
+            raise ValueError(f"adapt_every must be at least 1, got {self.adapt_every}")
 
 
 class SdpProblem:
     """Block-diagonal standard-form SDP.
 
     Constraints are supplied as entry lists: each constraint is a list of
-    ``(block, i, j, c)`` tuples meaning the symmetric matrix A has
-    ``A[i, j] = A[j, i] = c`` in that block, together with the scalar b.
+    ``(block, i, j, c)`` tuples, each adding ``c * X[i, j]`` to the
+    constraint functional of that block, together with the scalar b.  Entries
+    at ``(i, j)`` and ``(j, i)`` both count, so a symmetric matrix A enters as
+    ``A[i, i]`` on the diagonal and ``2 * A[i, j]`` once per pair ``i < j``.
     """
 
     def __init__(self, blocks, C, constraints, b):
@@ -78,7 +89,8 @@ class SdpProblem:
                 if not (0 <= i < s and 0 <= j < s):
                     raise ValueError(f"entry ({i},{j}) out of range for block {blk} of size {s}")
                 p = self._svec_index(blk, i, j)
-                w = 1.0 if i == j else np.sqrt(2.0)
+                # X[i, j] is the svec coordinate over sqrt(2) off the diagonal
+                w = 1.0 if i == j else np.sqrt(2.0) / 2.0
                 coords[p] = coords.get(p, 0.0) + float(c) * w
             coords = {p: v for p, v in coords.items() if v != 0.0}
             if not coords:
@@ -136,37 +148,6 @@ class SdpProblem:
         """The symmetric matrices of sum_i y_i A_i, per block."""
         return self.smat(self.A.T @ y)
 
-    def to_json(self) -> dict:
-        """Debug dump: reconstructible with :meth:`from_json`."""
-        coo = self.A.tocoo()
-        return {
-            "blocks": list(self.blocks),
-            "C": [c.tolist() for c in self.C],
-            "b": self.b.tolist(),
-            "A_svec": {"rows": coo.row.tolist(), "cols": coo.col.tolist(),
-                       "vals": coo.data.tolist()},
-        }
-
-    @staticmethod
-    def from_json(doc: dict) -> "SdpProblem":
-        out = SdpProblem.__new__(SdpProblem)
-        out.blocks = [int(s) for s in doc["blocks"]]
-        out.C = [np.array(c, dtype=float) for c in doc["C"]]
-        out.b = np.array(doc["b"], dtype=float)
-        out._offsets, out._triu = [], []
-        off = 0
-        for s in out.blocks:
-            out._triu.append(np.triu_indices(s))
-            out._offsets.append(off)
-            off += s * (s + 1) // 2
-        out.svec_dim = off
-        a = doc["A_svec"]
-        out.m = len(out.b)
-        out.kept_rows = list(range(out.m))
-        out.A = sp.csr_matrix((a["vals"], (a["rows"], a["cols"])),
-                              shape=(out.m, out.svec_dim))
-        return out
-
     def constraint_values(self, X) -> np.ndarray:
         return self.A @ self.svec(X)
 
@@ -202,7 +183,18 @@ def _psd_part(m: np.ndarray):
     return (vp * w[pos]) @ vp.T
 
 
-def solve_sdp(problem: SdpProblem, opts: SolveOptions | None = None, warm_start=None) -> SdpSolution:
+def equality_rows(classes: dict) -> list:
+    """Entry lists of the rows X[p] - X[p'] = 0 (b = 0) on block 0 that tie
+    consecutive positions of each class together, classes in sorted-key order.
+
+    ``classes`` maps a key to its list of ``(i, j)`` positions.
+    """
+    return [[(0, i0, j0, 1.0), (0, i1, j1, -1.0)]
+            for key in sorted(classes)
+            for (i0, j0), (i1, j1) in itertools.pairwise(classes[key])]
+
+
+def solve_sdp(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
     """Run ADMM on the problem; residuals in the result are recomputed from scratch."""
     opts = opts or SolveOptions()
     P = problem
@@ -236,15 +228,9 @@ def solve_sdp(problem: SdpProblem, opts: SolveOptions | None = None, warm_start=
         pinv = np.linalg.pinv(AAt.toarray(), rcond=1e-12)
         solve_normal = lambda r: pinv @ r
 
-    if warm_start is not None:
-        X, y, S = warm_start
-        xv = P.svec(X) / sigma_b
-        yv = np.asarray(y) * row_norms / sigma_c
-        sv = P.svec(S) / sigma_c
-    else:
-        xv = np.zeros(P.svec_dim)
-        yv = np.zeros(P.m)
-        sv = np.zeros(P.svec_dim)
+    xv = np.zeros(P.svec_dim)
+    yv = np.zeros(P.m)
+    sv = np.zeros(P.svec_dim)
 
     mu = opts.mu
     rho = opts.rho

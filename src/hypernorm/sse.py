@@ -230,7 +230,7 @@ def check_norm_implies_expansion(g: RegularGraph, lam: float, q: int = 4,
         from .tensorsdp import tensor_sdp
 
         inst = subspace_instance(rep.basis, 4)
-        upper4 = tensor_sdp(inst, 4, expand_residual=False).certificate.bound
+        upper4 = tensor_sdp(inst, 4).certificate.bound
     violations = []
     worst = np.inf
     checked = 0

@@ -30,10 +30,10 @@ import scipy.sparse as sp
 
 from .core import OperatorInstance
 from .oracles import elementary_norms, norm_2_to_q_lower
-from .polybasis import Polynomial, chi_table, monomial_basis, objective_expand
-from .polybasis import quartic_gram, sphere_poly
+from .polybasis import Polynomial, chi_table, class_means, moment_classes, monomial_basis
+from .polybasis import objective_expand, quartic_gram, sphere_poly, spread_objective
 from .pseudoexp import PseudoExpectation
-from .sdp import SdpProblem, SolveOptions, _psd_part, solve_sdp
+from .sdp import SdpProblem, SolveOptions, _psd_part, equality_rows, solve_sdp
 
 __all__ = [
     "MomentRelaxation",
@@ -52,11 +52,6 @@ __all__ = [
 SIZE_LIMITS = {4: 20, 6: 10, 8: 6}
 
 
-def _entry(blk, i, j, want):
-    """Entry list coefficient selecting X[i, j] exactly once."""
-    return (blk, i, j, want if i == j else want / 2.0)
-
-
 class MomentRelaxation:
     """Level-d moment SDP for maximizing a polynomial on the unit sphere."""
 
@@ -67,16 +62,8 @@ class MomentRelaxation:
             raise ValueError("objective degree exceeds the relaxation level")
         self.n, self.d = n, d
         self.basis = monomial_basis(n, d // 2)
-        self.index = {a: k for k, a in enumerate(self.basis)}
         N = len(self.basis)
-
-        # group matrix positions by the monomial they represent
-        classes: dict = {}
-        for i in range(N):
-            for j in range(i, N):
-                mono = tuple(x + y for x, y in zip(self.basis[i], self.basis[j]))
-                classes.setdefault(mono, []).append((i, j))
-        self.classes = classes
+        self.classes = classes = moment_classes(self.basis)
         # coefficient rows of the SoS residual: one per monomial of degree <= d
         row_of = {mono: r for r, mono in enumerate(classes)}
         inc_r, inc_c = [], []
@@ -92,13 +79,8 @@ class MomentRelaxation:
                                         shape=(len(classes), N * N))
         self._zero_row = row_of[(0,) * n]
 
-        cons, b = [], []
-        cons.append([_entry(0, 0, 0, 1.0)])
-        b.append(1.0)
-        for mono, pos in sorted(classes.items()):
-            for (i0, j0), (i1, j1) in zip(pos, pos[1:]):
-                cons.append([_entry(0, i0, j0, 1.0), _entry(0, i1, j1, -1.0)])
-                b.append(0.0)
+        cons = [[(0, 0, 0, 1.0)]] + equality_rows(classes)
+        b = [1.0] + [0.0] * (len(cons) - 1)
         self.sphere_gammas = monomial_basis(n, d - 2)
         self.sphere_row0 = len(cons)
         sph_r, sph_c, sph_v = [], [], []
@@ -111,7 +93,7 @@ class MomentRelaxation:
                 sph_r.append(row_of[up])
             i, j = classes[gamma][0]
             row[(i, j)] = row.get((i, j), 0.0) - 1.0
-            cons.append([_entry(0, i, j, c) for (i, j), c in row.items()])
+            cons.append([(0, i, j, c) for (i, j), c in row.items()])
             b.append(0.0)
             sph_r.append(row_of[gamma])
             sph_c.extend([col] * (n + 1))
@@ -119,19 +101,10 @@ class MomentRelaxation:
         # sphere @ q = coefficients of q(x) (|x|^2 - 1), q given on sphere_gammas
         self._sphere = sp.csr_matrix((sph_v, (sph_r, sph_c)),
                                      shape=(len(classes), len(self.sphere_gammas)))
+        C = spread_objective(objective, classes, N)
         self._objective_vec = np.zeros(len(classes))
-
-        C = np.zeros((N, N))
         for mono, c in objective.terms.items():
-            pos = classes.get(mono)
-            if pos is None:
-                raise ValueError(f"objective monomial {mono} not representable at level {d}")
             self._objective_vec[row_of[mono]] = c
-            weight = sum(2.0 if i != j else 1.0 for i, j in pos)
-            for i, j in pos:
-                C[i, j] += c / weight
-                if i != j:
-                    C[j, i] += c / weight
         self.problem = SdpProblem([N], [C], cons, b)
         if len(self.problem.kept_rows) != len(cons):
             raise AssertionError("moment relaxation produced duplicate constraint rows")
@@ -141,17 +114,11 @@ class MomentRelaxation:
         """tr X = sum_k E |x|^(2k) = d/2 + 1 for every feasible moment matrix."""
         return self.d // 2 + 1.0
 
-    def solve(self, opts: SolveOptions | None = None, warm_start=None):
-        return solve_sdp(self.problem, opts, warm_start)
-
     def extract_pseudoexpectation(self, sol) -> PseudoExpectation:
-        X = sol.X[0]
-        moments = {}
-        for mono, pos in self.classes.items():
-            moments[mono] = float(np.mean([X[i, j] for i, j in pos]))
-        return PseudoExpectation(self.n, self.d, moments, [sphere_poly(self.n)])
+        return PseudoExpectation(self.n, self.d, class_means(sol.X[0], self.classes),
+                                 [sphere_poly(self.n)])
 
-    def certificate(self, sol, expand_residual: bool = True) -> "SosCertificate":
+    def certificate(self, sol) -> "SosCertificate":
         """Rigorous upper bound plus the explicit sum-of-squares identity."""
         n, d = self.n, self.d
         y = sol.y
@@ -192,16 +159,14 @@ class MomentRelaxation:
                 terms[gamma] = terms.get(gamma, 0.0) + c
         mult = Polynomial(n, terms)
 
-        residual = None
-        if expand_residual:
-            # bound - objective - q (|x|^2 - 1) - sum_j R_j^2, with sum_j R_j^2
-            # the class sums of the squares' Gram matrix G = sum_j c_j c_j^T
-            q = np.array([mult.coefficient(g) for g in self.sphere_gammas])
-            target = -self._objective_vec - self._sphere @ q
-            target[self._zero_row] += bound
-            factors = np.array(kept).reshape(-1, len(w))
-            gram = factors.T @ factors
-            residual = float(np.max(np.abs(target - self._incidence @ gram.ravel())))
+        # bound - objective - q (|x|^2 - 1) - sum_j R_j^2, with sum_j R_j^2
+        # the class sums of the squares' Gram matrix G = sum_j c_j c_j^T
+        q = np.array([mult.coefficient(g) for g in self.sphere_gammas])
+        target = -self._objective_vec - self._sphere @ q
+        target[self._zero_row] += bound
+        factors = np.array(kept).reshape(-1, len(w))
+        gram = factors.T @ factors
+        residual = float(np.max(np.abs(target - self._incidence @ gram.ravel())))
         return SosCertificate(bound=bound, shift=shift, squares=squares,
                               ideal_multiplier=mult, residual=residual, y=y.copy())
 
@@ -219,7 +184,7 @@ class SosCertificate:
     shift: float
     squares: list
     ideal_multiplier: Polynomial
-    residual: float | None
+    residual: float
     y: np.ndarray
 
 
@@ -246,8 +211,8 @@ class TensorSdpResult:
         }
 
 
-def tensor_sdp(instance: OperatorInstance, d: int = 4, opts: SolveOptions | None = None,
-               expand_residual: bool = True) -> TensorSdpResult:
+def tensor_sdp(instance: OperatorInstance, d: int = 4,
+               opts: SolveOptions | None = None) -> TensorSdpResult:
     """Solve the level-d relaxation of max |A x|_4^4 over the unit sphere."""
     if d not in SIZE_LIMITS:
         raise ValueError(f"level must be one of {sorted(SIZE_LIMITS)}")
@@ -258,11 +223,11 @@ def tensor_sdp(instance: OperatorInstance, d: int = 4, opts: SolveOptions | None
     objective = objective_expand(instance)
     relax = MomentRelaxation(objective, instance.n, d)
     opts = opts or SolveOptions(tol=1e-9 if len(relax.basis) <= 30 else 1e-8)
-    sol = relax.solve(opts)
+    sol = solve_sdp(relax.problem, opts)
     if sol.status == "infeasible-suspected":
         raise RuntimeError("solver diverged on a feasible-by-construction program")
     pe = relax.extract_pseudoexpectation(sol)
-    cert = relax.certificate(sol, expand_residual=expand_residual)
+    cert = relax.certificate(sol)
     return TensorSdpResult(value=sol.primal_obj, pe=pe, certificate=cert,
                            status=sol.status, iterations=sol.iterations,
                            level=d, basis_size=len(relax.basis))
@@ -350,56 +315,20 @@ class A22Result:
 
 
 def a22_value(instance: OperatorInstance, opts: SolveOptions | None = None,
-              symmetrize: bool = True, engine: str = "projector",
               return_details: bool = False):
     """max <X, A22> over PSD, trace-one, index-permutation-symmetric X.
 
+    Solved by a dedicated ADMM that enforces the symmetry by orbit averaging.
     Returns the optimum; with ``return_details=True`` an :class:`A22Result`
     that also carries the rigorous upper bound lambda_max(sym(A22)), valid for
     every feasible X since <A22, X> = <sym(A22), X> on the symmetric set.
-
-    With ``symmetrize=False`` the symmetry constraints are dropped and the
-    program collapses to the top eigenvalue of A22 (used by regression tests:
-    the gap against the symmetric value is what the permutation constraints
-    buy).  ``engine="generic"`` routes through the standard-form solver with
-    explicit pairwise symmetrization constraints; the default dedicated ADMM
-    enforces the same feasible set by orbit averaging.
     """
     n = instance.n
     if n > 30:
         raise ValueError("two-two formulation limited to 30 variables")
     C = a22_matrix(instance)
-    N = n * n
-    if not symmetrize:
-        cons = [[_entry(0, p, p, 1.0) for p in range(N)]]
-        problem = SdpProblem([N], [C], cons, [1.0])
-        sol = solve_sdp(problem, opts or SolveOptions(tol=1e-9))
-        res = A22Result(sol.primal_obj, float(np.linalg.eigvalsh((C + C.T) / 2.0)[-1]),
-                        sol.status, sol.iterations, sol.residuals)
-        return res if return_details else res.value
-
     bound = float(np.linalg.eigvalsh(index_symmetrize(C, n))[-1])
-    if engine == "generic":
-        cons = [[_entry(0, p, p, 1.0) for p in range(N)]]
-        b = [1.0]
-        orbits: dict = {}
-        for p in range(N):
-            for qq in range(p, N):
-                i1, i2 = divmod(p, n)
-                i3, i4 = divmod(qq, n)
-                key = tuple(sorted((i1, i2, i3, i4)))
-                orbits.setdefault(key, []).append((p, qq))
-        for key in sorted(orbits):
-            pos = orbits[key]
-            for (p0, q0), (p1, q1) in zip(pos, pos[1:]):
-                cons.append([_entry(0, p0, q0, 1.0), _entry(0, p1, q1, -1.0)])
-                b.append(0.0)
-        problem = SdpProblem([N], [C], cons, b)
-        sol = solve_sdp(problem, opts or SolveOptions(tol=1e-9 if N <= 16 else 1e-7))
-        res = A22Result(sol.primal_obj, bound, sol.status, sol.iterations, sol.residuals)
-        return res if return_details else res.value
-
-    opts = opts or SolveOptions(tol=1e-9 if N <= 16 else 1e-8, max_iter=50_000)
+    opts = opts or SolveOptions(tol=1e-9 if n * n <= 16 else 1e-8, max_iter=50_000)
     value, X, status, it, residuals = _a22_projector_admm(C, n, opts)
     res = A22Result(value, bound, status, it, residuals)
     return res if return_details else res.value
@@ -424,7 +353,7 @@ class BcyReport:
 def bcy_gap(instance: OperatorInstance, d: int = 4, restarts: int = 64, seed: int = 0,
             opts: SolveOptions | None = None) -> BcyReport:
     """Sandwich report: oracle^4 <= relaxation value <= Hoelder bound Z."""
-    res = tensor_sdp(instance, d, opts, expand_residual=False)
+    res = tensor_sdp(instance, d, opts)
     ora = norm_2_to_q_lower(instance, 4, restarts=restarts, seed=seed)
     Z = elementary_norms(instance)["Z"]
     eps = (res.value - ora.value**4) / Z if Z > 0 else 0.0

@@ -122,7 +122,7 @@ def test_criterion_4_formulation_equivalence():
     worst_a22, worst_dps = 0.0, 0.0
     for _ in range(5):
         inst = OperatorInstance(rng.normal(size=(4, 3)))
-        v = tensor_sdp(inst, 4, expand_residual=False).value
+        v = tensor_sdp(inst, 4).value
         va = a22_value(inst)
         vd = dps_value(a22_matrix(inst), 3, r=1, ppt=True,
                        opts=SolveOptions(tol=1e-9, max_iter=200_000))

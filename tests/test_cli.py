@@ -108,6 +108,23 @@ def test_validation_failure_exit_code(files, capsys, tmp_path):
     assert code == 2
 
 
+def test_solver_runtime_error_exit_code(files, capsys, monkeypatch):
+    def diverge(*args, **kwargs):
+        raise RuntimeError("solver diverged on a feasible-by-construction program")
+
+    monkeypatch.setattr("hypernorm.cli.tensor_sdp", diverge)
+    code, rep = run(["tensorsdp", "--in", str(files / "I2.json")], capsys)
+    assert code == 3
+    assert "diverged" in rep["error"]
+
+
+@pytest.mark.parametrize("flag", [["--tol", "0"], ["--max-iter", "0"]])
+def test_bad_solver_options_exit_code(files, capsys, flag):
+    code, rep = run(["tensorsdp", "--in", str(files / "I2.json")] + flag, capsys)
+    assert code == 2
+    assert "error" in rep
+
+
 def test_rerun_reproducibility(files, capsys):
     args = ["norm24", "--in", str(files / "I2.json"), "--seed", "5", "--restarts", "8"]
     code1, rep1 = run(args, capsys)

@@ -31,7 +31,7 @@ class TestDps:
     def test_equivalence_with_moment_relaxation_r1(self, rng):
         a = rng.normal(size=(4, 3))
         inst = OperatorInstance(a)
-        v4 = tensor_sdp(inst, 4, expand_residual=False).value
+        v4 = tensor_sdp(inst, 4).value
         vd = dps_value(a22_matrix(inst), 3, r=1, ppt=True,
                        opts=SolveOptions(tol=1e-9, max_iter=200_000))
         assert abs(v4 - vd) <= 1e-4 * max(1.0, abs(v4))
@@ -39,7 +39,7 @@ class TestDps:
     def test_equivalence_with_moment_relaxation_r2(self, rng):
         a = rng.normal(size=(4, 2))
         inst = OperatorInstance(a)
-        v6 = tensor_sdp(inst, 6, expand_residual=False).value
+        v6 = tensor_sdp(inst, 6).value
         vd = dps_value(a22_matrix(inst), 2, r=2, ppt=True,
                        opts=SolveOptions(tol=1e-9, max_iter=200_000))
         assert abs(v6 - vd) <= 1e-4 * max(1.0, abs(v6))
