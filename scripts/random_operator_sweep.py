@@ -2,8 +2,9 @@
 """Sweep the symmetrized quartic relaxation over random operator ensembles.
 
 Writes a flat CSV of (dist, n, m, seed, a22, upper, oracle, oracle_floor) to
-stdout or --out.  The `upper` column is the rigorous eigenvalue bound on the
-symmetrized objective, valid independently of solver convergence.
+stdout or --out.  The `upper` column is the weak-duality bound of the
+solver's dual point, valid for every feasible point whether or not the
+solver converged.
 
 Usage:
     python scripts/random_operator_sweep.py [--n 4 8] [--seeds 5] [--ratio 50]

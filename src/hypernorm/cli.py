@@ -202,7 +202,8 @@ def _cmd_lasserre(args):
     with open(args.graph) as fh:
         g = parse_graph_text(fh.read())
     rep = lasserre_roundtrip(g, _opts(args))
-    return rep.__dict__, 0
+    ok = rep.lasserre_status == rep.sos_status == "optimal"
+    return rep.__dict__, 0 if ok else 3
 
 
 def build_parser():
@@ -317,20 +318,25 @@ def main(argv=None) -> int:
     except (ValueError, PreconditionError, FileNotFoundError, RuntimeError) as exc:
         # a solver that fails at run time is non-convergence, not bad input
         code = 3 if isinstance(exc, RuntimeError) else 2
-        report = {"command": args.command, "config": _jsonable(config), "error": str(exc)}
-        print(json.dumps(report, indent=2))
+        _write_report({"command": args.command, "config": _jsonable(config), "error": str(exc)},
+                      args.out)
         print(f"error: {exc}", file=sys.stderr)
         return code
     report = {"command": args.command, "config": _jsonable(config),
               "results": _jsonable(results), "wall_time": time.time() - t0}
+    _write_report(report, args.out)
+    print(f"{args.command}: done in {report['wall_time']:.2f}s (exit {code})", file=sys.stderr)
+    return code
+
+
+def _write_report(report, out):
+    """The JSON report to the --out file when one is given, else to stdout."""
     text = json.dumps(report, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
+    if out:
+        with open(out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-    print(f"{args.command}: done in {report['wall_time']:.2f}s (exit {code})", file=sys.stderr)
-    return code
 
 
 if __name__ == "__main__":

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import gram_factor, psd_project
-from .polybasis import Polynomial, class_means, moment_classes, monomial_basis, spread_objective
+from .polybasis import Polynomial, moment_classes, monomial_basis, multilinear_reduce, spread_objective
 from .pseudoexp import PseudoExpectation, pseudo_expect, validate_pef
-from .sdp import SdpProblem, SolveOptions, equality_rows, solve_sdp
+from .sdp import MomentProgram, SolveOptions, solve_sdp
 from .sse import RegularGraph
 
 __all__ = ["lasserre_roundtrip", "RoundtripReport", "solve_lasserre_maxcut", "solve_sos_maxcut"]
@@ -51,15 +51,16 @@ def _cube_ideal(n):
             for i in range(n)]
 
 
+def _reduce(mono):
+    return tuple(e % 2 for e in mono)
+
+
 def solve_lasserre_maxcut(g: RegularGraph, opts: SolveOptions | None = None):
     """Vector relaxation over {v_S : |S| <= 2} with consistent inner products."""
     n = g.n
     sets = _cut_sets(n)
     idx = {s: k for k, s in enumerate(sets)}
     N = len(sets)
-    empty = idx[frozenset()]
-    cons = [[(0, empty, empty, 1.0)]] + equality_rows(_cut_classes(sets))
-    b = [1.0] + [0.0] * (len(cons) - 1)
     C = np.zeros((N, N))
     w = 1.0 / (4.0 * len(g.edges))
     for u, v in g.edges:
@@ -68,7 +69,7 @@ def solve_lasserre_maxcut(g: RegularGraph, opts: SolveOptions | None = None):
         C[iv, iv] += w
         C[iu, iv] -= w
         C[iv, iu] -= w
-    problem = SdpProblem([N], [C], cons, b)
+    problem = MomentProgram(N, _cut_classes(sets), C, [{(): 1.0}], [1.0])
     sol = solve_sdp(problem, opts or SolveOptions(tol=1e-9))
     return sol.primal_obj, sol.X[0], sets, sol
 
@@ -85,30 +86,21 @@ def _cut_objective(g: RegularGraph) -> Polynomial:
 
 
 def solve_sos_maxcut(g: RegularGraph, opts: SolveOptions | None = None):
-    """Level-4 moment relaxation over the ideal <x_i^2 - 1>."""
+    """Level-4 moment relaxation over the ideal <x_i^2 - 1>: moment-matrix
+    positions are classed by the multilinear reduction of their monomial."""
     n = g.n
     if n > 8:
         raise ValueError("moment relaxation limited to 8 vertices")
     basis = monomial_basis(n, 2)
-    classes = moment_classes(basis)
-    cons = [[(0, 0, 0, 1.0)]] + equality_rows(classes)
-    b = [1.0] + [0.0] * (len(cons) - 1)
-    # the ideal rows E[x^mono] = E[x^(mono mod 2)] form a star per class, which
-    # spans the same constraints as all multiplier pairs without creating
-    # dependent cycles
-    for mono in sorted(classes):
-        reduced = tuple(e % 2 for e in mono)
-        if reduced == mono:
-            continue
-        pi, pj = classes[mono][0]
-        qi, qj = classes[reduced][0]
-        cons.append([(0, pi, pj, 1.0), (0, qi, qj, -1.0)])
-        b.append(0.0)
-    C = spread_objective(_cut_objective(g), classes, len(basis))
-    problem = SdpProblem([len(basis)], [C], cons, b)
+    classes: dict = {}
+    for mono, pos in moment_classes(basis).items():
+        classes.setdefault(_reduce(mono), []).extend(pos)
+    C = spread_objective(multilinear_reduce(_cut_objective(g)), classes, len(basis))
+    problem = MomentProgram(len(basis), classes, C, [{(0,) * n: 1.0}], [1.0])
     sol = solve_sdp(problem, opts or SolveOptions(tol=1e-9))
-    pe = PseudoExpectation(n, 4, class_means(sol.X[0], classes), _cube_ideal(n))
-    return sol.primal_obj, pe, sol
+    values = problem.values(sol.X[0])
+    moments = {mono: values[_reduce(mono)] for mono in monomial_basis(n, 4)}
+    return sol.primal_obj, PseudoExpectation(n, 4, moments, _cube_ideal(n)), sol
 
 
 def lasserre_to_pe(y: np.ndarray, sets, n: int) -> tuple[PseudoExpectation, float]:
@@ -129,8 +121,7 @@ def lasserre_to_pe(y: np.ndarray, sets, n: int) -> tuple[PseudoExpectation, floa
 
     moments = {}
     for alpha in monomial_basis(n, 4):
-        reduced = tuple(e % 2 for e in alpha)
-        mono_set = {i for i, e in enumerate(reduced) if e}
+        mono_set = {i for i, e in enumerate(_reduce(alpha)) if e}
         val, sp = multilinear_moment(mono_set)
         moments[alpha] = val
         spread = max(spread, sp)
@@ -161,6 +152,8 @@ class RoundtripReport:
     sos_converted_objective: float
     converted_pe_valid: bool
     converted_gram_consistency: float
+    lasserre_status: str
+    sos_status: str
 
 
 def lasserre_roundtrip(g: RegularGraph, opts: SolveOptions | None = None,
@@ -168,8 +161,8 @@ def lasserre_roundtrip(g: RegularGraph, opts: SolveOptions | None = None,
     """Solve both relaxations independently and convert each optimum across."""
     if g.n > 8:
         raise ValueError("roundtrip limited to 8 vertices")
-    lass_val, y, sets, _ = solve_lasserre_maxcut(g, opts)
-    sos_val, pe, _ = solve_sos_maxcut(g, opts)
+    lass_val, y, sets, lass_sol = solve_lasserre_maxcut(g, opts)
+    sos_val, pe, sos_sol = solve_sos_maxcut(g, opts)
 
     pe_from_lass, spread = lasserre_to_pe(y, sets, g.n)
     obj = _cut_objective(g)
@@ -197,4 +190,6 @@ def lasserre_roundtrip(g: RegularGraph, opts: SolveOptions | None = None,
         sos_converted_objective=float(sos_conv_obj),
         converted_pe_valid=rep.passed,
         converted_gram_consistency=gram_spread,
+        lasserre_status=lass_sol.status,
+        sos_status=sos_sol.status,
     )

@@ -25,7 +25,6 @@ __all__ = [
     "multilinear_reduce",
     "moment_classes",
     "spread_objective",
-    "class_means",
     "FourierFunction",
     "chi_table",
     "low_degree_projector",
@@ -210,11 +209,6 @@ def spread_objective(objective: Polynomial, classes: dict, size: int) -> np.ndar
             if i != j:
                 C[j, i] += c / weight
     return C
-
-
-def class_means(X: np.ndarray, classes: dict) -> dict:
-    """Moments read off a moment matrix: the mean of each class's entries."""
-    return {mono: float(np.mean([X[i, j] for i, j in pos])) for mono, pos in classes.items()}
 
 
 # ---------------------------------------------------------------------------

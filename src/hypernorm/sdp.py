@@ -1,46 +1,60 @@
-"""Self-contained solver for standard-form semidefinite programs
+"""Self-contained solver for semidefinite programs
 
-    maximize <C, X>  subject to  <A_i, X> = b_i,  X >= 0 (block diagonal),
+    maximize <C, X>  subject to  X in an affine set,  X >= 0 (block diagonal),
 
-plus rigorous post-processing that turns any dual vector into a certified
+plus rigorous post-processing that turns any dual point into a certified
 upper bound via weak duality and an eigenvalue shift.
 
-The solver is a two-block ADMM (alternating projections onto the affine
-constraint set and the PSD cone) with over-relaxation, a diagonal scaling
-pass, and an adaptive penalty parameter.  It is fully deterministic: the same
-problem and options produce bitwise-identical iterates.
+Two problem types state the affine set.  :class:`SdpProblem` lists linear
+rows ``<A_i, X> = b_i``.  :class:`MomentProgram` states a moment matrix: X is
+constant on each class of positions, and a few rows hold on the class values.
+Each type supplies its orthogonal projection onto the affine set and its dual
+slack; :func:`solve_sdp` runs one Douglas-Rachford (ADMM) loop on either,
+alternating that projection with the projection onto the PSD cone under an
+adaptive penalty.  It is fully deterministic: the same problem and options
+produce bitwise-identical iterates.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-__all__ = ["SdpProblem", "SdpSolution", "DualCertificate", "SolveOptions", "solve_sdp",
-           "certified_upper_bound", "equality_rows"]
+from .linalg import psd_project
+
+__all__ = ["SdpProblem", "MomentProgram", "SdpSolution", "DualCertificate", "SolveOptions",
+           "solve_sdp", "certified_upper_bound"]
+
+ADAPT_EVERY = 100      # iterations between penalty updates
 
 
 @dataclass
 class SolveOptions:
     tol: float = 1e-7
     max_iter: int = 200_000
-    rho: float = 1.6          # over-relaxation on the multiplier step
-    mu: float = 1.0           # initial penalty
-    adapt_every: int = 100
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.adapt_every < 1:
-            raise ValueError(f"adapt_every must be at least 1, got {self.adapt_every}")
+
+
+def _check_objective(blocks, C):
+    C = [np.asarray(Cb, dtype=float) for Cb in C]
+    for s, Cb in zip(blocks, C):
+        if Cb.shape != (s, s):
+            raise ValueError("objective block shape mismatch")
+        if not np.allclose(Cb, Cb.T, atol=1e-12 * max(1.0, np.abs(Cb).max())):
+            raise ValueError("objective blocks must be symmetric")
+    return C
 
 
 class SdpProblem:
@@ -57,12 +71,7 @@ class SdpProblem:
         self.blocks = [int(s) for s in blocks]
         if any(s < 1 for s in self.blocks):
             raise ValueError("block sizes must be positive")
-        self.C = [np.asarray(Cb, dtype=float) for Cb in C]
-        for s, Cb in zip(self.blocks, self.C):
-            if Cb.shape != (s, s):
-                raise ValueError("objective block shape mismatch")
-            if not np.allclose(Cb, Cb.T, atol=1e-12 * max(1.0, np.abs(Cb).max())):
-                raise ValueError("objective blocks must be symmetric")
+        self.C = _check_objective(self.blocks, C)
         if len(constraints) != len(b) or len(constraints) == 0:
             raise ValueError("need at least one constraint with matching b")
         self.b = np.asarray(b, dtype=float)
@@ -110,7 +119,6 @@ class SdpProblem:
                 cols.append(p)
                 vals.append(v)
         self.b = self.b[keep]
-        self.kept_rows = keep
         self.m = len(keep)
         self.A = sp.csr_matrix((vals, (rows, cols)), shape=(self.m, self.svec_dim))
 
@@ -151,8 +159,95 @@ class SdpProblem:
     def constraint_values(self, X) -> np.ndarray:
         return self.A @ self.svec(X)
 
-    def objective(self, X) -> float:
-        return float(sum(np.sum(Cb * Xb) for Cb, Xb in zip(self.C, X)))
+    @functools.cached_property
+    def _solve_normal(self):
+        """A solver for the constraint Gram matrix A A^T."""
+        AAt = (self.A @ self.A.T).tocsc()
+        try:
+            lu = spla.splu(AAt)
+            probe = np.ones(self.m)
+            if np.linalg.norm(AAt @ lu.solve(probe) - probe) <= 1e-6 * np.sqrt(self.m):
+                return lu.solve
+        except RuntimeError:
+            pass
+        # dependent constraint rows survived presolve; fall back to the
+        # minimum-norm solve, which projects onto the row space and keeps the
+        # iteration valid for consistent systems
+        warnings.warn("constraint Gram matrix is rank deficient; using pseudo-inverse solves")
+        pinv = np.linalg.pinv(AAt.toarray(), rcond=1e-12)
+        return lambda r: pinv @ r
+
+    def project(self, V):
+        """Orthogonal projection of V onto the rows' affine set, as
+        ``(X, w)`` with ``X = V - sum_i w_i A_i``."""
+        v = self.svec(V)
+        w = self._solve_normal(self.A @ v - self.b)
+        return self.smat(v - self.A.T @ w), w
+
+    def dual_slack(self, sol):
+        """``sum_i y_i A_i - C`` per block: dual-feasible once it is PSD."""
+        return [Ab - Cb for Ab, Cb in zip(self.operator(sol.y), self.C)]
+
+
+class MomentProgram:
+    """A one-block program over matrices constant on classes of positions.
+
+    ``classes`` maps each key to the upper-triangle positions ``(i, j)`` of
+    one class, and every position of the ``size x size`` matrix lies in
+    exactly one class.  ``rows`` are linear equations on the class values,
+    each a dict from class key to coefficient, with right-hand sides ``b``.
+    """
+
+    def __init__(self, size, classes, C, rows, b):
+        size = int(size)
+        self.blocks = [size]
+        self.C = _check_objective(self.blocks, [C])
+        if len(rows) != len(b) or len(rows) == 0:
+            raise ValueError("need at least one row with matching b")
+        self.b = np.asarray(b, dtype=float)
+        self.keys = list(classes)
+        labels = np.full((size, size), -1)
+        for k, pos in enumerate(classes.values()):
+            i, j = np.asarray(pos).T
+            labels[i, j] = k
+            labels[j, i] = k
+        if sum(len(pos) for pos in classes.values()) != size * (size + 1) // 2 or (labels < 0).any():
+            raise ValueError("classes must cover every upper-triangle position exactly once")
+        self._labels = labels
+        # <E_c, E_c> for the class indicator E_c: 1 per diagonal, 2 per off-diagonal position
+        self._weights = self.class_sums(np.ones((size, size)))
+        self._first = np.unique(labels, return_index=True)[1]
+        col = {key: k for k, key in enumerate(self.keys)}
+        self.R = np.zeros((len(rows), len(self.keys)))
+        for r, row in enumerate(rows):
+            for key, c in row.items():
+                self.R[r, col[key]] += c
+        self._chol = sla.cho_factor((self.R / self._weights) @ self.R.T)
+
+    def class_sums(self, M: np.ndarray) -> np.ndarray:
+        """``<M, E_c>`` for every class c, in key order."""
+        return np.bincount(self._labels.ravel(), weights=M.ravel(), minlength=len(self.keys))
+
+    def values(self, X: np.ndarray) -> dict:
+        """The class values of a class-constant X, by key."""
+        return dict(zip(self.keys, X.ravel()[self._first].tolist()))
+
+    def project(self, V):
+        """Orthogonal projection of V onto the class-constant matrices whose
+        class values m satisfy ``R m = b``, as ``(X, w)``: the class means
+        minus the correction ``R^T w`` spread over each class."""
+        mean = self.class_sums(V[0]) / self._weights
+        w = sla.cho_solve(self._chol, self.R @ mean - self.b, check_finite=False)
+        m = mean - (self.R.T @ w) / self._weights
+        return [m[self._labels]], w
+
+    def dual_slack(self, sol):
+        """The solver's slack S moved onto the dual affine set: dual
+        feasibility asks only that the class sums of C + S equal R^T y, so
+        the class means of S absorb the difference."""
+        S = sol.S[0]
+        fix = (self.R.T @ sol.y - self.class_sums(self.C[0] + S)) / self._weights
+        return [S + fix[self._labels]]
 
 
 @dataclass
@@ -174,130 +269,88 @@ class DualCertificate:
     bound: float
 
 
-def _psd_part(m: np.ndarray):
-    w, v = np.linalg.eigh((m + m.T) / 2.0)
-    pos = w > 0
-    if not np.any(pos):
-        return np.zeros_like(m)
-    vp = v[:, pos]
-    return (vp * w[pos]) @ vp.T
+def _inner(A, B) -> float:
+    return float(sum(np.vdot(a, b) for a, b in zip(A, B)))
 
 
-def equality_rows(classes: dict) -> list:
-    """Entry lists of the rows X[p] - X[p'] = 0 (b = 0) on block 0 that tie
-    consecutive positions of each class together, classes in sorted-key order.
+def _norm(mats) -> float:
+    return math.sqrt(_inner(mats, mats))
 
-    ``classes`` maps a key to its list of ``(i, j)`` positions.
+
+def solve_sdp(problem, opts: SolveOptions | None = None) -> SdpSolution:
+    """Douglas-Rachford splitting between ``problem.project`` and the PSD
+    cone, for an :class:`SdpProblem` or a :class:`MomentProgram`.
+
+    X is the affine iterate, Z its PSD partner and U the scaled multiplier of
+    X = Z; the penalty rho moves by factors of two every ``ADAPT_EVERY``
+    iterations to balance the primal and dual residuals.  Residuals in the
+    result are recomputed from the returned point.
     """
-    return [[(0, i0, j0, 1.0), (0, i1, j1, -1.0)]
-            for key in sorted(classes)
-            for (i0, j0), (i1, j1) in itertools.pairwise(classes[key])]
-
-
-def solve_sdp(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
-    """Run ADMM on the problem; residuals in the result are recomputed from scratch."""
     opts = opts or SolveOptions()
     P = problem
-
-    # Ruiz-style diagonal pass: normalize constraint rows, then b and C by scalars.
-    row_norms = np.sqrt(np.asarray(P.A.multiply(P.A).sum(axis=1)).ravel())
-    row_norms = np.where(row_norms > 1e-14, row_norms, 1.0)
-    D = sp.diags(1.0 / row_norms)
-    A = (D @ P.A).tocsr()
-    b = P.b / row_norms
-    sigma_b = max(1.0, np.linalg.norm(b))
-    b = b / sigma_b
-    sigma_c = max(1.0, np.sqrt(sum(np.sum(Cb * Cb) for Cb in P.C)))
-    # internal minimization form
-    cmin = -P.svec(P.C) / sigma_c
-
-    AAt = (A @ A.T).tocsc()
-    solve_normal = None
-    try:
-        lu = spla.splu(AAt)
-        probe = np.ones(P.m)
-        if np.linalg.norm(AAt @ lu.solve(probe) - probe) <= 1e-6 * np.sqrt(P.m):
-            solve_normal = lu.solve
-    except RuntimeError:
-        pass
-    if solve_normal is None:
-        # dependent constraint rows survived presolve; fall back to the
-        # minimum-norm solve, which projects onto the row space and keeps the
-        # iteration valid for consistent systems
-        warnings.warn("constraint Gram matrix is rank deficient; using pseudo-inverse solves")
-        pinv = np.linalg.pinv(AAt.toarray(), rcond=1e-12)
-        solve_normal = lambda r: pinv @ r
-
-    xv = np.zeros(P.svec_dim)
-    yv = np.zeros(P.m)
-    sv = np.zeros(P.svec_dim)
-
-    mu = opts.mu
-    rho = opts.rho
+    norm_c = _norm(P.C)
+    scale = max(1.0, norm_c)
+    C = [Cb / scale for Cb in P.C]
+    rho = 1.0
+    Z = [np.zeros_like(Cb) for Cb in C]
+    U = [np.zeros_like(Cb) for Cb in C]
     status = "max-iter"
     it = 0
-    norm_b = 1.0 + np.linalg.norm(b)
-    norm_c = 1.0 + np.linalg.norm(cmin)
     for it in range(1, opts.max_iter + 1):
-        rhs = -(mu * (A @ xv - b) + A @ (sv - cmin))
-        yv = solve_normal(rhs)
-        v = cmin - A.T @ yv - mu * xv
-        sv = P.svec([_psd_part(m) for m in P.smat(v)])
-        resid = A.T @ yv + sv - cmin
-        xv = xv + (rho / mu) * resid
-
-        if not np.all(np.isfinite(xv)) or np.linalg.norm(xv) > 1e12:
+        X, w = P.project([z - u + c / rho for z, u, c in zip(Z, U, C)])
+        y = rho * w
+        nx = _norm(X)
+        if not nx <= 1e12:
             status = "infeasible-suspected"
             break
-
-        pinf = np.linalg.norm(A @ xv - b) / norm_b
-        dinf = np.linalg.norm(resid) / norm_c
-        pobj = float(cmin @ xv)
-        dobj = float(b @ yv)
+        Z_old = Z
+        Z = [psd_project(x + u) for x, u in zip(X, U)]
+        U = [u + x - z for u, x, z in zip(U, X, Z)]
+        if not rho * _norm(U) <= 1e12:
+            status = "infeasible-suspected"
+            break
+        # S - dual_slack = rho * scale * (Z - Z_old) for rows (a MomentProgram
+        # moves S less), so rd bounds the dual infeasibility the result reports
+        rp = _norm([x - z for x, z in zip(X, Z)]) / (1.0 + nx)
+        rd = rho * scale * _norm([z - zo for z, zo in zip(Z, Z_old)]) / (1.0 + norm_c)
+        pobj, dobj = scale * _inner(C, X), scale * float(P.b @ y)
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        if max(pinf, dinf, gap) <= opts.tol:
+        if max(rp, rd, gap) <= opts.tol:
             status = "optimal"
             break
-        if it % opts.adapt_every == 0:
-            if pinf > 10.0 * dinf:
-                mu = max(mu / 2.0, 1e-6)
-            elif dinf > 10.0 * pinf:
-                mu = min(mu * 2.0, 1e6)
+        if it % ADAPT_EVERY == 0 and (rp > 10.0 * rd or rd > 10.0 * rp):
+            new = min(rho * 2.0, 1e6) if rp > rd else max(rho / 2.0, 1e-6)
+            U = [u * (rho / new) for u in U]
+            rho = new
 
-    # internal minimization of <-C, X>: the max-form dual vector is -y
-    X = P.smat(xv * sigma_b)
-    y = -yv * sigma_c / row_norms
-    S = P.smat(sv * sigma_c)
-
-    # independent residual recomputation on the original data
-    rp = np.linalg.norm(P.constraint_values(X) - P.b) / (1.0 + np.linalg.norm(P.b))
-    dual_mats = P.operator(y)
-    rd = np.sqrt(sum(np.linalg.norm(Sb - (Ab - Cb)) ** 2 for Sb, Ab, Cb in zip(S, dual_mats, P.C)))
-    rd /= 1.0 + np.sqrt(sum(np.linalg.norm(Cb) ** 2 for Cb in P.C))
-    pobj = P.objective(X)
-    dobj = float(P.b @ y)
-    gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-    min_eig = min(float(np.linalg.eigvalsh((Xb + Xb.T) / 2.0)[0]) for Xb in X)
-    residuals = {"primal_infeas": float(rp), "dual_infeas": float(rd), "gap": float(gap), "min_eig": min_eig}
+    # the multiplier of X = Z is rho * U; C was divided by scale
+    y = y * scale
+    sol = SdpSolution(X, y, [-(rho * scale) * u for u in U], _inner(P.C, X), float(P.b @ y),
+                      {}, status, it)
+    # X satisfies the affine constraints by construction; its primal
+    # infeasibility is its distance to the PSD cone
+    eigs = [np.linalg.eigvalsh(x) for x in X]
+    rp = math.sqrt(sum(float(np.sum(np.minimum(e, 0.0) ** 2)) for e in eigs)) / (1.0 + _norm(X))
+    rd = _norm([s - t for s, t in zip(sol.S, P.dual_slack(sol))]) / (1.0 + norm_c)
+    gap = abs(sol.primal_obj - sol.dual_obj) / (1.0 + abs(sol.primal_obj) + abs(sol.dual_obj))
+    sol.residuals = {"primal_infeas": rp, "dual_infeas": rd, "gap": gap,
+                     "min_eig": min(float(e[0]) for e in eigs)}
     if status == "optimal" and max(rp, rd, gap) > 10 * opts.tol:
-        status = "max-iter"
-    return SdpSolution(X, y, S, pobj, dobj, residuals, status, it)
+        sol.status = "max-iter"
+    return sol
 
 
-def certified_upper_bound(problem: SdpProblem, sol: SdpSolution, trace_bound: float) -> DualCertificate:
-    """A bound valid for every primal-feasible X, from weak duality plus a shift.
+def certified_upper_bound(problem, sol: SdpSolution, trace_bound: float) -> DualCertificate:
+    """A bound valid for every feasible X, from weak duality plus a shift.
 
-    For any y, ``<C, X> = <C - sum y_i A_i, X> + b^T y`` and the first term is
-    at most ``max(0, lambda_max(C - sum y_i A_i)) * tr(X)``; the caller supplies
-    an a-priori bound on tr(X) over the feasible set.
+    With S = ``problem.dual_slack(sol)``, every feasible X has
+    ``<C, X> = b^T y - <S, X> <= b^T y + max(0, -lambda_min(S)) * tr(X)``,
+    whether or not the solver converged; the caller supplies an a-priori
+    bound on tr(X) over the feasible set.
     """
     if trace_bound is None or trace_bound <= 0:
         raise ValueError("a positive a-priori trace bound is required")
-    dual_mats = problem.operator(sol.y)
-    shift = 0.0
-    for Cb, Ab in zip(problem.C, dual_mats):
-        lam = float(np.linalg.eigvalsh((Cb - Ab + Cb.T - Ab.T) / 2.0)[-1])
-        shift = max(shift, lam)
-    shift = max(0.0, shift)
+    lam = min(float(np.linalg.eigvalsh((s + s.T) / 2.0)[0]) for s in problem.dual_slack(sol))
+    shift = max(0.0, -lam)
     bound = float(problem.b @ sol.y) + trace_bound * shift
     return DualCertificate(y=sol.y.copy(), slack_shift=shift, bound=bound)

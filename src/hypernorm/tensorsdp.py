@@ -26,14 +26,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import OperatorInstance
 from .oracles import elementary_norms, norm_2_to_q_lower
-from .polybasis import Polynomial, chi_table, class_means, moment_classes, monomial_basis
+from .polybasis import Polynomial, chi_table, moment_classes, monomial_basis
 from .polybasis import objective_expand, quartic_gram, sphere_poly, spread_objective
 from .pseudoexp import PseudoExpectation
-from .sdp import SdpProblem, SolveOptions, _psd_part, equality_rows, solve_sdp
+from .sdp import MomentProgram, SolveOptions, certified_upper_bound, solve_sdp
 
 __all__ = [
     "MomentRelaxation",
@@ -63,51 +62,18 @@ class MomentRelaxation:
         self.n, self.d = n, d
         self.basis = monomial_basis(n, d // 2)
         N = len(self.basis)
-        self.classes = classes = moment_classes(self.basis)
-        # coefficient rows of the SoS residual: one per monomial of degree <= d
-        row_of = {mono: r for r, mono in enumerate(classes)}
-        inc_r, inc_c = [], []
-        for r, pos in enumerate(classes.values()):
-            for i, j in pos:
-                inc_r.append(r)
-                inc_c.append(i * N + j)
-                if i != j:
-                    inc_r.append(r)
-                    inc_c.append(j * N + i)
-        # incidence @ G.ravel() = coefficients of sum_ij G[i, j] x^(a_i + a_j)
-        self._incidence = sp.csr_matrix((np.ones(len(inc_r)), (inc_r, inc_c)),
-                                        shape=(len(classes), N * N))
-        self._zero_row = row_of[(0,) * n]
-
-        cons = [[(0, 0, 0, 1.0)]] + equality_rows(classes)
-        b = [1.0] + [0.0] * (len(cons) - 1)
+        classes = moment_classes(self.basis)
+        # E[1] = 1, then E[x^g (|x|^2 - 1)] = 0 for every multiplier g
+        rows = [{(0,) * n: 1.0}]
         self.sphere_gammas = monomial_basis(n, d - 2)
-        self.sphere_row0 = len(cons)
-        sph_r, sph_c, sph_v = [], [], []
-        for col, gamma in enumerate(self.sphere_gammas):
-            row = {}
+        for gamma in self.sphere_gammas:
+            row = {gamma: -1.0}
             for k in range(n):
-                up = tuple(g + (2 if t == k else 0) for t, g in enumerate(gamma))
-                i, j = classes[up][0]
-                row[(i, j)] = row.get((i, j), 0.0) + 1.0
-                sph_r.append(row_of[up])
-            i, j = classes[gamma][0]
-            row[(i, j)] = row.get((i, j), 0.0) - 1.0
-            cons.append([(0, i, j, c) for (i, j), c in row.items()])
-            b.append(0.0)
-            sph_r.append(row_of[gamma])
-            sph_c.extend([col] * (n + 1))
-            sph_v.extend([1.0] * n + [-1.0])
-        # sphere @ q = coefficients of q(x) (|x|^2 - 1), q given on sphere_gammas
-        self._sphere = sp.csr_matrix((sph_v, (sph_r, sph_c)),
-                                     shape=(len(classes), len(self.sphere_gammas)))
+                row[tuple(g + 2 * (t == k) for t, g in enumerate(gamma))] = 1.0
+            rows.append(row)
         C = spread_objective(objective, classes, N)
-        self._objective_vec = np.zeros(len(classes))
-        for mono, c in objective.terms.items():
-            self._objective_vec[row_of[mono]] = c
-        self.problem = SdpProblem([N], [C], cons, b)
-        if len(self.problem.kept_rows) != len(cons):
-            raise AssertionError("moment relaxation produced duplicate constraint rows")
+        self.problem = MomentProgram(N, classes, C, rows, [1.0] + [0.0] * len(self.sphere_gammas))
+        self._objective_vec = np.array([objective.coefficient(key) for key in self.problem.keys])
 
     @property
     def trace_bound(self) -> float:
@@ -115,22 +81,19 @@ class MomentRelaxation:
         return self.d // 2 + 1.0
 
     def extract_pseudoexpectation(self, sol) -> PseudoExpectation:
-        return PseudoExpectation(self.n, self.d, class_means(sol.X[0], self.classes),
+        return PseudoExpectation(self.n, self.d, self.problem.values(sol.X[0]),
                                  [sphere_poly(self.n)])
 
     def certificate(self, sol) -> "SosCertificate":
         """Rigorous upper bound plus the explicit sum-of-squares identity."""
         n, d = self.n, self.d
         y = sol.y
-        dual = self.problem.operator(y)[0]
-        C = self.problem.C[0]
-        slack = dual - C                       # >= 0 at exact dual feasibility
-        lam_min = float(np.linalg.eigvalsh((slack + slack.T) / 2.0)[0])
-        shift = max(0.0, -lam_min)
+        dual = certified_upper_bound(self.problem, sol, self.trace_bound)
+        shift, bound = dual.slack_shift, dual.bound
+        slack = self.problem.dual_slack(sol)[0]  # >= -shift, class sums fixed by y
         # diagonal Gram matrix of sum_k |x|^(2k): D[a] = multinomial(|a|; a) >= 1
         Dd = np.array([_multinomial(a) for a in self.basis])
         shifted = (slack + slack.T) / 2.0 + shift * np.diag(Dd)
-        bound = float(self.problem.b @ y) + shift * self.trace_bound
 
         w, v = np.linalg.eigh(shifted)
         w = np.maximum(w, 0.0)
@@ -148,7 +111,7 @@ class MomentRelaxation:
         # W(x) = sum_{j < d/2} (d/2 - j) |x|^(2j)
         terms = {}
         for t, gamma in enumerate(self.sphere_gammas):
-            yg = y[self.sphere_row0 + t]
+            yg = y[1 + t]
             if yg != 0.0:
                 terms[gamma] = -yg
         for gamma in self.sphere_gammas:
@@ -159,14 +122,14 @@ class MomentRelaxation:
                 terms[gamma] = terms.get(gamma, 0.0) + c
         mult = Polynomial(n, terms)
 
-        # bound - objective - q (|x|^2 - 1) - sum_j R_j^2, with sum_j R_j^2
-        # the class sums of the squares' Gram matrix G = sum_j c_j c_j^T
+        # bound - objective - q (|x|^2 - 1) - sum_j R_j^2 in class coordinates:
+        # the rows map (bound, -q) to bound - q (|x|^2 - 1), and sum_j R_j^2
+        # is the class sums of the squares' Gram matrix G = sum_j c_j c_j^T
         q = np.array([mult.coefficient(g) for g in self.sphere_gammas])
-        target = -self._objective_vec - self._sphere @ q
-        target[self._zero_row] += bound
+        target = self.problem.R.T @ np.concatenate(([bound], -q)) - self._objective_vec
         factors = np.array(kept).reshape(-1, len(w))
         gram = factors.T @ factors
-        residual = float(np.max(np.abs(target - self._incidence @ gram.ravel())))
+        residual = float(np.max(np.abs(target - self.problem.class_sums(gram))))
         return SosCertificate(bound=bound, shift=shift, squares=squares,
                               ideal_multiplier=mult, residual=residual, y=y.copy())
 
@@ -258,51 +221,19 @@ def index_symmetrize(x: np.ndarray, n: int) -> np.ndarray:
 _S4 = list(itertools.permutations(range(4)))
 
 
-def _a22_projector_admm(C: np.ndarray, n: int, opts: SolveOptions):
-    """ADMM for max <C, X> over {X PSD, tr X = 1, X index-permutation symmetric}.
-
-    The affine step projects orthogonally onto the fixed subspace of the index
-    action (orbit averaging) intersected with the trace constraint; the other
-    step projects onto the PSD cone.
-    """
+def _index_classes(n: int):
+    """The n^2 x n^2 positions grouped by the multiset of their 4 tensor
+    indices, and the trace row counting each class's diagonal positions."""
     N = n * n
-    sym_eye = index_symmetrize(np.eye(N), n)
-    eye_norm = float(np.sum(np.eye(N) * sym_eye))
-    scale = max(1.0, float(np.linalg.norm(C)))
-    Cs = C / scale
-
-    def proj_affine(m):
-        y = index_symmetrize(m, n)
-        return y + ((1.0 - np.trace(y)) / eye_norm) * sym_eye
-
-    rho = 1.0
-    Z = np.eye(N) / N
-    U = np.zeros((N, N))
-    X = Z.copy()
-    status = "max-iter"
-    it = 0
-    for it in range(1, opts.max_iter + 1):
-        X = proj_affine(Z - U + Cs / rho)
-        Z_old = Z
-        Z = _psd_part(X + U)
-        U = U + X - Z
-        rp = np.linalg.norm(X - Z) / (1.0 + np.linalg.norm(X))
-        rd = rho * np.linalg.norm(Z - Z_old) / (1.0 + np.linalg.norm(U))
-        if max(rp, rd) <= opts.tol:
-            status = "optimal"
-            break
-        if it % opts.adapt_every == 0:
-            if rp > 10 * rd:
-                rho = min(rho * 2.0, 1e6)
-                U = U / 2.0
-            elif rd > 10 * rp:
-                rho = max(rho / 2.0, 1e-6)
-                U = U * 2.0
-    value = float(np.sum(C * X))
-    min_eig = float(np.linalg.eigvalsh((X + X.T) / 2.0)[0])
-    residuals = {"primal_infeas": float(np.linalg.norm(X - Z) / (1.0 + np.linalg.norm(X))),
-                 "min_eig": min_eig}
-    return value, X, status, it, residuals
+    classes: dict = {}
+    trace: dict = {}
+    for p in range(N):
+        for q in range(p, N):
+            key = tuple(sorted(divmod(p, n) + divmod(q, n)))
+            classes.setdefault(key, []).append((p, q))
+            if p == q:
+                trace[key] = trace.get(key, 0.0) + 1.0
+    return classes, trace
 
 
 @dataclass
@@ -318,19 +249,21 @@ def a22_value(instance: OperatorInstance, opts: SolveOptions | None = None,
               return_details: bool = False):
     """max <X, A22> over PSD, trace-one, index-permutation-symmetric X.
 
-    Solved by a dedicated ADMM that enforces the symmetry by orbit averaging.
+    The symmetric matrices are those constant on the classes of positions
+    sharing a 4-index multiset, so the program is a :class:`MomentProgram`.
     Returns the optimum; with ``return_details=True`` an :class:`A22Result`
-    that also carries the rigorous upper bound lambda_max(sym(A22)), valid for
-    every feasible X since <A22, X> = <sym(A22), X> on the symmetric set.
+    that also carries the weak-duality bound of the solver's dual point,
+    valid for every feasible X whether or not the solver converged.
     """
     n = instance.n
     if n > 30:
         raise ValueError("two-two formulation limited to 30 variables")
-    C = a22_matrix(instance)
-    bound = float(np.linalg.eigvalsh(index_symmetrize(C, n))[-1])
+    classes, trace = _index_classes(n)
+    problem = MomentProgram(n * n, classes, a22_matrix(instance), [trace], [1.0])
     opts = opts or SolveOptions(tol=1e-9 if n * n <= 16 else 1e-8, max_iter=50_000)
-    value, X, status, it, residuals = _a22_projector_admm(C, n, opts)
-    res = A22Result(value, bound, status, it, residuals)
+    sol = solve_sdp(problem, opts)
+    bound = certified_upper_bound(problem, sol, 1.0).bound
+    res = A22Result(sol.primal_obj, bound, sol.status, sol.iterations, sol.residuals)
     return res if return_details else res.value
 
 

@@ -90,6 +90,14 @@ def test_norm24_and_lasserre(files, capsys):
     assert abs(rep["results"]["lasserre_value"] - rep["results"]["sos_value"]) <= 1e-5
 
 
+def test_lasserre_statuses_and_exit_code(files, capsys):
+    code, rep = run(["lasserre", "--graph", str(files / "c5.txt")], capsys)
+    assert code == 0
+    assert rep["results"]["lasserre_status"] == rep["results"]["sos_status"] == "optimal"
+    code, rep = run(["lasserre", "--graph", str(files / "c5.txt"), "--max-iter", "5"], capsys)
+    assert code == 3
+
+
 def test_random_suite_small(files, capsys):
     code, rep = run(["random-suite", "--dist", "sign", "--n", "3", "--m", "45",
                      "--seeds", "2", "--restarts", "16"], capsys)
@@ -145,3 +153,11 @@ def test_out_file(files, capsys, tmp_path):
     assert code == 0
     rep = json.loads(out.read_text())
     assert "results" in rep and "config" in rep
+
+
+def test_error_report_written_to_out(files, capsys, tmp_path):
+    out = tmp_path / "o.json"
+    code = main(["norm24", "--in", str(tmp_path / "missing.json"), "--out", str(out)])
+    assert capsys.readouterr().out == ""
+    assert code == 2
+    assert "error" in json.loads(out.read_text())

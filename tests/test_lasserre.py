@@ -1,6 +1,7 @@
 import itertools
 
 import numpy as np
+import pytest
 
 from hypernorm.lasserre import lasserre_roundtrip, solve_lasserre_maxcut, solve_sos_maxcut
 from hypernorm.pseudoexp import validate_pef
@@ -53,3 +54,13 @@ def test_lasserre_gram_constraints_hold():
     a, b = idx[frozenset([0])], idx[frozenset([1])]
     ab = idx[frozenset([0, 1])]
     assert abs(y[a, b] - y[idx[frozenset()], ab]) <= 1e-6
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_even_cycles_reach_the_full_cut(n):
+    g = cycle_graph(n)
+    rep = lasserre_roundtrip(g)
+    exact = exact_maxcut(g)
+    assert min(rep.lasserre_value, rep.sos_value) >= exact - 1e-6
+    assert rep.value_gap <= 1e-5
+    assert rep.lasserre_status == rep.sos_status == "optimal"

@@ -37,3 +37,4 @@ def test_random_operator_sweep():
     for r in body:
         assert (r[1], r[2], r[3]) == ("4", "80", "0")
         assert float(r[4]) <= float(r[5]) + 1e-6
+        assert float(r[5]) - float(r[4]) <= 1e-4 * max(1.0, float(r[4]))

@@ -3,10 +3,10 @@ import pytest
 
 from hypernorm.sdp import (
     DualCertificate,
+    MomentProgram,
     SdpProblem,
     SolveOptions,
     certified_upper_bound,
-    equality_rows,
     solve_sdp,
 )
 
@@ -139,17 +139,70 @@ class TestEntryContract:
         data = p.A.tocsr()[1:].data
         assert np.array_equal(data, (coeffs / 2.0) * np.sqrt(2.0))
 
-    def test_equality_rows_sorted_key_order(self):
-        classes = {(2, 0): [(0, 2), (1, 1), (2, 3)], (0, 1): [(0, 1)], (1, 0): [(0, 3), (3, 2)]}
-        assert equality_rows(classes) == [
-            [(0, 0, 3, 1.0), (0, 3, 2, -1.0)],
-            [(0, 0, 2, 1.0), (0, 1, 1, -1.0)],
-            [(0, 1, 1, 1.0), (0, 2, 3, -1.0)],
-        ]
-
 
 @pytest.mark.parametrize("bad", [{"tol": 0.0}, {"tol": -1e-8}, {"tol": float("nan")},
-                                 {"tol": float("inf")}, {"max_iter": 0}, {"adapt_every": 0}])
+                                 {"tol": float("inf")}, {"max_iter": 0}])
 def test_solve_options_rejects_bad_values(bad):
     with pytest.raises(ValueError):
         SolveOptions(**bad)
+
+
+def random_moment_program(seed, size=7, nclasses=9, nrows=3):
+    """A class map drawn at random over the upper triangle, with random rows."""
+    rng = np.random.default_rng(seed)
+    classes = {}
+    for p, (i, j) in enumerate(zip(*np.triu_indices(size))):
+        key = int(rng.integers(nclasses)) if p >= nclasses else p
+        classes.setdefault(key, []).append((int(i), int(j)))
+    rows = [{key: float(rng.normal()) for key in classes} for _ in range(nrows)]
+    return MomentProgram(size, classes, np.eye(size), rows, rng.normal(size=nrows)), classes, rows
+
+
+class TestMomentProgram:
+    def test_projection_contract(self):
+        for seed in range(5):
+            p, classes, rows = random_moment_program(seed)
+            rng = np.random.default_rng(100 + seed)
+            v = rng.normal(size=(7, 7))
+            v = (v + v.T) / 2
+            (x,), _ = p.project([v])
+            # class-constant
+            for pos in classes.values():
+                vals = [x[i, j] for i, j in pos] + [x[j, i] for i, j in pos]
+                assert max(vals) == min(vals)
+            # the rows hold on the class values
+            vals = p.values(x)
+            got = [sum(c * vals[key] for key, c in row.items()) for row in rows]
+            assert np.allclose(got, p.b, rtol=0, atol=1e-12)
+            # idempotent
+            (x2,), _ = p.project([x])
+            assert np.allclose(x2, x, rtol=0, atol=1e-12)
+            # v - x is orthogonal to the directions of the affine set: the
+            # class-constant matrices whose class values lie in the rows' kernel
+            basis = np.linalg.svd(p.R)[2][p.R.shape[0]:]
+            for m in basis:
+                d = np.zeros((7, 7))
+                for key, pos in classes.items():
+                    for i, j in pos:
+                        d[i, j] = d[j, i] = m[p.keys.index(key)]
+                assert abs(np.sum((v - x) * d)) <= 1e-12 * max(1.0, np.linalg.norm(v))
+
+    def test_lambda_max_agrees_with_row_form(self):
+        rng = np.random.default_rng(7)
+        n = 6
+        c = rng.normal(size=(n, n))
+        c = (c + c.T) / 2
+        rows_form = SdpProblem([n], [c], [[(0, i, i, 1.0) for i in range(n)]], [1.0])
+        classes = {(i, j): [(i, j)] for i in range(n) for j in range(i, n)}
+        moment_form = MomentProgram(n, classes, c, [{(i, i): 1.0 for i in range(n)}], [1.0])
+        opts = SolveOptions(tol=1e-9)
+        a, b = solve_sdp(rows_form, opts), solve_sdp(moment_form, opts)
+        assert a.status == b.status == "optimal"
+        assert abs(a.primal_obj - b.primal_obj) <= 1e-7
+        lam = float(np.linalg.eigvalsh(c)[-1])
+        assert abs(b.primal_obj - lam) <= 1e-6
+        assert certified_upper_bound(moment_form, b, 1.0).bound >= lam - 1e-12
+
+    def test_rejects_classes_that_miss_positions(self):
+        with pytest.raises(ValueError):
+            MomentProgram(2, {0: [(0, 0)], 1: [(1, 1)]}, np.eye(2), [{0: 1.0}], [1.0])

@@ -6,6 +6,7 @@ from hypernorm.oracles import norm_2_to_q_lower
 from hypernorm.polybasis import Polynomial, objective_expand, sphere_poly
 from hypernorm.pseudoexp import validate_pef
 from hypernorm.sdp import SolveOptions
+from hypernorm.sse import RegularGraph, cycle_graph, subspace_instance, top_projector_norm
 from hypernorm.tensorsdp import (
     a22_matrix,
     a22_value,
@@ -153,11 +154,25 @@ class TestA22:
         assert lam > a22_value(inst) + 0.5
 
     def test_rigorous_bound_dominates(self):
+        # the weak-duality bound sits between the value and the eigenvalue
+        # bound of the symmetrized form, and closes on the value
         inst = sign_instance(8, 3, seed=9)
         res = a22_value(inst, return_details=True)
-        assert res.bound >= res.value - 1e-7 * max(1, res.value)
+        tol = 1e-7 * max(1, res.value)
         sym = index_symmetrize(a22_matrix(inst), 3)
-        assert np.isclose(res.bound, np.linalg.eigvalsh(sym)[-1])
+        assert res.value - tol <= res.bound <= np.linalg.eigvalsh(sym)[-1] + tol
+        assert res.bound - res.value <= 1e-5 * max(1, res.value)
+        rough = a22_value(inst, SolveOptions(max_iter=10), return_details=True)
+        ora = norm_2_to_q_lower(inst, 4, restarts=16, seed=0)
+        assert rough.bound >= ora.value**4 - 1e-9
+
+    def test_relabelled_c12_projector_converges(self):
+        # C12 with relabelled vertices rotates the degenerate top eigenspace;
+        # the relaxation of its projector norm must still converge
+        perm = [9, 2, 8, 3, 7, 4, 6, 11, 1, 5, 0, 10]
+        g = RegularGraph(12, [(perm[u], perm[v]) for u, v in cycle_graph(12).edges])
+        inst = subspace_instance(top_projector_norm(g, 0.4, 4, restarts=8).basis, 4)
+        assert tensor_sdp(inst, 4).status == "optimal"
 
 
 class TestBcy:
