@@ -102,6 +102,14 @@ class TestTensorSdp:
         assert rough.certificate.bound >= full.value - 1e-5
         assert rough.certificate.residual <= 1e-6
 
+    def test_relabelled_c12_projector_converges(self):
+        # C12 with relabelled vertices rotates the degenerate top eigenspace;
+        # the relaxation of its projector norm must still converge
+        perm = [9, 2, 8, 3, 7, 4, 6, 11, 1, 5, 0, 10]
+        g = RegularGraph(12, [(perm[u], perm[v]) for u, v in cycle_graph(12).edges])
+        inst = subspace_instance(top_projector_norm(g, 0.4, 4, restarts=8).basis, 4)
+        assert tensor_sdp(inst, 4).status == "optimal"
+
 
 def _symbolic_residual(inst, cert):
     # bound - objective - sum_j R_j^2 - q (|x|^2 - 1), expanded with Polynomial
@@ -165,14 +173,6 @@ class TestA22:
         rough = a22_value(inst, SolveOptions(max_iter=10), return_details=True)
         ora = norm_2_to_q_lower(inst, 4, restarts=16, seed=0)
         assert rough.bound >= ora.value**4 - 1e-9
-
-    def test_relabelled_c12_projector_converges(self):
-        # C12 with relabelled vertices rotates the degenerate top eigenspace;
-        # the relaxation of its projector norm must still converge
-        perm = [9, 2, 8, 3, 7, 4, 6, 11, 1, 5, 0, 10]
-        g = RegularGraph(12, [(perm[u], perm[v]) for u, v in cycle_graph(12).edges])
-        inst = subspace_instance(top_projector_norm(g, 0.4, 4, restarts=8).basis, 4)
-        assert tensor_sdp(inst, 4).status == "optimal"
 
 
 class TestBcy:
