@@ -106,7 +106,10 @@ def _cmd_quantum_dps(args):
     m = load_matrix(args.infile)
     n = int(round(np.sqrt(m.shape[0])))
     res = dps_value(m, n, r=args.r, ppt=not args.no_ppt, opts=_opts(args), return_details=True)
-    return {"value": res.value, "r": args.r, "ppt": not args.no_ppt,
+    return {"value": res.value, "bound": res.bound,
+            "bound_kind": "bound is the weak-duality upper bound on the level-r value; "
+                          "value is the primal objective of the solver's point",
+            "r": args.r, "ppt": not args.no_ppt,
             "status": res.status}, 0 if res.status == "optimal" else 3
 
 

@@ -3,17 +3,23 @@
 ``dps_value(M, n, r, ppt=True)`` maximizes <M, tr_{3..r+1} sigma> over density
 operators sigma supported on (first system) (x) (r-fold symmetric subspace),
 optionally requiring every partial transpose of sigma to be PSD.  The
-symmetric subspace enters through an isometry onto its coordinates, which
-shrinks the main PSD block; each partial transpose is a separate PSD block
-tied to the main one by entrywise equality rows.
+symmetric subspace enters through the isometry L = I (x) W onto its
+coordinates, so the main PSD block X holds sigma in those coordinates.  PPT
+block k is the image T_k(X) = PT_k(L X L^T) of the main block.  L is an
+isometry and a partial transpose permutes entries, so T_k^T T_k = I, and the
+affine set {(X, T_1 X, ..., T_K X) : tr X = 1} has a closed-form projection:
+average block 0 with the pulled-back PPT blocks, shift the trace, push the
+result forward.  The dual slack is repaired the same way.
 
 ``h_ext(M, n, r)`` is the eigenvalue relaxation without PPT: the top
 eigenvalue of M (x) I^(r-1) restricted to the extension subspace.
 
 Real symmetric inputs yield real SDPs (an optimal extension can always be
 conjugated to a real one).  Complex Hermitian inputs are solved through the
-2d x 2d real embedding [[Re,-Im],[Im,Re]] with explicit invariance rows, under
-which Hermitian-PSD and embedded-real-PSD coincide.
+2d x 2d real embedding [[Re,-Im],[Im,Re]], under which Hermitian-PSD and
+embedded-real-PSD coincide.  Block 0 is kept an embedded Hermitian matrix by
+the averaging projection (S - J S J)/2 onto the matrices that commute with the
+complex structure J, and T_k acts on the Hermitian matrix that X embeds.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import numpy as np
 
 from .core import TensorShape
 from .linalg import kron, partial_transpose, real_embedding, sym_isometry
-from .sdp import SdpProblem, SolveOptions, solve_sdp
+from .sdp import SolveOptions, certified_upper_bound, solve_sdp
 
 __all__ = ["dps_value", "h_ext", "DpsResult"]
 
@@ -50,84 +56,6 @@ def _ppt_subsets(r: int):
     return out
 
 
-def _sym_basis(dim):
-    for a in range(dim):
-        for b in range(a, dim):
-            e = np.zeros((dim, dim))
-            e[a, b] = 1.0
-            e[b, a] = 1.0
-            yield a, b, e
-
-
-def _linking_rows(images, blocks: int, size: int) -> list:
-    """Rows Y_k[i, j] = sum_(a, b) image_k(a, b)[i, j] * X[a, b], tying each
-    PPT block k + 1 entrywise to the partial transpose of block 0's lift."""
-    cons = []
-    for k in range(blocks):
-        for i in range(size):
-            for j in range(i, size):
-                entries = [(k + 1, i, j, 1.0)]
-                for (a, bb), mats in images.items():
-                    c = mats[k][i, j]
-                    if abs(c) > 1e-14:
-                        entries.append((0, a, bb, -float(c)))
-                cons.append(entries)
-    return cons
-
-
-@dataclass
-class DpsResult:
-    value: float
-    status: str
-    iterations: int
-    residuals: dict
-    r: int
-    ppt: bool
-
-
-def dps_value(m: np.ndarray, n: int, r: int = 1, ppt: bool = True,
-              opts: SolveOptions | None = None, return_details: bool = False):
-    """Level-r symmetric-extension value for a self-adjoint M on C^n (x) C^n."""
-    if n > 4 or r > 3:
-        raise ValueError("desk-scale limits: n <= 4, r <= 3")
-    m = np.asarray(m)
-    _check_bipartite(m, n)
-    if n ** (2 * (r + 1)) > 200_000:
-        raise ValueError("extension space too large for the dense assembly")
-    complex_input = np.iscomplexobj(m) and np.linalg.norm(np.imag(m)) > 1e-13
-
-    w = sym_isometry(r, n)
-    lift = np.kron(np.eye(n), w)              # n^(r+1) x dim, dim = n * binom(n+r-1, r)
-    dim = lift.shape[1]
-    dfull = lift.shape[0]
-    shape_full = TensorShape((n,) * (r + 1))
-    work = m.astype(complex) if complex_input else np.real(m).astype(float)
-    obj_full = kron(work, *([np.eye(n)] * (r - 1))) if r > 1 else work
-    obj = lift.T @ obj_full @ lift
-    obj = (obj + obj.conj().T) / 2.0
-    subsets = _ppt_subsets(r) if ppt else []
-
-    def push(basis_mat):
-        """Partial transposes of the lifted basis element, one per PPT block."""
-        full = lift @ basis_mat @ lift.T
-        return [partial_transpose(full, shape_full, s) for s in subsets]
-
-    if not complex_input:
-        blocks = [dim] + [dfull] * len(subsets)
-        C = [obj] + [np.zeros((dfull, dfull)) for _ in subsets]
-        images = {(a, bb): push(e) for a, bb, e in _sym_basis(dim)}
-        cons = [[(0, i, i, 1.0) for i in range(dim)]] + _linking_rows(images, len(subsets), dfull)
-        b = [1.0] + [0.0] * (len(cons) - 1)
-        problem = SdpProblem(blocks, C, cons, b)
-        sol = solve_sdp(problem, opts or SolveOptions(tol=1e-8, max_iter=100_000))
-        value = sol.primal_obj
-    else:
-        value, sol = _dps_complex_embedded(obj, lift, shape_full, subsets, opts)
-    res = DpsResult(value=value, status=sol.status, iterations=sol.iterations,
-                    residuals=sol.residuals, r=r, ppt=ppt)
-    return res if return_details else res.value
-
-
 def _unembed(s: np.ndarray) -> np.ndarray:
     """The complex matrix whose real embedding is the J-invariant part of s."""
     d = s.shape[0] // 2
@@ -136,47 +64,108 @@ def _unembed(s: np.ndarray) -> np.ndarray:
     return re + 1j * im
 
 
-def _dps_complex_embedded(obj, lift, shape_full, subsets, opts):
-    """Complex Hermitian program through the real embedding.
+class _LinkedBlocks:
+    """The DPS program over blocks (X, T_1 X, ..., T_K X), all PSD.
 
-    Variables: S = embedding of sigma (2*dim), plus one 2*dfull block per
-    partial transpose.  Rows: trace of S is 2; S commutes with the complex
-    structure J (so S is exactly an embedded Hermitian matrix); each PPT block
-    equals the embedding of the partially transposed lift of sigma(S).
+    Maximize <C_0, X> subject to tr X = b_0, with T_k(X) = PT_k(L X L^T) for
+    real inputs and T_k(X) = emb(PT_k(L unemb(X) L^T)) for complex ones.  On
+    the admissible X (every X for real inputs, the J-invariant X for complex
+    ones) each T_k is a Frobenius isometry, so each block has trace b_0 and
+    the trace bound of the whole program is b_0 (1 + K).
     """
-    dim = lift.shape[1]
-    dfull = lift.shape[0]
-    D, DF = 2 * dim, 2 * dfull
-    blocks = [D] + [DF] * len(subsets)
-    C = [real_embedding(obj) / 2.0] + [np.zeros((DF, DF)) for _ in subsets]
-    cons = [[(0, i, i, 1.0) for i in range(D)]]
-    b = [2.0]
 
-    # J-invariance: S[a, b] = S[a+dim, b+dim] and S[a, b+dim] + S[b, a+dim] = 0
-    for a in range(dim):
-        for bb in range(a, dim):
-            cons.append([(0, a, bb, 1.0), (0, a + dim, bb + dim, -1.0)])
-            b.append(0.0)
-    for a in range(dim):
-        for bb in range(a, dim):
-            if a == bb:
-                cons.append([(0, a, a + dim, 1.0)])
-            else:
-                cons.append([(0, a, bb + dim, 1.0), (0, bb, a + dim, 1.0)])
-            b.append(0.0)
+    def __init__(self, obj: np.ndarray, lift: np.ndarray, shape: TensorShape, subsets):
+        self.complex = np.iscomplexobj(obj)
+        self.lift, self.shape, self.subsets = lift, shape, subsets
+        e = 2 if self.complex else 1
+        self.blocks = [e * lift.shape[1]] + [e * lift.shape[0]] * len(subsets)
+        self.C = [real_embedding(obj) / 2.0 if self.complex else obj]
+        self.C += [np.zeros((s, s)) for s in self.blocks[1:]]
+        self.b = np.array([float(e)])
+        self.trace_bound = float(e * len(self.blocks))
 
-    # linking rows: Y_k = embedding of (lift sigma(S) lift^H)^{T_subset}
-    images = {}
-    for a, bb, e in _sym_basis(D):
-        full = lift @ _unembed(e) @ lift.conj().T
-        images[(a, bb)] = [real_embedding(partial_transpose(full, shape_full, s))
-                           for s in subsets]
-    link = _linking_rows(images, len(subsets), DF)
-    cons += link
-    b += [0.0] * len(link)
-    problem = SdpProblem(blocks, C, cons, b)
+    def average(self, s: np.ndarray) -> np.ndarray:
+        """The nearest admissible block-0 matrix: (S - J S J)/2, or S itself."""
+        return real_embedding(_unembed(s)) if self.complex else s
+
+    def image(self, x: np.ndarray, k: int) -> np.ndarray:
+        """T_k(x), the PPT block k that block 0 fixes."""
+        h = _unembed(x) if self.complex else x
+        y = partial_transpose(self.lift @ h @ self.lift.T, self.shape, self.subsets[k])
+        return real_embedding(y) if self.complex else y
+
+    def coimage(self, v: np.ndarray, k: int) -> np.ndarray:
+        """T_k^T(v), the adjoint of :meth:`image`."""
+        g = _unembed(v) if self.complex else v
+        x = self.lift.T @ partial_transpose(g, self.shape, self.subsets[k]) @ self.lift
+        return real_embedding(x) if self.complex else x
+
+    def pull_back(self, mats) -> np.ndarray:
+        """P(M_0) + sum_k T_k^T(M_k): the adjoint of X -> (X, T_1 X, ..., T_K X)."""
+        out = self.average(mats[0])
+        for k, m in enumerate(mats[1:]):
+            out = out + self.coimage(m, k)
+        return out
+
+    def push(self, x: np.ndarray) -> list:
+        return [x] + [self.image(x, k) for k in range(len(self.subsets))]
+
+    def project(self, V):
+        """Orthogonal projection onto the linked blocks with tr X = b_0, as
+        ``(blocks, w)`` with w the multiplier of the trace row."""
+        links = len(self.blocks)
+        xbar = self.pull_back(V) / links
+        w = (np.trace(xbar) - self.b[0]) * links / self.blocks[0]
+        return self.push(xbar - (w / links) * np.eye(self.blocks[0])), np.array([w])
+
+    def dual_slack(self, sol):
+        """The solver's slack S moved onto the dual affine set
+        P(C_0 + S_0) + sum_k T_k^T(C_k + S_k) = y I by the least change,
+        which is a pushed-forward block-0 matrix."""
+        fix = sol.y[0] * np.eye(self.blocks[0]) - self.pull_back(
+            [c + s for c, s in zip(self.C, sol.S)])
+        return [s + f for s, f in zip(sol.S, self.push(fix / len(self.blocks)))]
+
+
+@dataclass
+class DpsResult:
+    value: float
+    bound: float
+    status: str
+    iterations: int
+    residuals: dict
+    r: int
+    ppt: bool
+
+
+def _dps_program(m: np.ndarray, n: int, r: int, ppt: bool) -> _LinkedBlocks:
+    if n > 4 or r > 3:
+        raise ValueError("desk-scale limits: n <= 4, r <= 3")
+    m = np.asarray(m)
+    _check_bipartite(m, n)
+    complex_input = np.iscomplexobj(m) and np.linalg.norm(np.imag(m)) > 1e-13
+    lift = np.kron(np.eye(n), sym_isometry(r, n))   # n^(r+1) x dim, dim = n * binom(n+r-1, r)
+    work = m.astype(complex) if complex_input else np.real(m).astype(float)
+    obj_full = kron(work, *([np.eye(n)] * (r - 1))) if r > 1 else work
+    obj = lift.T @ obj_full @ lift
+    obj = (obj + obj.conj().T) / 2.0
+    return _LinkedBlocks(obj, lift, TensorShape((n,) * (r + 1)), _ppt_subsets(r) if ppt else [])
+
+
+def dps_value(m: np.ndarray, n: int, r: int = 1, ppt: bool = True,
+              opts: SolveOptions | None = None, return_details: bool = False):
+    """Level-r symmetric-extension value for a self-adjoint M on C^n (x) C^n.
+
+    With ``return_details`` the result also carries ``bound``, a weak-duality
+    upper bound on the level-r value that holds whether or not the solver
+    converged.
+    """
+    problem = _dps_program(m, n, r, ppt)
     sol = solve_sdp(problem, opts or SolveOptions(tol=1e-8, max_iter=100_000))
-    return sol.primal_obj, sol
+    bound = certified_upper_bound(problem, sol, problem.trace_bound).bound
+    res = DpsResult(value=sol.primal_obj, bound=bound, status=sol.status,
+                    iterations=sol.iterations, residuals=sol.residuals, r=r, ppt=ppt)
+    return res if return_details else res.value
 
 
 def h_ext(m: np.ndarray, n: int, r: int = 1) -> float:

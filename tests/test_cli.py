@@ -54,6 +54,7 @@ def test_quantum_dps_and_hext(files, capsys):
     code, rep = run(["quantum", "dps", "--in", str(files / "phi2.json"), "--r", "1"], capsys)
     assert code == 0
     assert abs(rep["results"]["value"] - 0.5) <= 1e-3
+    assert rep["results"]["bound"] >= rep["results"]["value"] - 1e-6
     code, rep = run(["quantum", "hext", "--in", str(files / "phi2.json"), "--r", "2"], capsys)
     assert code == 0
     assert rep["results"]["value"] >= 0.5 - 1e-9
