@@ -67,7 +67,8 @@ def _cmd_tensorsdp(args):
 
 
 def _cmd_certify_hyper(args):
-    hc = certify_hypercontractivity(args.l, args.d, restarts=args.restarts, seed=args.seed)
+    hc = certify_hypercontractivity(args.l, args.d, restarts=args.restarts, seed=args.seed,
+                                    opts=_opts(args))
     return hc.record(seed=args.seed), 0 if hc.status == "optimal" else 3
 
 
@@ -215,99 +216,85 @@ def build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, infile=False):
+    def command(parent, name, func, infile=False, seed=False, restarts=False, solver=False,
+                **kw):
+        """A subcommand running ``func``, given --out and only the shared flags it reads."""
+        sp = parent.add_parser(name, **kw)
+        sp.set_defaults(func=func)
         sp.add_argument("--out", default=None, help="write the JSON report here")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tol", type=float, default=1e-8)
-        sp.add_argument("--max-iter", dest="max_iter", type=int, default=200_000)
-        sp.add_argument("--restarts", type=int, default=64)
+        if seed:
+            sp.add_argument("--seed", type=int, default=0)
+        if restarts:
+            sp.add_argument("--restarts", type=int, default=64)
+        if solver:
+            sp.add_argument("--tol", type=float, default=1e-8)
+            sp.add_argument("--max-iter", dest="max_iter", type=int, default=200_000)
         if infile:
             sp.add_argument("--in", dest="infile", required=True, help="matrix JSON file")
             sp.add_argument("--convention", choices=["counting", "expectation"],
                             default="counting")
+        return sp
 
-    sp = sub.add_parser("norm24", help="oracle lower bound and elementary norms")
-    common(sp, infile=True)
+    sp = command(sub, "norm24", _cmd_norm24, infile=True, seed=True, restarts=True,
+                 help="oracle lower bound and elementary norms")
     sp.add_argument("--q", type=int, default=4)
-    sp.set_defaults(func=_cmd_norm24)
 
-    sp = sub.add_parser("tensorsdp", help="level-d relaxation with certificate")
-    common(sp, infile=True)
+    sp = command(sub, "tensorsdp", _cmd_tensorsdp, infile=True, seed=True, restarts=True,
+                 solver=True, help="level-d relaxation with certificate")
     sp.add_argument("--level", type=int, default=4)
-    sp.set_defaults(func=_cmd_tensorsdp)
 
-    sp = sub.add_parser("certify-hyper", help="fourth-moment certificate for cube polynomials")
-    common(sp)
+    sp = command(sub, "certify-hyper", _cmd_certify_hyper, seed=True, restarts=True, solver=True,
+                 help="fourth-moment certificate for cube polynomials")
     sp.add_argument("--l", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
-    sp.set_defaults(func=_cmd_certify_hyper)
 
     sse = sub.add_parser("sse", help="small-set expansion analysis")
     ssesub = sse.add_subparsers(dest="sse_command", required=True)
-    sp = ssesub.add_parser("analyze")
-    common(sp)
+    sp = command(ssesub, "analyze", _cmd_sse_analyze, seed=True, restarts=True)
     sp.add_argument("--graph", required=True)
     sp.add_argument("--delta", type=float, required=True)
     sp.add_argument("--lambda", dest="lam", type=float, default=None)
     sp.add_argument("--q", type=int, default=4)
-    sp.set_defaults(func=_cmd_sse_analyze)
-    sp = ssesub.add_parser("decide")
-    common(sp)
+    sp = command(ssesub, "decide", _cmd_sse_decide, seed=True, restarts=True)
     sp.add_argument("--graph", required=True)
     sp.add_argument("--delta", type=float, required=True)
     sp.add_argument("--nu", type=float, required=True)
-    sp.set_defaults(func=_cmd_sse_decide)
 
     q = sub.add_parser("quantum", help="separability relaxations")
     qsub = q.add_subparsers(dest="quantum_command", required=True)
-    sp = qsub.add_parser("hsep")
-    common(sp, infile=True)
+    sp = command(qsub, "hsep", _cmd_quantum_hsep, infile=True, seed=True, restarts=True)
     sp.add_argument("--na", type=int, default=None)
-    sp.set_defaults(func=_cmd_quantum_hsep)
-    sp = qsub.add_parser("dps")
-    common(sp, infile=True)
+    sp = command(qsub, "dps", _cmd_quantum_dps, infile=True, solver=True)
     sp.add_argument("--r", type=int, default=1)
     sp.add_argument("--no-ppt", action="store_true")
-    sp.set_defaults(func=_cmd_quantum_dps)
-    sp = qsub.add_parser("hext")
-    common(sp, infile=True)
+    sp = command(qsub, "hext", _cmd_quantum_hext, infile=True)
     sp.add_argument("--r", type=int, default=1)
-    sp.set_defaults(func=_cmd_quantum_hext)
 
     red = sub.add_parser("reduce", help="hardness-pipeline constructions")
     redsub = red.add_subparsers(dest="reduce_command", required=True)
-    sp = redsub.add_parser("tensor-forms")
-    common(sp, infile=True)
+    sp = command(redsub, "tensor-forms", _cmd_reduce_tensor_forms, infile=True, seed=True,
+                 restarts=True)
     sp.add_argument("--audit", action="store_true")
     sp.add_argument("--out-prefix", default=None)
-    sp.set_defaults(func=_cmd_reduce_tensor_forms)
-    sp = redsub.add_parser("m1")
-    common(sp, infile=True)
+    sp = command(redsub, "m1", _cmd_reduce_m1, infile=True, seed=True, restarts=True)
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--delta", type=float, default=None)
     sp.add_argument("--out-prefix", default=None)
-    sp.set_defaults(func=_cmd_reduce_m1)
-    sp = redsub.add_parser("realify")
-    common(sp, infile=True)
-    sp.set_defaults(func=_cmd_reduce_realify)
-    sp = redsub.add_parser("pad")
-    common(sp, infile=True)
+    command(redsub, "realify", _cmd_reduce_realify, infile=True)
+    sp = command(redsub, "pad", _cmd_reduce_pad, infile=True, seed=True)
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--m-pad", dest="m_pad", type=int, default=None)
-    sp.set_defaults(func=_cmd_reduce_pad)
 
-    sp = sub.add_parser("random-suite", help="a22 values and oracle floors on random operators")
-    common(sp)
+    sp = command(sub, "random-suite", _cmd_random_suite, seed=True, restarts=True, solver=True,
+                 help="a22 values and oracle floors on random operators")
     sp.add_argument("--dist", choices=["sign", "gaussian", "unit"], required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--seeds", type=int, default=5)
-    sp.set_defaults(func=_cmd_random_suite)
 
-    sp = sub.add_parser("lasserre", help="Max Cut vector/moment roundtrip")
-    common(sp)
+    sp = command(sub, "lasserre", _cmd_lasserre, solver=True,
+                 help="Max Cut vector/moment roundtrip")
     sp.add_argument("--graph", required=True)
-    sp.set_defaults(func=_cmd_lasserre)
     return p
 
 

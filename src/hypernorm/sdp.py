@@ -190,21 +190,27 @@ class SdpProblem:
 
 
 class MomentProgram:
-    """A one-block program over matrices constant on classes of positions.
+    """A one-block program over matrices X = ss * M, ss = s s^T, with M
+    constant on classes of positions.
 
     ``classes`` maps each key to the upper-triangle positions ``(i, j)`` of
     one class, and every position of the ``size x size`` matrix lies in
     exactly one class.  ``rows`` are linear equations on the class values,
     each a dict from class key to coefficient, with right-hand sides ``b``.
+    ``scale`` is the positive vector s (all ones by default).
     """
 
-    def __init__(self, size, classes, C, rows, b):
+    def __init__(self, size, classes, C, rows, b, scale=None):
         size = int(size)
         self.blocks = [size]
         self.C = _check_objective(self.blocks, [C])
         if len(rows) != len(b) or len(rows) == 0:
             raise ValueError("need at least one row with matching b")
         self.b = np.asarray(b, dtype=float)
+        s = np.ones(size) if scale is None else np.asarray(scale, dtype=float)
+        if s.shape != (size,) or not (np.isfinite(s).all() and (s > 0).all()):
+            raise ValueError(f"scale must be {size} finite positive numbers")
+        self._ss = np.outer(s, s)
         self.keys = list(classes)
         labels = np.full((size, size), -1)
         for k, pos in enumerate(classes.values()):
@@ -214,8 +220,8 @@ class MomentProgram:
         if sum(len(pos) for pos in classes.values()) != size * (size + 1) // 2 or (labels < 0).any():
             raise ValueError("classes must cover every upper-triangle position exactly once")
         self._labels = labels
-        # <E_c, E_c> for the class indicator E_c: 1 per diagonal, 2 per off-diagonal position
-        self._weights = self.class_sums(np.ones((size, size)))
+        # <E_c, E_c> for the scaled class direction E_c = ss * [class c]
+        self._weights = self.class_sums(self._ss * self._ss)
         self._first = np.unique(labels, return_index=True)[1]
         col = {key: k for k, key in enumerate(self.keys)}
         self.R = np.zeros((len(rows), len(self.keys)))
@@ -225,29 +231,29 @@ class MomentProgram:
         self._chol = sla.cho_factor((self.R / self._weights) @ self.R.T)
 
     def class_sums(self, M: np.ndarray) -> np.ndarray:
-        """``<M, E_c>`` for every class c, in key order."""
+        """The sum of M over each class's positions, in key order."""
         return np.bincount(self._labels.ravel(), weights=M.ravel(), minlength=len(self.keys))
 
     def values(self, X: np.ndarray) -> dict:
-        """The class values of a class-constant X, by key."""
-        return dict(zip(self.keys, X.ravel()[self._first].tolist()))
+        """The class values of M for an X of the program's form, by key."""
+        return dict(zip(self.keys, (X / self._ss).ravel()[self._first].tolist()))
 
     def project(self, V):
-        """Orthogonal projection of V onto the class-constant matrices whose
-        class values m satisfy ``R m = b``, as ``(X, w)``: the class means
-        minus the correction ``R^T w`` spread over each class."""
-        mean = self.class_sums(V[0]) / self._weights
+        """Orthogonal projection of V onto the matrices ``ss * m[labels]``
+        whose class values m satisfy ``R m = b``, as ``(X, w)``: the
+        least-squares class values minus the correction ``R^T w``."""
+        mean = self.class_sums(self._ss * V[0]) / self._weights
         w = sla.cho_solve(self._chol, self.R @ mean - self.b, check_finite=False)
         m = mean - (self.R.T @ w) / self._weights
-        return [m[self._labels]], w
+        return [self._ss * m[self._labels]], w
 
     def dual_slack(self, sol):
         """The solver's slack S moved onto the dual affine set: dual
-        feasibility asks only that the class sums of C + S equal R^T y, so
-        the class means of S absorb the difference."""
+        feasibility asks only that ``<C + S, E_c>`` equal ``(R^T y)_c`` for
+        every class, so S absorbs the difference along the E_c."""
         S = sol.S[0]
-        fix = (self.R.T @ sol.y - self.class_sums(self.C[0] + S)) / self._weights
-        return [S + fix[self._labels]]
+        fix = (self.R.T @ sol.y - self.class_sums(self._ss * (self.C[0] + S))) / self._weights
+        return [S + self._ss * fix[self._labels]]
 
 
 @dataclass

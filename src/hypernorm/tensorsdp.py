@@ -7,8 +7,9 @@ constraint; pseudo Cauchy-Schwarz recovers the quadratic form exactly).
 
 ``a22_value`` solves the equivalent program over PSD, trace-one, fully
 index-permutation-symmetric n^2 x n^2 matrices paired with the quartic form's
-two-two flattening, and ``certify_hypercontractivity`` runs the relaxation on
-the low-degree cube projector in Fourier-coefficient coordinates.
+two-two flattening, in the Sym^2 coordinates where both live, and
+``certify_hypercontractivity`` runs the relaxation on the low-degree cube
+projector in Fourier-coefficient coordinates.
 
 Every solve returns a rigorous upper bound extracted from the dual vector: the
 bound holds by weak duality regardless of solver convergence, and for moment
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OperatorInstance
+from .linalg import sym_isometry
 from .oracles import elementary_norms, norm_2_to_q_lower
 from .polybasis import Polynomial, chi_table, moment_classes, monomial_basis
 from .polybasis import objective_expand, quartic_gram, sphere_poly, spread_objective
@@ -159,7 +161,6 @@ class TensorSdpResult:
     status: str
     iterations: int
     level: int
-    formulation: str = "moment"
     basis_size: int = 0
 
     def record(self, oracle: float | None = None, seed: int = 0) -> dict:
@@ -168,7 +169,7 @@ class TensorSdpResult:
             "certificate": {"bound": self.certificate.bound,
                             "residual": self.certificate.residual},
             "oracle": oracle,
-            "formulation": self.formulation,
+            "formulation": "moment",
             "level": self.level,
             "seed": seed,
         }
@@ -221,21 +222,6 @@ def index_symmetrize(x: np.ndarray, n: int) -> np.ndarray:
 _S4 = list(itertools.permutations(range(4)))
 
 
-def _index_classes(n: int):
-    """The n^2 x n^2 positions grouped by the multiset of their 4 tensor
-    indices, and the trace row counting each class's diagonal positions."""
-    N = n * n
-    classes: dict = {}
-    trace: dict = {}
-    for p in range(N):
-        for q in range(p, N):
-            key = tuple(sorted(divmod(p, n) + divmod(q, n)))
-            classes.setdefault(key, []).append((p, q))
-            if p == q:
-                trace[key] = trace.get(key, 0.0) + 1.0
-    return classes, trace
-
-
 @dataclass
 class A22Result:
     value: float
@@ -249,8 +235,12 @@ def a22_value(instance: OperatorInstance, opts: SolveOptions | None = None,
               return_details: bool = False):
     """max <X, A22> over PSD, trace-one, index-permutation-symmetric X.
 
-    The symmetric matrices are those constant on the classes of positions
-    sharing a 4-index multiset, so the program is a :class:`MomentProgram`.
+    Such X, and A22, live on Sym^2 (x) Sym^2, where M = Q^T X Q with
+    Q = ``sym_isometry(2, n)`` is an isometry that commutes with the PSD
+    projection: solving for M keeps the n^2 x n^2 program's iterates.  M is
+    the degree-2 moment matrix scaled by s_beta = sqrt(2!/beta!); without
+    the scale the solver's residuals change metric and it stops short.
+
     Returns the optimum; with ``return_details=True`` an :class:`A22Result`
     that also carries the weak-duality bound of the solver's dual point,
     valid for every feasible X whether or not the solver converged.
@@ -258,8 +248,13 @@ def a22_value(instance: OperatorInstance, opts: SolveOptions | None = None,
     n = instance.n
     if n > 30:
         raise ValueError("two-two formulation limited to 30 variables")
-    classes, trace = _index_classes(n)
-    problem = MomentProgram(n * n, classes, a22_matrix(instance), [trace], [1.0])
+    Q = sym_isometry(2, n)
+    basis = [tuple(pair.count(k) for k in range(n))  # the degree-2 monomials, in Q's column order
+             for pair in itertools.combinations_with_replacement(range(n), 2)]
+    s2 = np.count_nonzero(Q, axis=0).astype(float)  # 2!/beta!, the positions x^beta stands for
+    trace = {tuple(2 * e for e in beta): c for beta, c in zip(basis, s2)}  # tr X = E|x|^4
+    problem = MomentProgram(len(basis), moment_classes(basis), Q.T @ a22_matrix(instance) @ Q,
+                            [trace], [1.0], scale=np.sqrt(s2))
     opts = opts or SolveOptions(tol=1e-9 if n * n <= 16 else 1e-8, max_iter=50_000)
     sol = solve_sdp(problem, opts)
     bound = certified_upper_bound(problem, sol, 1.0).bound

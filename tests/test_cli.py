@@ -44,6 +44,19 @@ def test_certify_hyper(files, capsys):
     assert r["certificate"]["residual"] <= 1e-6
 
 
+def test_certify_hyper_reads_solver_options(files, capsys):
+    code, rep = run(["certify-hyper", "--l", "4", "--d", "1", "--max-iter", "5"], capsys)
+    assert code == 3
+
+
+def test_unread_flag_is_rejected(files, capsys):
+    # hext solves no SDP, so it has no solver options to set
+    with pytest.raises(SystemExit) as exc:
+        main(["quantum", "hext", "--in", str(files / "phi2.json"), "--tol", "1e-3"])
+    capsys.readouterr()
+    assert exc.value.code == 2
+
+
 def test_quantum_hsep_phi(files, capsys):
     code, rep = run(["quantum", "hsep", "--in", str(files / "phi2.json")], capsys)
     assert code == 0

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -147,7 +149,7 @@ def test_solve_options_rejects_bad_values(bad):
         SolveOptions(**bad)
 
 
-def random_moment_program(seed, size=7, nclasses=9, nrows=3):
+def random_moment_program(seed, size=7, nclasses=9, nrows=3, scale=None):
     """A class map drawn at random over the upper triangle, with random rows."""
     rng = np.random.default_rng(seed)
     classes = {}
@@ -155,37 +157,86 @@ def random_moment_program(seed, size=7, nclasses=9, nrows=3):
         key = int(rng.integers(nclasses)) if p >= nclasses else p
         classes.setdefault(key, []).append((int(i), int(j)))
     rows = [{key: float(rng.normal()) for key in classes} for _ in range(nrows)]
-    return MomentProgram(size, classes, np.eye(size), rows, rng.normal(size=nrows)), classes, rows
+    p = MomentProgram(size, classes, np.eye(size), rows, rng.normal(size=nrows), scale=scale)
+    return p, classes, rows
+
+
+def random_scales(seed, size=7):
+    return [None, np.random.default_rng(200 + seed).uniform(0.5, 2.0, size=size)]
+
+
+def random_slack(seed, p, size=7):
+    rng = np.random.default_rng(300 + seed)
+    s = rng.normal(size=(size, size))
+    return SimpleNamespace(S=[(s + s.T) / 2], y=rng.normal(size=len(p.b)))
 
 
 class TestMomentProgram:
     def test_projection_contract(self):
         for seed in range(5):
-            p, classes, rows = random_moment_program(seed)
-            rng = np.random.default_rng(100 + seed)
-            v = rng.normal(size=(7, 7))
+            for scale in random_scales(seed):
+                self.check_projection(seed, scale)
+
+    def check_projection(self, seed, scale):
+        p, classes, rows = random_moment_program(seed, scale=scale)
+        ss = np.ones((7, 7)) if scale is None else np.outer(scale, scale)
+        rng = np.random.default_rng(100 + seed)
+        v = rng.normal(size=(7, 7))
+        v = (v + v.T) / 2
+        (x,), _ = p.project([v])
+        # class-constant once the scale is divided out (exactly when unscaled,
+        # to the rounding of that division otherwise)
+        m = x / ss
+        for pos in classes.values():
+            vals = [m[i, j] for i, j in pos] + [m[j, i] for i, j in pos]
+            spread = max(vals) - min(vals)
+            assert spread == 0.0 if scale is None else spread <= 1e-15 * max(1.0, max(map(abs, vals)))
+        # the rows hold on the class values
+        vals = p.values(x)
+        got = [sum(c * vals[key] for key, c in row.items()) for row in rows]
+        assert np.allclose(got, p.b, rtol=0, atol=1e-12)
+        # idempotent
+        (x2,), _ = p.project([x])
+        assert np.allclose(x2, x, rtol=0, atol=1e-12)
+        # v - x is orthogonal to the directions of the affine set: the scaled
+        # class-constant matrices whose class values lie in the rows' kernel
+        basis = np.linalg.svd(p.R)[2][p.R.shape[0]:]
+        for k in basis:
+            d = np.zeros((7, 7))
+            for key, pos in classes.items():
+                for i, j in pos:
+                    d[i, j] = d[j, i] = k[p.keys.index(key)]
+            assert abs(np.sum((v - x) * ss * d)) <= 1e-12 * max(1.0, np.linalg.norm(v))
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
+    def test_dual_slack_contract(self, seed, scaled):
+        # dual feasibility on the class directions: <C + S, E_c> = (R^T y)_c
+        scale = random_scales(seed)[scaled]
+        p, _, _ = random_moment_program(seed, scale=scale)
+        ss = np.ones((7, 7)) if scale is None else np.outer(scale, scale)
+        sol = random_slack(seed, p)
+        (s,) = p.dual_slack(sol)
+        assert np.allclose(p.class_sums(ss * (p.C[0] + s)), p.R.T @ sol.y, rtol=0, atol=1e-12)
+
+    def test_unit_scale_is_bitwise_the_default(self):
+        for seed in range(3):
+            a, _, _ = random_moment_program(seed)
+            b, _, _ = random_moment_program(seed, scale=np.ones(7))
+            v = np.random.default_rng(seed).normal(size=(7, 7))
             v = (v + v.T) / 2
-            (x,), _ = p.project([v])
-            # class-constant
-            for pos in classes.values():
-                vals = [x[i, j] for i, j in pos] + [x[j, i] for i, j in pos]
-                assert max(vals) == min(vals)
-            # the rows hold on the class values
-            vals = p.values(x)
-            got = [sum(c * vals[key] for key, c in row.items()) for row in rows]
-            assert np.allclose(got, p.b, rtol=0, atol=1e-12)
-            # idempotent
-            (x2,), _ = p.project([x])
-            assert np.allclose(x2, x, rtol=0, atol=1e-12)
-            # v - x is orthogonal to the directions of the affine set: the
-            # class-constant matrices whose class values lie in the rows' kernel
-            basis = np.linalg.svd(p.R)[2][p.R.shape[0]:]
-            for m in basis:
-                d = np.zeros((7, 7))
-                for key, pos in classes.items():
-                    for i, j in pos:
-                        d[i, j] = d[j, i] = m[p.keys.index(key)]
-                assert abs(np.sum((v - x) * d)) <= 1e-12 * max(1.0, np.linalg.norm(v))
+            (xa,), wa = a.project([v])
+            (xb,), wb = b.project([v])
+            assert np.array_equal(xa, xb) and np.array_equal(wa, wb)
+            sol = random_slack(seed, a)
+            assert np.array_equal(a.dual_slack(sol)[0], b.dual_slack(sol)[0])
+
+    @pytest.mark.parametrize("bad", [np.zeros(7), -np.ones(7), np.r_[np.ones(6), np.nan],
+                                     np.ones(6), np.r_[np.ones(6), np.inf]],
+                             ids=["zero", "negative", "nan", "short", "inf"])
+    def test_rejects_bad_scale(self, bad):
+        with pytest.raises(ValueError):
+            random_moment_program(0, scale=bad)
 
     def test_lambda_max_agrees_with_row_form(self):
         rng = np.random.default_rng(7)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from hypernorm.core import OperatorInstance
+from hypernorm.core import OperatorInstance, random_operator
 from hypernorm.oracles import norm_2_to_q_lower
 from hypernorm.polybasis import Polynomial, objective_expand, sphere_poly
 from hypernorm.pseudoexp import validate_pef
-from hypernorm.sdp import SolveOptions
+from hypernorm.sdp import MomentProgram, SolveOptions, certified_upper_bound, solve_sdp
 from hypernorm.sse import RegularGraph, cycle_graph, subspace_instance, top_projector_norm
 from hypernorm.tensorsdp import (
     a22_matrix,
@@ -173,6 +173,38 @@ class TestA22:
         rough = a22_value(inst, SolveOptions(max_iter=10), return_details=True)
         ora = norm_2_to_q_lower(inst, 4, restarts=16, seed=0)
         assert rough.bound >= ora.value**4 - 1e-9
+
+
+def index_class_a22(instance, opts):
+    """The n^2 x n^2 program over the classes of positions sharing a 4-index
+    multiset, as ``a22_value`` stated it before it moved to Sym^2
+    coordinates; kept as the reference for the isometric form."""
+    n = instance.n
+    classes, trace = {}, {}
+    for p in range(n * n):
+        for q in range(p, n * n):
+            key = tuple(sorted(divmod(p, n) + divmod(q, n)))
+            classes.setdefault(key, []).append((p, q))
+            if p == q:
+                trace[key] = trace.get(key, 0.0) + 1.0
+    problem = MomentProgram(n * n, classes, a22_matrix(instance), [trace], [1.0])
+    sol = solve_sdp(problem, opts)
+    return sol, certified_upper_bound(problem, sol, 1.0).bound
+
+
+@pytest.mark.parametrize("inst", [sign_instance(6, 3), random_operator("gaussian", 4, 800, 0),
+                                  random_operator("gaussian", 5, 50, 1)],
+                         ids=["sign-6x3", "gaussian-4x800", "gaussian-5x50"])
+def test_sym2_form_keeps_the_index_class_iterates(inst):
+    # the isometry maps one program's iterates onto the other's, so both stop
+    # at the same iteration with the same value and bound up to rounding
+    opts = SolveOptions(tol=1e-9 if inst.n ** 2 <= 16 else 1e-8, max_iter=50_000)
+    res = a22_value(inst, opts, return_details=True)
+    ref, ref_bound = index_class_a22(inst, opts)
+    assert res.status == ref.status == "optimal"
+    assert res.iterations == ref.iterations
+    assert abs(res.value - ref.primal_obj) <= 1e-12 * abs(ref.primal_obj)
+    assert abs(res.bound - ref_bound) <= 1e-12 * abs(ref_bound)
 
 
 class TestBcy:
