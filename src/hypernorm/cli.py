@@ -216,8 +216,8 @@ def build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def command(parent, name, func, infile=False, seed=False, restarts=False, solver=False,
-                **kw):
+    def command(parent, name, func, infile=False, convention=False, seed=False, restarts=False,
+                solver=False, **kw):
         """A subcommand running ``func``, given --out and only the shared flags it reads."""
         sp = parent.add_parser(name, **kw)
         sp.set_defaults(func=func)
@@ -231,16 +231,17 @@ def build_parser():
             sp.add_argument("--max-iter", dest="max_iter", type=int, default=200_000)
         if infile:
             sp.add_argument("--in", dest="infile", required=True, help="matrix JSON file")
+        if convention:
             sp.add_argument("--convention", choices=["counting", "expectation"],
                             default="counting")
         return sp
 
-    sp = command(sub, "norm24", _cmd_norm24, infile=True, seed=True, restarts=True,
-                 help="oracle lower bound and elementary norms")
+    sp = command(sub, "norm24", _cmd_norm24, infile=True, convention=True, seed=True,
+                 restarts=True, help="oracle lower bound and elementary norms")
     sp.add_argument("--q", type=int, default=4)
 
-    sp = command(sub, "tensorsdp", _cmd_tensorsdp, infile=True, seed=True, restarts=True,
-                 solver=True, help="level-d relaxation with certificate")
+    sp = command(sub, "tensorsdp", _cmd_tensorsdp, infile=True, convention=True, seed=True,
+                 restarts=True, solver=True, help="level-d relaxation with certificate")
     sp.add_argument("--level", type=int, default=4)
 
     sp = command(sub, "certify-hyper", _cmd_certify_hyper, seed=True, restarts=True, solver=True,
@@ -272,8 +273,8 @@ def build_parser():
 
     red = sub.add_parser("reduce", help="hardness-pipeline constructions")
     redsub = red.add_subparsers(dest="reduce_command", required=True)
-    sp = command(redsub, "tensor-forms", _cmd_reduce_tensor_forms, infile=True, seed=True,
-                 restarts=True)
+    sp = command(redsub, "tensor-forms", _cmd_reduce_tensor_forms, infile=True,
+                 convention=True, seed=True, restarts=True)
     sp.add_argument("--audit", action="store_true")
     sp.add_argument("--out-prefix", default=None)
     sp = command(redsub, "m1", _cmd_reduce_m1, infile=True, seed=True, restarts=True)

@@ -6,10 +6,11 @@ Cut value is expectation-normalized: the mean over edges of (x_i - x_j)^2 / 4
 for cube-valued x, so a graph whose best cut severs every edge scores 1.
 
 The conversions: a Gram solution induces a level-4 functional by reading the
-moment of a multilinear monomial off any split into two half-sets (the
-symmetric-difference constraints make the split irrelevant), reducing general
-monomials modulo x_i^2 = 1; a moment solution restricted to multilinear
-monomials of degree at most 2 is itself a Gram matrix for the vector program.
+moment of a multilinear monomial off its symmetric-difference class, the Gram
+positions (S, T) with S ^ T the monomial's support (the class constraints make
+them equal), reducing general monomials modulo x_i^2 = 1; a moment solution
+restricted to multilinear monomials of degree at most 2 is itself a Gram
+matrix for the vector program.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import gram_factor, psd_project
 from .polybasis import Polynomial, moment_classes, monomial_basis, multilinear_reduce, spread_objective
 from .pseudoexp import PseudoExpectation, pseudo_expect, validate_pef
 from .sdp import MomentProgram, SolveOptions, solve_sdp
@@ -45,6 +45,32 @@ def _cut_classes(sets) -> dict:
     return classes
 
 
+def _class_spread(y: np.ndarray, classes: dict) -> tuple[dict, float]:
+    """The mean of y over each class's positions, by key, and the largest
+    spread of y within one class."""
+    means, spread = {}, 0.0
+    for key, pos in classes.items():
+        vals = y[tuple(np.asarray(pos).T)]
+        means[key] = float(np.mean(vals))
+        spread = max(spread, float(np.max(vals) - np.min(vals)))
+    return means, spread
+
+
+def _cut_gram(g: RegularGraph, sets) -> np.ndarray:
+    """C with <C, Y> the cut value of the Gram matrix Y over ``sets``: the
+    mean over edges of |v_u - v_v|^2 / 4."""
+    idx = {s: k for k, s in enumerate(sets)}
+    C = np.zeros((len(sets), len(sets)))
+    w = 1.0 / (4.0 * len(g.edges))
+    for u, v in g.edges:
+        iu, iv = idx[frozenset([u])], idx[frozenset([v])]
+        C[iu, iu] += w
+        C[iv, iv] += w
+        C[iu, iv] -= w
+        C[iv, iu] -= w
+    return C
+
+
 def _cube_ideal(n):
     """The generators x_i^2 - 1 of the cube ideal."""
     return [Polynomial(n, {tuple(2 * (t == i) for t in range(n)): 1.0, (0,) * n: -1.0})
@@ -57,19 +83,8 @@ def _reduce(mono):
 
 def solve_lasserre_maxcut(g: RegularGraph, opts: SolveOptions | None = None):
     """Vector relaxation over {v_S : |S| <= 2} with consistent inner products."""
-    n = g.n
-    sets = _cut_sets(n)
-    idx = {s: k for k, s in enumerate(sets)}
-    N = len(sets)
-    C = np.zeros((N, N))
-    w = 1.0 / (4.0 * len(g.edges))
-    for u, v in g.edges:
-        iu, iv = idx[frozenset([u])], idx[frozenset([v])]
-        C[iu, iu] += w
-        C[iv, iv] += w
-        C[iu, iv] -= w
-        C[iv, iu] -= w
-    problem = MomentProgram(N, _cut_classes(sets), C, [{(): 1.0}], [1.0])
+    sets = _cut_sets(g.n)
+    problem = MomentProgram(len(sets), _cut_classes(sets), _cut_gram(g, sets), [{(): 1.0}], [1.0])
     sol = solve_sdp(problem, opts or SolveOptions(tol=1e-9))
     return sol.primal_obj, sol.X[0], sets, sol
 
@@ -104,42 +119,25 @@ def solve_sos_maxcut(g: RegularGraph, opts: SolveOptions | None = None):
 
 
 def lasserre_to_pe(y: np.ndarray, sets, n: int) -> tuple[PseudoExpectation, float]:
-    """Read a level-4 functional off the Gram matrix; also report the largest
-    spread among splits that must agree."""
-    idx = {s: k for k, s in enumerate(sets)}
-    spread = 0.0
-
-    def multilinear_moment(mono_set):
-        vals = []
-        members = sorted(mono_set)
-        for r in range(len(members) + 1):
-            for combo in itertools.combinations(members, r):
-                s, t = frozenset(combo), frozenset(mono_set) - frozenset(combo)
-                if s in idx and t in idx:
-                    vals.append(y[idx[s], idx[t]])
-        return float(np.mean(vals)), float(np.max(vals) - np.min(vals))
-
-    moments = {}
-    for alpha in monomial_basis(n, 4):
-        mono_set = {i for i, e in enumerate(_reduce(alpha)) if e}
-        val, sp = multilinear_moment(mono_set)
-        moments[alpha] = val
-        spread = max(spread, sp)
+    """Read a level-4 functional off the Gram matrix, each moment from the
+    symmetric-difference class of its multilinear reduction; also report the
+    largest spread within a class, which a consistent Gram matrix keeps at 0."""
+    means, spread = _class_spread(y, _cut_classes(sets))
+    moments = {alpha: means[tuple(i for i, e in enumerate(alpha) if e % 2)]
+               for alpha in monomial_basis(n, 4)}
     return PseudoExpectation(n, 4, moments, _cube_ideal(n)), spread
 
 
-def pe_to_lasserre(pe: PseudoExpectation, psd_slack: float = 1e-7):
-    """Gram vectors over multilinear sets from the moment matrix restriction."""
+def pe_to_lasserre(pe: PseudoExpectation):
+    """The Gram matrix over multilinear sets of size <= 2 that the moments
+    determine: one moment per symmetric-difference class."""
     n = pe.n
     sets = _cut_sets(n)
-    N = len(sets)
-    y = np.empty((N, N))
-    for a, s in enumerate(sets):
-        for b, t in enumerate(sets):
-            mono = tuple((1 if i in (s ^ t) else 0) for i in range(n))
-            y[a, b] = pe.moments[mono]
-    vectors = gram_factor(psd_project(y, sym_tol=1e-6), psd_tol=psd_slack)
-    return y, vectors, sets
+    y = np.empty((len(sets), len(sets)))
+    for key, pos in _cut_classes(sets).items():
+        i, j = np.asarray(pos).T
+        y[i, j] = y[j, i] = pe.moments[tuple(int(k in key) for k in range(n))]
+    return y, sets
 
 
 @dataclass
@@ -156,8 +154,7 @@ class RoundtripReport:
     sos_status: str
 
 
-def lasserre_roundtrip(g: RegularGraph, opts: SolveOptions | None = None,
-                       tol: float = 1e-6) -> RoundtripReport:
+def lasserre_roundtrip(g: RegularGraph, opts: SolveOptions | None = None) -> RoundtripReport:
     """Solve both relaxations independently and convert each optimum across."""
     if g.n > 8:
         raise ValueError("roundtrip limited to 8 vertices")
@@ -165,21 +162,12 @@ def lasserre_roundtrip(g: RegularGraph, opts: SolveOptions | None = None,
     sos_val, pe, sos_sol = solve_sos_maxcut(g, opts)
 
     pe_from_lass, spread = lasserre_to_pe(y, sets, g.n)
-    obj = _cut_objective(g)
-    lass_conv_obj = pseudo_expect(pe_from_lass, obj)
-    rep = validate_pef(pe_from_lass, tol=max(tol, 1e-6))
+    lass_conv_obj = pseudo_expect(pe_from_lass, _cut_objective(g))
+    rep = validate_pef(pe_from_lass, tol=1e-6)
 
-    y_from_pe, _, sets2 = pe_to_lasserre(pe)
-    idx = {s: k for k, s in enumerate(sets2)}
-    gram_spread = 0.0
-    for pos in _cut_classes(sets2).values():
-        vals = [y_from_pe[a, b] for a, b in pos]
-        gram_spread = max(gram_spread, float(np.max(vals) - np.min(vals)))
-    w = 1.0 / (4.0 * len(g.edges))
-    sos_conv_obj = 0.0
-    for u, v in g.edges:
-        iu, iv = idx[frozenset([u])], idx[frozenset([v])]
-        sos_conv_obj += w * (y_from_pe[iu, iu] + y_from_pe[iv, iv] - 2 * y_from_pe[iu, iv])
+    y_from_pe, sets = pe_to_lasserre(pe)
+    _, gram_spread = _class_spread(y_from_pe, _cut_classes(sets))
+    sos_conv_obj = float(np.vdot(_cut_gram(g, sets), y_from_pe))
 
     return RoundtripReport(
         lasserre_value=lass_val,
@@ -187,7 +175,7 @@ def lasserre_roundtrip(g: RegularGraph, opts: SolveOptions | None = None,
         value_gap=abs(lass_val - sos_val),
         max_moment_discrepancy=max(spread, gram_spread),
         lasserre_converted_objective=lass_conv_obj,
-        sos_converted_objective=float(sos_conv_obj),
+        sos_converted_objective=sos_conv_obj,
         converted_pe_valid=rep.passed,
         converted_gram_consistency=gram_spread,
         lasserre_status=lass_sol.status,

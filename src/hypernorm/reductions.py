@@ -4,8 +4,7 @@ with its fourth-moment design identity, the amplified hardness pipeline, the
 complex-to-real gadget, and near-projector padding.
 
 All constructions are pure; brute-force verifications live in the audit
-routines and the test suite.  :class:`ReductionArtifact` wraps a payload with
-reproducible provenance (input hash, parameters, seed) for the CLI sidecars.
+routines and the test suite.
 """
 
 from __future__ import annotations
@@ -19,12 +18,11 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .core import OperatorInstance, TensorShape
-from .linalg import perm_operator, psd_project, reorder_factors, sym_eig
+from .linalg import kron, perm_operator, reorder_factors, sym_eig
 from .oracles import h_sep_lower, inj3_lower, inj_sym4_lower, norm_2_to_q_lower
 from .polybasis import quartic_gram
 
 __all__ = [
-    "ReductionArtifact",
     "build_tensor_forms",
     "TensorFormsAudit",
     "DesignEnsemble",
@@ -49,23 +47,6 @@ def input_hash(*arrays) -> str:
         h.update(str(a.shape).encode())
         h.update(a.tobytes())
     return h.hexdigest()
-
-
-@dataclass
-class ReductionArtifact:
-    kind: str
-    payload: np.ndarray
-    provenance: dict
-
-    _EXPECTED_NDIM = {"A4": 4, "A3": 3, "A22": 2, "P": 2, "M1": 2, "M2": 2,
-                      "A1": 2, "A2": 2, "gadget-real": 2, "padded": 2, "projector": 2}
-
-    def __post_init__(self):
-        expected = self._EXPECTED_NDIM.get(self.kind)
-        if expected is None:
-            raise ValueError(f"unknown artifact kind {self.kind!r}")
-        if self.payload.ndim != expected:
-            raise ValueError(f"{self.kind} payload must have {expected} axes, got {self.payload.ndim}")
 
 
 # ---------------------------------------------------------------------------
@@ -228,18 +209,11 @@ def product_test_projector(n: int, seed: int = 0):
     x = rng.normal(size=n) + 1j * rng.normal(size=n)
     y = rng.normal(size=n) + 1j * rng.normal(size=n)
     x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
-    vec = kron_vec(x, y, x, y)
+    vec = kron(x, y, x, y)
     checks["invariance"] = float(np.abs(p @ vec - vec).max())
     ens = design_ensemble(n, seed=seed)
     checks["design_sum"] = float(np.abs(_design_product_sum(ens) - p).max())
     return p, checks
-
-
-def kron_vec(*vs):
-    out = vs[0]
-    for v in vs[1:]:
-        out = np.kron(out, v)
-    return out
 
 
 def _design_product_sum(ens: DesignEnsemble) -> np.ndarray:
@@ -292,7 +266,7 @@ def m1_pipeline(m0: np.ndarray, n: int, k: int = 1, restarts: int = 48, seed: in
 
     p, _ = product_test_projector(n, seed=seed)
     side = np.kron(sqrt_m0, sqrt_m0)
-    # sqrt(M0) (x) sqrt(M0) acts on systems (1,2)(3,4); P was built на (1,2,3,4)
+    # sqrt(M0) (x) sqrt(M0) acts on systems (1,2)(3,4); P was built on (1,2,3,4)
     # with the invariances on (1,3) and (2,4), matching the Wick arrangement.
     m1 = side @ p @ side.conj().T
     m1 = (m1 + m1.conj().T) / 2.0
@@ -303,8 +277,7 @@ def m1_pipeline(m0: np.ndarray, n: int, k: int = 1, restarts: int = 48, seed: in
         for zj in ens.vectors:
             ws.append(sqrt_m0 @ np.kron(zi, zj))
     ws = np.array(ws)                      # (k_design^2) x n^2
-    prods = np.einsum("ka,kb->kab", ws, ws).reshape(len(ws), -1)
-    m1_design = np.einsum("kp,kq->pq", prods, prods.conj())
+    m1_design = DesignEnsemble(n * n, ws).fourth_moment()
     design_residual = float(np.abs(m1_design - m1).max())
     a1 = ws.conj()                         # rows w_{ij}^*
 

@@ -88,52 +88,32 @@ class MomentRelaxation:
 
     def certificate(self, sol) -> "SosCertificate":
         """Rigorous upper bound plus the explicit sum-of-squares identity."""
-        n, d = self.n, self.d
-        y = sol.y
         dual = certified_upper_bound(self.problem, sol, self.trace_bound)
         shift, bound = dual.slack_shift, dual.bound
         slack = self.problem.dual_slack(sol)[0]  # >= -shift, class sums fixed by y
         # diagonal Gram matrix of sum_k |x|^(2k): D[a] = multinomial(|a|; a) >= 1
         Dd = np.array([_multinomial(a) for a in self.basis])
-        shifted = (slack + slack.T) / 2.0 + shift * np.diag(Dd)
-
-        w, v = np.linalg.eigh(shifted)
+        w, v = np.linalg.eigh((slack + slack.T) / 2.0 + shift * np.diag(Dd))
         w = np.maximum(w, 0.0)
-        squares = []
-        kept = []
-        for k in range(len(w)):
-            if w[k] <= 1e-14 * max(1.0, w[-1]):
-                continue
-            coeffs = np.sqrt(w[k]) * v[:, k]
-            squares.append(Polynomial(n, {a: coeffs[t] for t, a in enumerate(self.basis)}))
-            kept.append(coeffs)
+        keep = w > 1e-14 * max(1.0, w[-1])
+        factors = (v[:, keep] * np.sqrt(w[keep])).T
 
         # q(x) = -sum_g y_g x^g - shift * W(x), where
         # (|x|^2 - 1) W(x) = sum_k |x|^(2k) - (d/2 + 1), i.e.
-        # W(x) = sum_{j < d/2} (d/2 - j) |x|^(2j)
-        terms = {}
-        for t, gamma in enumerate(self.sphere_gammas):
-            yg = y[1 + t]
-            if yg != 0.0:
-                terms[gamma] = -yg
-        for gamma in self.sphere_gammas:
-            if any(e % 2 for e in gamma):
-                continue
-            c = float(d // 2 - sum(gamma) // 2) * _multinomial([e // 2 for e in gamma]) * (-shift)
-            if c != 0.0:
-                terms[gamma] = terms.get(gamma, 0.0) + c
-        mult = Polynomial(n, terms)
+        # W(x) = sum_{j < d/2} (d/2 - j) |x|^(2j), nonzero only at even gamma
+        W = np.array([0.0 if any(e % 2 for e in g)
+                      else float(self.d // 2 - sum(g) // 2) * _multinomial([e // 2 for e in g])
+                      for g in self.sphere_gammas])
+        q = -sol.y[1:] - shift * W
 
         # bound - objective - q (|x|^2 - 1) - sum_j R_j^2 in class coordinates:
         # the rows map (bound, -q) to bound - q (|x|^2 - 1), and sum_j R_j^2
         # is the class sums of the squares' Gram matrix G = sum_j c_j c_j^T
-        q = np.array([mult.coefficient(g) for g in self.sphere_gammas])
         target = self.problem.R.T @ np.concatenate(([bound], -q)) - self._objective_vec
-        factors = np.array(kept).reshape(-1, len(w))
-        gram = factors.T @ factors
-        residual = float(np.max(np.abs(target - self.problem.class_sums(gram))))
-        return SosCertificate(bound=bound, shift=shift, squares=squares,
-                              ideal_multiplier=mult, residual=residual, y=y.copy())
+        residual = float(np.max(np.abs(target - self.problem.class_sums(factors.T @ factors))))
+        return SosCertificate(bound=bound, shift=shift, basis=self.basis, factors=factors,
+                              gammas=self.sphere_gammas, multiplier=q, residual=residual,
+                              y=sol.y.copy())
 
 
 def _multinomial(alpha):
@@ -145,12 +125,27 @@ def _multinomial(alpha):
 
 @dataclass
 class SosCertificate:
+    """bound - objective = sum_j R_j^2 + q (|x|^2 - 1) in coefficient arrays:
+    row j of ``factors`` holds R_j over ``basis``, ``multiplier`` holds q over
+    ``gammas``.  ``squares`` and ``ideal_multiplier`` build the polynomials."""
+
     bound: float
     shift: float
-    squares: list
-    ideal_multiplier: Polynomial
+    basis: list
+    factors: np.ndarray
+    gammas: list
+    multiplier: np.ndarray
     residual: float
     y: np.ndarray
+
+    @property
+    def squares(self) -> list:
+        n = len(self.basis[0])
+        return [Polynomial(n, dict(zip(self.basis, row))) for row in self.factors]
+
+    @property
+    def ideal_multiplier(self) -> Polynomial:
+        return Polynomial(len(self.basis[0]), dict(zip(self.gammas, self.multiplier)))
 
 
 @dataclass

@@ -50,11 +50,15 @@ def test_certify_hyper_reads_solver_options(files, capsys):
 
 
 def test_unread_flag_is_rejected(files, capsys):
-    # hext solves no SDP, so it has no solver options to set
-    with pytest.raises(SystemExit) as exc:
-        main(["quantum", "hext", "--in", str(files / "phi2.json"), "--tol", "1e-3"])
-    capsys.readouterr()
-    assert exc.value.code == 2
+    # hext solves no SDP, so it has no solver options to set; pad always
+    # pads in the expectation convention, so it takes no --convention
+    for argv in (["quantum", "hext", "--in", str(files / "phi2.json"), "--tol", "1e-3"],
+                 ["reduce", "pad", "--in", str(files / "I2.json"), "--eps", "0.2",
+                  "--convention", "counting"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        capsys.readouterr()
+        assert exc.value.code == 2
 
 
 def test_quantum_hsep_phi(files, capsys):

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from hypernorm.lasserre import lasserre_roundtrip, solve_lasserre_maxcut, solve_sos_maxcut
+from hypernorm.lasserre import lasserre_roundtrip, lasserre_to_pe, solve_lasserre_maxcut, solve_sos_maxcut
 from hypernorm.pseudoexp import validate_pef
 from hypernorm.sse import RegularGraph, complete_graph, cycle_graph
 
@@ -54,6 +54,19 @@ def test_lasserre_gram_constraints_hold():
     a, b = idx[frozenset([0])], idx[frozenset([1])]
     ab = idx[frozenset([0, 1])]
     assert abs(y[a, b] - y[idx[frozenset()], ab]) <= 1e-6
+
+
+def test_lasserre_to_pe_reports_an_inconsistent_pair():
+    # <v_{0}, v_{0,1}> lies in the class of {1} but on no disjoint split of
+    # {1}, so a read over splits alone would miss this perturbation
+    _, y, sets, _ = solve_lasserre_maxcut(cycle_graph(5))
+    idx = {s: k for k, s in enumerate(sets)}
+    a, b = idx[frozenset([0])], idx[frozenset([0, 1])]
+    bumped = y.copy()
+    bumped[a, b] += 1e-3
+    bumped[b, a] += 1e-3
+    assert lasserre_to_pe(y, sets, 5)[1] <= 1e-6
+    assert lasserre_to_pe(bumped, sets, 5)[1] >= 1e-3
 
 
 @pytest.mark.parametrize("n", [6, 8])
