@@ -26,13 +26,11 @@ __all__ = [
     "partial_transpose",
     "partial_trace",
     "kron",
-    "gram_factor",
     "real_embedding",
     "reorder_factors",
 ]
 
 SELF_ADJOINT_TOL = 1e-10
-PSD_SLACK_TOL = 1e-10
 
 
 def _check_self_adjoint(m: np.ndarray, tol: float):
@@ -183,15 +181,6 @@ def kron(*mats: np.ndarray) -> np.ndarray:
     for m in mats[1:]:
         out = np.kron(out, np.asarray(m))
     return out
-
-
-def gram_factor(m: np.ndarray, psd_tol: float = PSD_SLACK_TOL) -> np.ndarray:
-    """A factor ``L`` with ``L @ L.conj().T == M`` for a PSD matrix; rows are Gram vectors."""
-    w, v = sym_eig(m)
-    if w.size and w[-1] < -psd_tol * max(1.0, abs(w[0])):
-        raise ValueError(f"matrix is not PSD within tolerance (min eig {w[-1]:.3e})")
-    w = np.maximum(w, 0.0)
-    return v * np.sqrt(w)
 
 
 def real_embedding(h: np.ndarray) -> np.ndarray:

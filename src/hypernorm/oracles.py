@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 
 from .core import OperatorInstance
 
@@ -42,27 +43,103 @@ def _unit(x):
     return x / nrm if nrm > 0 else x
 
 
-def _quartic_value(rows, x, q):
-    u = rows @ x
-    return float(np.sum(np.abs(u) ** q))
+# A lifted factor is built from row blocks of at most this many entries of K,
+# so a tall input never holds K whole.
+_LIFT_BLOCK_ENTRIES = 1 << 22
 
 
-def _power_ascent(rows, x, q, iters=300, rtol=1e-14):
-    """Iterate x <- normalize(R^H |Rx|^(q-2) Rx); monotone for this convex objective."""
-    val = _quartic_value(rows, x, q)
+def _tensor_power(x, k):
+    """Column-wise Kronecker power: column s of the result is x[:, s]^(x)k,
+    first factor slowest; k = 0 gives a row of ones."""
+    x = np.ascontiguousarray(x)      # keeps each product C-ordered, so the reshape is a view
+    out = np.ones((1, x.shape[1]), dtype=x.dtype)
+    for _ in range(k):
+        out = (out[:, None, :] * x[None, :, :]).reshape(-1, x.shape[1])
+    return out
+
+
+def _abs2(w):
+    return w * w if not np.iscomplexobj(w) else w.real * w.real + w.imag * w.imag
+
+
+class _PowerObjective:
+    """sum_i |<r_i, x>|^q and its power-step direction R^H(|u|^(q-2) u), u = Rx,
+    on the columns of an n x S array of points.
+
+    Both forms evaluate sum_j |(F x^(x)lift)_j|^power with power * lift = q:
+    the rows themselves (F = R, lift 1, power q), or the lifted form
+    (lift q/2, power 2) with F^H F = K^H K for K the rows r_i^(x)(q/2), whose
+    direction is F^H F x^(x)(q/2) contracted with conj(x)^(x)(q/2 - 1).
+    """
+
+    def __init__(self, factor, lift, power):
+        self.factor, self.lift, self.power = factor, lift, power
+        self.adjoint = factor.conj().T
+        self.form = "lifted" if lift > 1 else "rows"
+
+    @classmethod
+    def for_rows(cls, rows, q):
+        """The lifted form where its factor, n^(q/2) square, costs no more per
+        point than the rows (n^q <= m n, which makes m >= n^(q/2)); else the rows."""
+        m, n = rows.shape
+        if n**q > m * n:
+            return cls(rows, 1, q)
+        p = q // 2
+        width = n**p
+        block = max(width, _LIFT_BLOCK_ENTRIES // width)
+        f = np.zeros((0, width), dtype=rows.dtype)
+        for s in range(0, m, block):
+            # [f; next rows of K], built transposed in C order so that LAPACK
+            # factors it in place, and freed before the next block is built
+            stacked = np.hstack([f.T, _tensor_power(rows[s:s + block].T, p)]).T
+            f = sla.qr(stacked, mode="raw", overwrite_a=True, check_finite=False)[1]
+            del stacked
+        return cls(f, p, 2)
+
+    def __call__(self, x):
+        """Values and directions at the columns of x."""
+        w = self.factor @ _tensor_power(x, self.lift)
+        a = _abs2(w)
+        if self.power > 2:
+            b = a
+            for _ in range(self.power // 2 - 2):
+                b = b * a
+            w, a = b * w, b * a          # |w|^(power-2) w and |w|^power
+        h = self.adjoint @ w
+        if self.lift > 1:
+            z = _tensor_power(x.conj(), self.lift - 1)
+            h = np.einsum("ijs,js->is", h.reshape(x.shape[0], -1, x.shape[1]), z)
+        return np.sum(a, axis=0), h
+
+
+def _power_ascent(objective, x, iters=300, rtol=1e-14):
+    """Power steps x <- normalize(direction) on every column of x at once;
+    monotone for this convex objective.
+
+    A column stops when a step gains no more than rtol relative (keeping the
+    step only if it is strictly better), on a zero direction, or after iters
+    steps; stopped columns leave the active set.  Returns the final points,
+    their values and the steps each column took.
+    """
+    x = x.copy()
+    val, g = objective(x)
+    steps = np.zeros(x.shape[1], dtype=int)
+    active = np.arange(x.shape[1])
     for _ in range(iters):
-        u = rows @ x
-        g = rows.conj().T @ (np.abs(u) ** (q - 2) * u)
-        gn = np.linalg.norm(g)
-        if gn == 0:
+        gn = np.linalg.norm(g, axis=0)
+        live = gn > 0
+        active, g, gn = active[live], g[:, live], gn[live]
+        if active.size == 0:
             break
         x_new = g / gn
-        val_new = _quartic_value(rows, x_new, q)
-        if val_new <= val * (1 + rtol):
-            x, val = (x_new, val_new) if val_new > val else (x, val)
-            break
-        x, val = x_new, val_new
-    return x, val
+        val_new, g = objective(x_new)
+        steps[active] += 1
+        better = val_new > val[active]
+        go_on = val_new > val[active] * (1 + rtol)
+        x[:, active[better]] = x_new[:, better]
+        val[active[better]] = val_new[better]
+        active, g = active[go_on], g[:, go_on]
+    return x, val, steps
 
 
 def _linesearch_polish(fun, grad, x, iters=60):
@@ -134,8 +211,12 @@ def _starts(rows, n, restarts, seed, complex_field):
 def norm_2_to_q_lower(instance: OperatorInstance, q: int = 4, restarts: int = 64, seed: int = 0) -> OracleResult:
     """Lower bound on the 2->q norm (declared convention) by multistart ascent.
 
-    For real inputs with at most 3 columns a deterministic coarse grid is run
-    first, which makes those cases effectively exhaustive.
+    Every start runs in one batched power ascent (see :class:`_PowerObjective`
+    for the lifted form it uses on tall inputs); the best is polished by line
+    search on the rows.  For real inputs with at most 3 columns a
+    deterministic coarse grid is run first, which makes those cases
+    effectively exhaustive.  The rows are scaled by a power of two near their
+    largest entry, which is exact and keeps the q-th powers in range.
     """
     if q < 4 or q % 2 != 0:
         raise ValueError("q must be even and >= 4")
@@ -145,33 +226,36 @@ def norm_2_to_q_lower(instance: OperatorInstance, q: int = 4, restarts: int = 64
     n = instance.n
     if not np.any(rows):
         return OracleResult(0.0, (np.zeros(n),), restarts)
+    _, exp = np.frexp(np.abs(rows).max())
+    rows = rows * np.ldexp(1.0, -int(exp))
 
-    best_x, best = None, -np.inf
+    objective = _PowerObjective.for_rows(rows, q)
     starts = _starts(rows, n, restarts, seed, instance.is_complex)
     grid = None if instance.is_complex else _grid_starts(n)
     if grid is not None:
-        vals = np.sum(np.abs(grid @ rows.T) ** q, axis=1)
+        vals, _ = objective(grid.T)
         top = np.argsort(vals)[::-1][:8]
         starts = [grid[i] for i in top] + starts
-    improvements = 0
-    for x0 in starts:
-        x, val = _power_ascent(rows, x0, q)
+    xs, vals, steps = _power_ascent(objective, np.stack(starts, axis=1))
+    best, improvements = -np.inf, 0
+    for s, val in enumerate(vals):
         if val > best:
-            best_x, best = x, val
+            best_s, best = s, val
             improvements += 1
 
+    on_rows = _PowerObjective(rows, 1, q)
+
     def fun(x):
-        return _quartic_value(rows, x, q)
+        return float(on_rows(x[:, None])[0][0])
 
     def grad(x):
-        u = rows @ x
-        return q * rows.conj().T @ (np.abs(u) ** (q - 2) * u)
+        return q * on_rows(x[:, None])[1][:, 0]
 
-    best_x, best = _linesearch_polish(fun, grad, best_x)
+    best_x, _ = _linesearch_polish(fun, grad, xs[:, best_s])
     best_x = _unit(best_x)
-    value = fun(best_x) ** (1.0 / q)
-    trace = {"objective_power": q, "starts": len(starts), "improving_starts": improvements,
-             "grid_pass": grid is not None}
+    value = np.ldexp(fun(best_x) ** (1.0 / q), int(exp))
+    trace = {"objective_power": q, "form": objective.form, "starts": len(starts),
+             "improving_starts": improvements, "steps": int(steps.sum()), "grid_pass": grid is not None}
     return OracleResult(float(value), (best_x,), restarts, trace=trace)
 
 

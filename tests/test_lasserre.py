@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from hypernorm import lasserre
 from hypernorm.lasserre import lasserre_roundtrip, lasserre_to_pe, solve_lasserre_maxcut, solve_sos_maxcut
 from hypernorm.pseudoexp import validate_pef
 from hypernorm.sse import RegularGraph, complete_graph, cycle_graph
@@ -27,8 +28,19 @@ def test_c5_roundtrip_agreement():
     assert abs(rep.lasserre_converted_objective - rep.lasserre_value) <= 1e-6
     assert abs(rep.sos_converted_objective - rep.sos_value) <= 1e-6
     assert rep.converted_pe_valid
+    assert rep.converted_gram_min_eig >= -1e-6
     # both relaxations upper-bound the true cut
     assert rep.lasserre_value >= exact_maxcut(cycle_graph(5)) - 1e-6
+
+
+def test_converted_gram_min_eig_flags_a_moment_out_of_range(monkeypatch):
+    # E[x0 x1] = 1.5 puts [[1, 1.5], [1.5, 1]] (rows {}, {0, 1}) in the
+    # converted Gram matrix, whose smallest eigenvalue is then at most -0.5
+    g = cycle_graph(5)
+    val, pe, sol = solve_sos_maxcut(g)
+    pe.moments[(1, 1, 0, 0, 0)] = 1.5
+    monkeypatch.setattr(lasserre, "solve_sos_maxcut", lambda g, opts: (val, pe, sol))
+    assert lasserre_roundtrip(g).converted_gram_min_eig <= -0.5 + 1e-6
 
 
 def test_k3_matches_exact_cut():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hypernorm.core import TensorShape
 from hypernorm.linalg import (
     compose_perms,
-    gram_factor,
     kron,
     partial_trace,
     partial_transpose,
@@ -182,15 +181,6 @@ class TestPartialOps:
         sh = TensorShape((2, 3, 2))
         out = reorder_factors(kron(*mats), sh, (2, 0, 1))
         assert np.allclose(out, kron(mats[2], mats[0], mats[1]))
-
-
-def test_gram_factor(rng):
-    m = rng.normal(size=(6, 6))
-    m = m @ m.T
-    l = gram_factor(m)
-    assert np.allclose(l @ l.T, m)
-    with pytest.raises(ValueError):
-        gram_factor(np.diag([1.0, -1.0]))
 
 
 def test_real_embedding_spectrum(rng):

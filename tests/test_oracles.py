@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.optimize
 
+from hypernorm import oracles
 from hypernorm.core import OperatorInstance
 from hypernorm.oracles import (
     elementary_norms,
@@ -10,7 +13,120 @@ from hypernorm.oracles import (
     inj_sym4_lower,
     norm_2_to_q_lower,
 )
+from hypernorm.oracles import _PowerObjective, _power_ascent, _starts
 from tests.conftest import phi_state
+
+
+def _ref_quartic_value(rows, x, q):
+    u = rows @ x
+    return float(np.sum(np.abs(u) ** q))
+
+
+def _ref_power_ascent(rows, x, q, iters=300, rtol=1e-14):
+    """The sequential one-start ascent that the batched loop replaced, kept as
+    the reference; it also returns the number of power steps it took."""
+    val = _ref_quartic_value(rows, x, q)
+    steps = 0
+    for _ in range(iters):
+        u = rows @ x
+        g = rows.conj().T @ (np.abs(u) ** (q - 2) * u)
+        gn = np.linalg.norm(g)
+        if gn == 0:
+            break
+        x_new = g / gn
+        steps += 1
+        val_new = _ref_quartic_value(rows, x_new, q)
+        if val_new <= val * (1 + rtol):
+            x, val = (x_new, val_new) if val_new > val else (x, val)
+            break
+        x, val = x_new, val_new
+    return x, val, steps
+
+
+# (matrix, q, form the objective must choose)
+PARITY_CASES = {
+    "real-lifted": (lambda rng: rng.normal(size=(400, 4)), 4, "lifted"),
+    "n1": (lambda rng: rng.normal(size=(7, 1)), 4, "lifted"),
+    "rows": (lambda rng: rng.normal(size=(12, 6)), 4, "rows"),
+    "complex-lifted": (lambda rng: rng.normal(size=(300, 3)) + 1j * rng.normal(size=(300, 3)), 4, "lifted"),
+    "q6-lifted": (lambda rng: rng.normal(size=(300, 3)), 6, "lifted"),
+}
+
+
+def _parity_case(name, rng):
+    make, q, form = PARITY_CASES[name]
+    inst = OperatorInstance(make(rng))
+    rows = inst.quartic_rows(q)
+    starts = _starts(rows, inst.n, 16, 0, inst.is_complex)
+    return rows, q, form, starts
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_CASES))
+def test_objective_matches_rows(name, rng):
+    rows, q, form, starts = _parity_case(name, rng)
+    objective = _PowerObjective.for_rows(rows, q)
+    assert objective.form == form
+    vals, dirs = objective(np.stack(starts, axis=1))
+    for s, x in enumerate(starts):
+        u = rows @ x
+        ref_dir = rows.conj().T @ (np.abs(u) ** (q - 2) * u)
+        ref_val = _ref_quartic_value(rows, x, q)
+        assert abs(vals[s] - ref_val) <= 1e-12 * ref_val
+        assert np.linalg.norm(dirs[:, s] - ref_dir) <= 1e-12 * np.linalg.norm(ref_dir)
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_CASES))
+def test_batched_ascent_matches_sequential(name, rng):
+    # The two forms round differently, by about 1e-15 relative, and the stop
+    # rule compares gains of 1e-14 relative: a start may stop one step
+    # earlier or later, never for another reason.
+    rows, q, _, starts = _parity_case(name, rng)
+    xs, vals, steps = _power_ascent(_PowerObjective.for_rows(rows, q), np.stack(starts, axis=1))
+    for s, x0 in enumerate(starts):
+        _, ref_val, ref_steps = _ref_power_ascent(rows, x0, q)
+        assert abs(vals[s] - ref_val) <= 1e-12 * ref_val
+        assert abs(steps[s] - ref_steps) <= 1
+        assert (steps[s] == 300) == (ref_steps == 300)
+        assert abs(_ref_quartic_value(rows, xs[:, s], q) - vals[s]) <= 1e-12 * vals[s]
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_CASES))
+def test_batched_ascent_keeps_the_sequential_stop_rule(name, rng):
+    # at a coarse rtol no rounding can move a stop: the steps match exactly,
+    # and a last step that gains less than rtol is kept when it gains at all
+    rows, q, _, starts = _parity_case(name, rng)
+    xs, vals, steps = _power_ascent(_PowerObjective.for_rows(rows, q), np.stack(starts, axis=1), rtol=1e-3)
+    for s, x0 in enumerate(starts):
+        _, ref_val, ref_steps = _ref_power_ascent(rows, x0, q, rtol=1e-3)
+        assert steps[s] == ref_steps
+        assert abs(vals[s] - ref_val) <= 1e-12 * ref_val
+        assert abs(_ref_quartic_value(rows, xs[:, s], q) - vals[s]) <= 1e-12 * vals[s]
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_lifted_factor_over_row_blocks(monkeypatch, rng, cplx):
+    # blocks of 16 rows of K (width 16) make 25 chained QR steps
+    a = rng.normal(size=(400, 4)) + (1j * rng.normal(size=(400, 4)) if cplx else 0.0)
+    k = np.stack([np.kron(r, r) for r in a])
+    whole = _PowerObjective.for_rows(a, 4)
+    monkeypatch.setattr(oracles, "_LIFT_BLOCK_ENTRIES", 16 * 16)
+    blocked = _PowerObjective.for_rows(a, 4)
+    for f in (whole.factor, blocked.factor):
+        assert f.shape == (16, 16)
+        assert np.linalg.norm(f.conj().T @ f - k.conj().T @ k) <= 1e-12 * np.linalg.norm(k) ** 2
+
+
+@pytest.mark.parametrize("m", [2, 8])
+def test_zero_direction_stops_in_place(m):
+    # column 1 is zero, so e_1 has a zero value and a zero direction in both forms
+    rows = np.zeros((m, 2))
+    rows[:, 0] = np.arange(1.0, m + 1)
+    objective = _PowerObjective.for_rows(rows, 4)
+    assert objective.form == ("lifted" if m == 8 else "rows")
+    x0 = np.array([[0.0, 0.6], [1.0, 0.8]])
+    xs, vals, steps = _power_ascent(objective, x0)
+    assert np.array_equal(xs[:, 0], x0[:, 0]) and vals[0] == 0.0 and steps[0] == 0
+    assert abs(vals[1] - np.sum(rows[:, 0] ** 4)) <= 1e-12 * vals[1]
 
 
 class TestNorm2ToQ:
@@ -52,6 +168,24 @@ class TestNorm2ToQ:
     def test_q6(self, rng):
         res = norm_2_to_q_lower(OperatorInstance(np.eye(3)), 6, restarts=8)
         assert abs(res.value - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("shape", [(6, 4), (200, 2)])
+    def test_scale_equivariance(self, rng, shape):
+        a = rng.normal(size=shape)
+        base = norm_2_to_q_lower(OperatorInstance(a), 4, restarts=8, seed=1).value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for c in (2.0**-660, 1e-8, 1.0, 1e8, 2.0**660):
+                val = norm_2_to_q_lower(OperatorInstance(c * a), 4, restarts=8, seed=1).value
+                assert abs(val - c * base) <= 1e-12 * c * base
+
+    def test_trace_reports_form_and_steps(self, rng):
+        for shape, form in (((300, 4), "lifted"), ((12, 6), "rows")):
+            res = norm_2_to_q_lower(OperatorInstance(rng.normal(size=shape)), 4, restarts=8)
+            assert res.trace["form"] == form
+            assert res.trace["starts"] == 8 + 5
+            assert res.trace["starts"] <= res.trace["steps"] <= 300 * res.trace["starts"]
+            assert 1 <= res.trace["improving_starts"] <= res.trace["starts"]
 
     def test_bad_q(self):
         with pytest.raises(ValueError):
