@@ -20,7 +20,7 @@ from .dps import dps_value, h_ext
 from .lasserre import lasserre_roundtrip
 from .oracles import elementary_norms, h_sep_lower, norm_2_to_q_lower
 from .pseudoexp import PreconditionError
-from .reductions import build_tensor_forms, complex_to_real, m1_pipeline, pad_and_project
+from .reductions import GADGET_KAPPA, build_tensor_forms, complex_to_real, m1_pipeline, pad_and_project
 from .sdp import SolveOptions
 from .sse import expansion_profile, check_norm_implies_expansion, parse_graph_text, sse_decide
 from .tensorsdp import a22_value, certify_hypercontractivity, tensor_sdp
@@ -178,7 +178,7 @@ def _cmd_reduce_m1(args):
 def _cmd_reduce_realify(args):
     ac = load_matrix(args.infile)
     ar = complex_to_real(ac)
-    return {"matrix": matrix_to_json(ar), "kappa": 1.5}, 0
+    return {"matrix": matrix_to_json(ar), "kappa": GADGET_KAPPA}, 0
 
 
 def _cmd_reduce_pad(args):

@@ -58,6 +58,13 @@ def _tensor_power(x, k):
     return out
 
 
+def _pow2_scaled(a):
+    """a times the power of two that brings its largest entry into [1/2, 1)
+    (exact), and the exponent that undoes it."""
+    _, exp = np.frexp(np.abs(a).max())
+    return a * np.ldexp(1.0, -int(exp)), int(exp)
+
+
 def _abs2(w):
     return w * w if not np.iscomplexobj(w) else w.real * w.real + w.imag * w.imag
 
@@ -226,8 +233,7 @@ def norm_2_to_q_lower(instance: OperatorInstance, q: int = 4, restarts: int = 64
     n = instance.n
     if not np.any(rows):
         return OracleResult(0.0, (np.zeros(n),), restarts)
-    _, exp = np.frexp(np.abs(rows).max())
-    rows = rows * np.ldexp(1.0, -int(exp))
+    rows, exp = _pow2_scaled(rows)
 
     objective = _PowerObjective.for_rows(rows, q)
     starts = _starts(rows, n, restarts, seed, instance.is_complex)
@@ -253,7 +259,7 @@ def norm_2_to_q_lower(instance: OperatorInstance, q: int = 4, restarts: int = 64
 
     best_x, _ = _linesearch_polish(fun, grad, xs[:, best_s])
     best_x = _unit(best_x)
-    value = np.ldexp(fun(best_x) ** (1.0 / q), int(exp))
+    value = np.ldexp(fun(best_x) ** (1.0 / q), exp)
     trace = {"objective_power": q, "form": objective.form, "starts": len(starts),
              "improving_starts": improvements, "steps": int(steps.sum()), "grid_pass": grid is not None}
     return OracleResult(float(value), (best_x,), restarts, trace=trace)
@@ -266,69 +272,59 @@ def _check_sym4(t, tol=1e-8):
             raise ValueError("tensor is not symmetric under index permutations")
 
 
-def _shifted_power(fun, grad, x, iters=300, rtol=1e-15):
-    """Symmetric tensor power iteration x <- normalize(grad f + shift x).
-
-    The shift starts at zero and grows whenever a step fails to be monotone,
-    which restores the ascent property for indefinite tensors.
-    """
-    val = fun(x)
-    shift = 0.0
-    for _ in range(iters):
-        g = grad(x) / 4.0 + shift * x
-        gn = np.linalg.norm(g)
-        if gn == 0:
-            break
-        x_new = g / gn
-        val_new = fun(x_new)
-        if val_new < val - abs(val) * 1e-15:
-            shift = max(2.0 * shift, 1.0, abs(val))
-            continue
-        if val_new <= val * (1 + rtol) + rtol:
-            if val_new > val:
-                x, val = x_new, val_new
-            break
-        x, val = x_new, val_new
-    return x, val
-
-
 def inj_sym4_lower(t: np.ndarray, restarts: int = 64, seed: int = 0) -> OracleResult:
-    """Lower bound on the injective norm max |<T, x^(x)4>| of a symmetric 4-tensor."""
+    """Lower bound on the injective norm max |<T, x^(x)4>| of a symmetric 4-tensor.
+
+    Per sign s, all starts run as one batched power ascent on the lifted form
+    <x(x)x, P x(x)x> = s <T, x^(x)4> + sigma (unit x), P = s T22 + sigma S4,
+    with S4 = (vec I vec I^T + I + swap)/3 the matrix of ||x||^4.  S4 >= 2/3
+    on Sym^2 and both vanish on Alt^2, so sigma = 1.5 max(0, -lambda_min(s T22))
+    makes P PSD; being index-symmetric too, P makes each step monotone (the
+    fixed-shift power method of Kolda and Mayo).  The best point is polished.
+    """
     t = np.asarray(t, dtype=float)
     if t.ndim != 4 or len(set(t.shape)) != 1:
         raise ValueError("expected an n x n x n x n tensor")
+    t, exp = _pow2_scaled(t)
     _check_sym4(t)
     n = t.shape[0]
-
-    def fun_signed(sign):
-        def fun(x):
-            return sign * float(np.einsum("ijkl,i,j,k,l->", t, x, x, x, x))
-
-        def grad(x):
-            return sign * 4.0 * np.einsum("ijkl,j,k,l->i", t, x, x, x)
-
-        return fun, grad
-
-    best_x, best = None, -np.inf
+    t22 = t.reshape(n * n, n * n)
+    ii = np.einsum("ij,kl->ijkl", np.eye(n), np.eye(n))
+    s4 = (ii + ii.transpose(0, 2, 1, 3) + ii.transpose(0, 3, 2, 1)).reshape(n * n, n * n) / 3.0
     grid = _grid_starts(n)
+
+    best, n_starts, n_steps = -np.inf, 0, 0
     for sign in (1.0, -1.0):
-        fun, grad = fun_signed(sign)
+        sigma = 1.5 * max(0.0, -float(np.linalg.eigvalsh(sign * t22)[0]))
+        w, v = np.linalg.eigh(sign * t22 + sigma * s4)
+        objective = _PowerObjective(np.sqrt(np.clip(w, 0.0, None))[:, None] * v.T, 2, 2)
         starts = []
         if grid is not None:
-            vals = np.array([fun(g) for g in grid[:: max(1, len(grid) // 2000)]])
-            sub = grid[:: max(1, len(grid) // 2000)]
-            starts += [sub[i] for i in np.argsort(vals)[::-1][:4]]
+            vals, _ = objective(grid.T)
+            starts += [grid[i] for i in np.argsort(vals)[::-1][:4]]
         for r in range(restarts):
             rng = np.random.default_rng(np.random.SeedSequence([seed, r, int(sign > 0)]))
             starts.append(_unit(rng.normal(size=n)))
-        for x0 in starts:
-            x, val = _shifted_power(fun, grad, x0)
-            x, val = _linesearch_polish(fun, grad, x, iters=60)
-            if val > best:
-                best_x, best = x, val
+        xs, vals, steps = _power_ascent(objective, np.stack(starts, axis=1))
+        n_starts, n_steps = n_starts + len(starts), n_steps + int(steps.sum())
+        s = int(np.argmax(vals))
+        if vals[s] - sigma > best:
+            best, best_sign, best_x = vals[s] - sigma, sign, xs[:, s]
+
+    signed = best_sign * t22
+
+    def fun(x):
+        xx = np.kron(x, x)
+        return float(xx @ signed @ xx)
+
+    def grad(x):
+        return 4.0 * (signed @ np.kron(x, x)).reshape(n, n) @ x
+
+    best_x, _ = _linesearch_polish(fun, grad, best_x)
     best_x = _unit(best_x)
-    value = abs(float(np.einsum("ijkl,i,j,k,l->", t, best_x, best_x, best_x, best_x)))
-    return OracleResult(value, (best_x,), restarts)
+    value = np.ldexp(abs(fun(best_x)), exp)
+    return OracleResult(float(value), (best_x,), restarts,
+                        trace={"starts": n_starts, "steps": n_steps})
 
 
 def inj3_lower(t: np.ndarray, restarts: int = 64, seed: int = 0) -> OracleResult:
@@ -337,16 +333,17 @@ def inj3_lower(t: np.ndarray, restarts: int = 64, seed: int = 0) -> OracleResult
     if t.ndim != 3:
         raise ValueError("expected a 3-tensor")
     dims = t.shape
+    ts, exp = _pow2_scaled(t)
     best, best_w = -np.inf, None
     for r in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
         x, y, z = (_unit(rng.normal(size=d)) for d in dims)
         val = 0.0
         for _ in range(200):
-            x = _unit(np.einsum("ijk,j,k->i", t, y, z))
-            y = _unit(np.einsum("ijk,i,k->j", t, x, z))
-            z = _unit(np.einsum("ijk,i,j->k", t, x, y))
-            new = float(np.einsum("ijk,i,j,k->", t, x, y, z))
+            x = _unit(np.einsum("ijk,j,k->i", ts, y, z))
+            y = _unit(np.einsum("ijk,i,k->j", ts, x, z))
+            z = _unit(np.einsum("ijk,i,j->k", ts, x, y))
+            new = float(np.einsum("ijk,i,j,k->", ts, x, y, z))
             if abs(new - val) <= 1e-14 * max(1.0, abs(new)):
                 val = new
                 break
@@ -374,6 +371,7 @@ def h_sep_lower(m: np.ndarray, dims: tuple[int, int], restarts: int = 64, seed: 
     Each half-step replaces one factor by the top eigenvector of the operator
     obtained by contracting the other factor, so the value never decreases.
     For 2x2 problems a coarse product-state grid seeds the polish pass.
+    psd_tol and the stop rule are relative to the largest entry of M.
     """
     na, nb = dims
     m = np.asarray(m)
@@ -381,19 +379,19 @@ def h_sep_lower(m: np.ndarray, dims: tuple[int, int], restarts: int = 64, seed: 
         raise ValueError("matrix shape does not match subsystem dimensions")
     if na * nb > dim_limit:
         raise ValueError(f"dimension {na * nb} exceeds limit {dim_limit}")
-    scale = max(1.0, float(np.abs(m).max()))
-    lam_min = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
-    if lam_min < -psd_tol * scale:
-        raise ValueError(f"matrix is not PSD within tolerance (min eig {lam_min:.3e})")
-    m4 = m.reshape(na, nb, na, nb)
+    ms, exp = _pow2_scaled(m)
+    lam_min = float(np.linalg.eigvalsh((ms + ms.conj().T) / 2.0)[0])
+    if lam_min < -psd_tol:
+        raise ValueError(f"matrix is not PSD within tolerance (min eig {np.ldexp(lam_min, exp):.3e})")
+    m4 = ms.reshape(na, nb, na, nb)
     cplx = np.iscomplexobj(m)
 
-    def value(x, y):
+    def value(mat, x, y):
         v = np.kron(x, y)
-        return float(np.real(np.vdot(v, m @ v)))
+        return float(np.real(np.vdot(v, mat @ v)))
 
     def seesaw(x, y, iters=300):
-        val = value(x, y)
+        val = value(ms, x, y)
         for _ in range(iters):
             mx = _contract_left(m4, y)
             w, v = np.linalg.eigh((mx + mx.conj().T) / 2.0)
@@ -401,7 +399,7 @@ def h_sep_lower(m: np.ndarray, dims: tuple[int, int], restarts: int = 64, seed: 
             my = _contract_right(m4, x)
             w, v = np.linalg.eigh((my + my.conj().T) / 2.0)
             y = v[:, -1]
-            new = value(x, y)
+            new = value(ms, x, y)
             if new - val <= 1e-14 * max(1.0, abs(new)):
                 return x, y, new
             val = new
@@ -424,7 +422,7 @@ def h_sep_lower(m: np.ndarray, dims: tuple[int, int], restarts: int = 64, seed: 
         if val > best:
             best, best_w = val, (x, y)
     x, y = best_w
-    return OracleResult(value(x, y), (x, y), restarts)
+    return OracleResult(value(m, x, y), (x, y), restarts)
 
 
 def _bloch_grid(cplx, k=8):

@@ -5,6 +5,7 @@ import pytest
 
 from hypernorm.cli import main
 from hypernorm.core import save_matrix
+from hypernorm.reductions import GADGET_KAPPA
 from hypernorm.sse import cycle_graph, graph_to_text
 from tests.conftest import phi_state
 
@@ -93,6 +94,7 @@ def test_reduce_family(files, capsys):
     assert code == 0 and rep["results"]["audit"]["passed"]
     code, rep = run(["reduce", "realify", "--in", str(files / "Ac.json")], capsys)
     assert code == 0 and rep["results"]["matrix"]["rows"] == 12
+    assert rep["results"]["kappa"] == GADGET_KAPPA
     code, rep = run(["reduce", "m1", "--in", str(files / "M0.json"), "--k", "1"], capsys)
     assert code == 0 and abs(rep["results"]["hsep_m1"] - 1.0) <= 1e-6
     code, rep = run(["reduce", "pad", "--in", str(files / "I2.json"), "--eps", "0.2",

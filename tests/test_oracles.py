@@ -217,6 +217,46 @@ class TestInjSym4:
         with pytest.raises(ValueError):
             inj_sym4_lower(t)
 
+    def test_tiny_asymmetric_rejected(self, rng):
+        # the symmetry check is relative to the largest entry, not absolute
+        with pytest.raises(ValueError):
+            inj_sym4_lower(1e-20 * rng.normal(size=(2, 2, 2, 2)))
+
+    @pytest.mark.parametrize("n,seed,restarts", [(2, 8, 16), (3, 8, 16), (4, 3, 4)])
+    def test_indefinite_matches_dense_grid(self, n, seed, restarts):
+        # sum_i c_i a_i^(x)4 with mixed-sign c: neither sign of <T, x^4> is
+        # definite, so both shifted ascents matter (n = 4 has no start grid);
+        # the reference is an independent dense sample of the sphere,
+        # polished by scipy
+        g = np.random.default_rng(seed)
+        a = g.normal(size=(n + 2, n))
+        c = g.choice([-1.0, 1.0], n + 2) * g.uniform(0.5, 2.0, n + 2)
+        t = np.einsum("i,ia,ib,ic,id->abcd", c, a, a, a, a)
+
+        def f(x):
+            x = x / np.linalg.norm(x)
+            return abs(float(np.einsum("abcd,a,b,c,d->", t, x, x, x, x)))
+
+        if n == 2:
+            ang = np.linspace(0, np.pi, 20_000, endpoint=False)
+            pts = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        elif n == 3:
+            th, ph = np.meshgrid(np.linspace(0, np.pi, 200), np.linspace(0, 2 * np.pi, 400, endpoint=False))
+            pts = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1).reshape(-1, 3)
+        else:
+            pts = g.normal(size=(200_000, n))
+            pts /= np.linalg.norm(pts, axis=1)[:, None]
+        signed = np.einsum("abcd,sa,sb,sc,sd->s", t, pts, pts, pts, pts)
+        assert signed.max() > 0 > signed.min()
+        ref = max(-scipy.optimize.minimize(lambda x: -f(x), pts[i], method="BFGS",
+                                           options={"gtol": 1e-12}).fun
+                  for i in np.argsort(np.abs(signed))[::-1][:5])
+        res = inj_sym4_lower(t, restarts=restarts, seed=0)
+        assert abs(res.value - ref) <= 1e-9 * ref
+        assert abs(f(res.witness[0]) - res.value) <= 1e-12 * res.value
+        assert res.trace["starts"] == 2 * (restarts + (4 if n <= 3 else 0))
+        assert res.trace["starts"] <= res.trace["steps"] <= 300 * res.trace["starts"]
+
 
 class TestInj3:
     def test_cross_oracle(self, rng):
@@ -248,6 +288,11 @@ class TestHSep:
         with pytest.raises(ValueError):
             h_sep_lower(-np.eye(4), (2, 2))
 
+    def test_rejects_tiny_non_psd(self):
+        # the PSD test is relative to the largest entry, not absolute
+        with pytest.raises(ValueError):
+            h_sep_lower(-1e-20 * np.eye(4), (2, 2))
+
     def test_monotone_seesaw_value_is_witnessed(self, rng):
         m = rng.normal(size=(6, 6))
         m = m @ m.T
@@ -255,6 +300,30 @@ class TestHSep:
         x, y = res.witness
         v = np.kron(x, y)
         assert abs(np.real(np.vdot(v, m @ v)) - res.value) <= 1e-10 * max(1, res.value)
+
+
+def _scale_cases():
+    g = np.random.default_rng(3)
+    a = g.normal(size=(5, 3))
+    c = np.array([1.0, -1.5, 0.8, -0.6, 1.2])
+    t4 = np.einsum("i,ia,ib,ic,id->abcd", c, a, a, a, a)
+    b = np.abs(g.normal(size=(5, 3)))
+    t3 = np.einsum("ia,ib->abi", b, b)
+    m = g.normal(size=(9, 9))
+    return [
+        pytest.param(lambda x: inj_sym4_lower(x, restarts=8, seed=0).value, t4, id="inj_sym4"),
+        pytest.param(lambda x: inj3_lower(x, restarts=8, seed=0).value, t3, id="inj3"),
+        pytest.param(lambda x: h_sep_lower(x, (3, 3), restarts=4, seed=0).value, m @ m.T, id="h_sep"),
+    ]
+
+
+@pytest.mark.parametrize("oracle,x", _scale_cases())
+def test_oracles_scale_invariant(oracle, x):
+    # each oracle scales its input by a power of two, so its stop rules are
+    # relative: value(c x) / c equals value(x) at any magnitude
+    base = oracle(x)
+    for c in (1e-20, 1e-8, 1e8):
+        assert abs(oracle(c * x) / c - base) <= 1e-12 * base, c
 
 
 class TestElementaryNorms:
