@@ -207,7 +207,9 @@ def _cmd_lasserre(args):
         g = parse_graph_text(fh.read())
     rep = lasserre_roundtrip(g, _opts(args))
     ok = rep.lasserre_status == rep.sos_status == "optimal"
-    return rep.__dict__, 0 if ok else 3
+    kind = ("lasserre_bound and sos_bound are the weak-duality upper bounds on the two relaxations; "
+            "lasserre_value and sos_value are the primal objectives of the solver's points")
+    return {**rep.__dict__, "bound_kind": kind}, 0 if ok else 3
 
 
 def build_parser():

@@ -12,6 +12,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.linalg as sla
 
 from .core import TensorShape
 
@@ -32,11 +33,22 @@ __all__ = [
 
 SELF_ADJOINT_TOL = 1e-10
 
+# psd_project computes only the positive eigenpairs (LAPACK's MRRR driver
+# ``evr`` on the interval (0, inf)) when at most N / SUBSET_RATIO of them are
+# expected and N >= SUBSET_MIN_SIZE; otherwise a full ``eigh`` is faster.
+# Measured with one BLAS thread on the solver's own iterates, subset time
+# over full time: N=36 0.58 at k=2, 0.95 at k=6, 1.05 at k=7; N=45 0.88 at
+# k=6, 1.10 at k=8; N=84 0.59 at k=6, 0.89 at k=9; N=22 0.99 at k=2.
+SUBSET_MIN_SIZE = 24
+SUBSET_RATIO = 6
+
 
 def _check_self_adjoint(m: np.ndarray, tol: float):
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     scale = np.linalg.norm(m)
+    if not math.isfinite(scale):
+        raise ValueError("matrix has non-finite entries")
     if np.linalg.norm(m - m.conj().T) > tol * max(1.0, scale):
         raise ValueError("matrix is not self-adjoint within tolerance")
 
@@ -54,12 +66,29 @@ def sym_eig(m: np.ndarray, sym_tol: float = SELF_ADJOINT_TOL):
     return w[order], v[:, order]
 
 
-def psd_project(m: np.ndarray, sym_tol: float = SELF_ADJOINT_TOL) -> np.ndarray:
-    """Nearest (Frobenius) positive-semidefinite matrix: clip negative eigenvalues."""
-    w, v = sym_eig(m, sym_tol)
-    w = np.maximum(w, 0.0)
+def psd_project(m: np.ndarray, rank_hint: int | None = None,
+                sym_tol: float = SELF_ADJOINT_TOL) -> tuple[np.ndarray, int]:
+    """Nearest (Frobenius) positive-semidefinite matrix and its rank.
+
+    Returns ``(p, k)``: p is rebuilt from the k positive eigenpairs of m,
+    which is m with its negative eigenvalues clipped.  ``rank_hint`` is a
+    guess at k, such as the count of the previous iterate; when it is small
+    only the positive eigenpairs are computed.  Either way every positive
+    eigenpair is found, so the hint changes the running time and the result
+    only by rounding.
+    """
+    m = np.asarray(m)
+    _check_self_adjoint(m, sym_tol)
+    h = (m + m.conj().T) / 2.0
+    n = h.shape[0]
+    if rank_hint is not None and n >= SUBSET_MIN_SIZE and SUBSET_RATIO * rank_hint <= n:
+        w, v = sla.eigh(h, driver="evr", subset_by_value=(0.0, np.inf), check_finite=False)
+    else:
+        w, v = np.linalg.eigh(h)
+        first = np.searchsorted(w, 0.0, side="right")
+        w, v = w[first:], v[:, first:]
     out = (v * w) @ v.conj().T
-    return (out + out.conj().T) / 2.0
+    return (out + out.conj().T) / 2.0, w.size
 
 
 def _check_perm(pi):

@@ -11,8 +11,12 @@ constant on each class of positions, and a few rows hold on the class values.
 Each type supplies its orthogonal projection onto the affine set and its dual
 slack; :func:`solve_sdp` runs one Douglas-Rachford (ADMM) loop on either,
 alternating that projection with the projection onto the PSD cone under an
-adaptive penalty.  It is fully deterministic: the same problem and options
-produce bitwise-identical iterates.
+adaptive penalty.  The PSD step passes each block's positive count from the
+previous iteration to :func:`~hypernorm.linalg.psd_project`, which computes
+only the positive eigenpairs while that count is small: near an optimum a
+tight moment relaxation is close to rank one.  The loop is fully
+deterministic: the same problem and options produce bitwise-identical
+iterates.
 """
 
 from __future__ import annotations
@@ -289,8 +293,10 @@ def solve_sdp(problem, opts: SolveOptions | None = None) -> SdpSolution:
 
     X is the affine iterate, Z its PSD partner and U the scaled multiplier of
     X = Z; the penalty rho moves by factors of two every ``ADAPT_EVERY``
-    iterations to balance the primal and dual residuals.  Residuals in the
-    result are recomputed from the returned point.
+    iterations to balance the primal and dual residuals.  Z is rebuilt from
+    the positive eigenpairs of X + U alone, and while the last iteration's
+    positive count of a block is small only those eigenpairs are computed.
+    Residuals in the result are recomputed from the returned point.
     """
     opts = opts or SolveOptions()
     P = problem
@@ -300,6 +306,7 @@ def solve_sdp(problem, opts: SolveOptions | None = None) -> SdpSolution:
     rho = 1.0
     Z = [np.zeros_like(Cb) for Cb in C]
     U = [np.zeros_like(Cb) for Cb in C]
+    ranks = [None] * len(C)   # each block's positive count at the last PSD step
     status = "max-iter"
     it = 0
     for it in range(1, opts.max_iter + 1):
@@ -310,7 +317,7 @@ def solve_sdp(problem, opts: SolveOptions | None = None) -> SdpSolution:
             status = "infeasible-suspected"
             break
         Z_old = Z
-        Z = [psd_project(x + u) for x, u in zip(X, U)]
+        Z, ranks = zip(*[psd_project(x + u, k) for x, u, k in zip(X, U, ranks)])
         U = [u + x - z for u, x, z in zip(U, X, Z)]
         if not rho * _norm(U) <= 1e12:
             status = "infeasible-suspected"

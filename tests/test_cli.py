@@ -118,6 +118,14 @@ def test_lasserre_statuses_and_exit_code(files, capsys):
     assert code == 3
 
 
+def test_lasserre_reports_bounds(files, capsys):
+    code, rep = run(["lasserre", "--graph", str(files / "c5.txt")], capsys)
+    res = rep["results"]
+    assert code == 0 and "lasserre_bound" in res["bound_kind"]
+    assert res["lasserre_bound"] >= res["lasserre_value"] - 1e-6
+    assert res["sos_bound"] >= res["sos_value"] - 1e-6
+
+
 def test_random_suite_small(files, capsys):
     code, rep = run(["random-suite", "--dist", "sign", "--n", "3", "--m", "45",
                      "--seeds", "2", "--restarts", "16"], capsys)

@@ -56,24 +56,82 @@ class TestSymEig:
         assert np.linalg.norm(h - (v * w) @ v.conj().T) <= 1e-9 * np.linalg.norm(h)
 
 
+def clip_oracle(m):
+    w, v = np.linalg.eigh(m)
+    return (v * np.maximum(w, 0)) @ v.conj().T
+
+
+def with_spectrum(w, rng, complex_=False):
+    """A self-adjoint matrix with eigenvalues w and random eigenvectors."""
+    n = len(w)
+    g = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if complex_ else 0)
+    q, _ = np.linalg.qr(g)
+    m = (q * w) @ q.conj().T
+    return (m + m.conj().T) / 2
+
+
 class TestPsdProject:
     def test_clips_negative(self):
-        assert np.allclose(psd_project(np.diag([2.0, -1.0])), np.diag([2.0, 0.0]))
+        p, k = psd_project(np.diag([2.0, -1.0]))
+        assert np.allclose(p, np.diag([2.0, 0.0])) and k == 1
 
     def test_fixed_point_on_psd(self, rng):
         m = rng.normal(size=(5, 5))
         m = m @ m.T
-        assert np.abs(psd_project(m) - m).max() <= 1e-10 * max(1, np.abs(m).max())
+        p, _ = psd_project(m)
+        assert np.abs(p - m).max() <= 1e-10 * max(1, np.abs(m).max())
 
     def test_matches_eig_clip_oracle(self, rng):
         for _ in range(20):
             m = rng.normal(size=(6, 6))
             m = (m + m.T) / 2
-            w, v = np.linalg.eigh(m)
-            oracle = (v * np.maximum(w, 0)) @ v.T
-            assert np.allclose(psd_project(m), oracle, atol=1e-10)
+            p, _ = psd_project(m)
+            assert np.allclose(p, clip_oracle(m), atol=1e-10)
             # idempotent
-            assert np.allclose(psd_project(psd_project(m)), psd_project(m), atol=1e-10)
+            assert np.allclose(psd_project(p)[0], p, atol=1e-10)
+
+    @pytest.mark.parametrize("hint", [None, 0, 1, 3, 5, 20])
+    def test_rank_hint_changes_nothing(self, rng, evr_calls, hint):
+        # hints 0 to 5 take the subset path at N=30, None and 20 the full one
+        m = with_spectrum(np.r_[rng.uniform(0.5, 2.0, 3), -rng.uniform(0.1, 2.0, 27)], rng)
+        p, k = psd_project(m, hint)
+        assert k == 3
+        assert np.abs(p - clip_oracle(m)).max() <= 1e-10
+        assert len(evr_calls) == (hint is not None and hint <= 5)
+
+    @pytest.mark.parametrize("hint", [None, 0])
+    def test_negative_definite_gives_zero(self, rng, hint):
+        m = with_spectrum(-rng.uniform(0.1, 2.0, 30), rng)
+        p, k = psd_project(m, hint)
+        assert k == 0 and p.shape == (30, 30) and not p.any()
+
+    def test_complex_hermitian_on_subset_path(self, rng, evr_calls):
+        m = with_spectrum(np.r_[rng.uniform(0.5, 2.0, 2), -rng.uniform(0.1, 2.0, 28)], rng, True)
+        p, k = psd_project(m, 2)
+        assert evr_calls and k == 2
+        assert np.abs(p - clip_oracle(m)).max() <= 1e-10
+        assert np.abs(p - p.conj().T).max() == 0.0
+
+    @given(st.integers(24, 60), st.floats(0.0, 1.0), st.one_of(st.none(), st.integers(0, 60)),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_property_any_hint(self, n, frac, hint, complex_, seed):
+        rng = np.random.default_rng(seed)
+        pos = int(round(frac * n))
+        m = with_spectrum(np.r_[rng.uniform(0.1, 2.0, pos), -rng.uniform(0.1, 2.0, n - pos)],
+                          rng, complex_)
+        p, k = psd_project(m, hint)
+        assert k == pos
+        assert np.abs(p - clip_oracle(m)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("func", [sym_eig, psd_project])
+def test_nonfinite_input_rejected(func, bad):
+    m = np.eye(3)
+    m[1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        func(m)
 
 
 class TestPermOperators:

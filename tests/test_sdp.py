@@ -3,6 +3,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from hypernorm import linalg, sdp
+from hypernorm.core import random_operator
+from hypernorm.polybasis import objective_expand
 from hypernorm.sdp import (
     DualCertificate,
     MomentProgram,
@@ -11,6 +14,7 @@ from hypernorm.sdp import (
     certified_upper_bound,
     solve_sdp,
 )
+from hypernorm.tensorsdp import MomentRelaxation, a22_value
 
 
 def lam_max_problem(diag):
@@ -257,3 +261,30 @@ class TestMomentProgram:
     def test_rejects_classes_that_miss_positions(self):
         with pytest.raises(ValueError):
             MomentProgram(2, {0: [(0, 0)], 1: [(1, 1)]}, np.eye(2), [{0: 1.0}], [1.0])
+
+
+def a22_program(n=8):
+    """The value, bound, status and iterations of an a22 solve (N = n(n+1)/2)."""
+    res = a22_value(random_operator("sign", n, 50 * n * n, 0), return_details=True)
+    return res.value, res.bound, res.status, res.iterations
+
+
+def l4_program(n=8):
+    """The same for a level-4 moment relaxation (N = (n+1)(n+2)/2)."""
+    relax = MomentRelaxation(objective_expand(random_operator("gaussian", n, 64, 0)), n, 4)
+    sol = solve_sdp(relax.problem, SolveOptions(tol=1e-8))
+    bound = certified_upper_bound(relax.problem, sol, relax.trace_bound).bound
+    return sol.primal_obj, bound, sol.status, sol.iterations
+
+
+@pytest.mark.parametrize("program", [a22_program, l4_program], ids=["a22-n8", "L4-n8"])
+def test_rank_hint_keeps_the_iterates(program, monkeypatch, evr_calls):
+    value, bound, status, iterations = program()
+    assert "evr" in evr_calls  # the positive-part path ran
+    monkeypatch.setattr(sdp, "psd_project", lambda m, rank_hint=None: linalg.psd_project(m))
+    evr_calls.clear()
+    value_full, bound_full, status_full, iterations_full = program()
+    assert not evr_calls
+    assert (status, iterations) == (status_full, iterations_full)
+    assert abs(value - value_full) <= 1e-10 * abs(value_full)
+    assert abs(bound - bound_full) <= 1e-10 * abs(bound_full)
