@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import TensorShape
 from .linalg import kron, partial_transpose, real_embedding, sym_isometry
-from .sdp import SolveOptions, certified_upper_bound, solve_sdp
+from .sdp import SolveOptions, solve_sdp
 
 __all__ = ["dps_value", "h_ext", "DpsResult"]
 
@@ -162,8 +162,7 @@ def dps_value(m: np.ndarray, n: int, r: int = 1, ppt: bool = True,
     """
     problem = _dps_program(m, n, r, ppt)
     sol = solve_sdp(problem, opts or SolveOptions(tol=1e-8, max_iter=100_000))
-    bound = certified_upper_bound(problem, sol, problem.trace_bound).bound
-    res = DpsResult(value=sol.primal_obj, bound=bound, status=sol.status,
+    res = DpsResult(value=sol.primal_obj, bound=sol.bound, status=sol.status,
                     iterations=sol.iterations, residuals=sol.residuals, r=r, ppt=ppt)
     return res if return_details else res.value
 

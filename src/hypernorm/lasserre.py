@@ -22,7 +22,7 @@ import numpy as np
 
 from .polybasis import Polynomial, moment_classes, monomial_basis, multilinear_reduce, spread_objective
 from .pseudoexp import PseudoExpectation, pseudo_expect, validate_pef
-from .sdp import MomentProgram, SolveOptions, certified_upper_bound, solve_sdp
+from .sdp import MomentProgram, SolveOptions, solve_sdp
 from .sse import RegularGraph
 
 __all__ = ["lasserre_roundtrip", "RoundtripReport", "solve_lasserre_maxcut", "solve_sos_maxcut"]
@@ -84,15 +84,16 @@ def _reduce(mono):
 def solve_lasserre_maxcut(g: RegularGraph, opts: SolveOptions | None = None):
     """Vector relaxation over {v_S : |S| <= 2} with consistent inner products.
 
-    Returns the value, the Gram matrix, its row sets, the solution and the
-    weak-duality certificate of the solver's dual point.  The trace bound is
-    exact: every diagonal position lies in the class of the empty set, which
-    the row fixes to 1, so tr Y is the number of sets.
+    Returns the value, the Gram matrix, its row sets and the solution, whose
+    ``bound`` is the weak-duality bound of the solver's dual point.
     """
     sets = _cut_sets(g.n)
-    problem = MomentProgram(len(sets), _cut_classes(sets), _cut_gram(g, sets), [{(): 1.0}], [1.0])
+    # every diagonal position lies in the class of the empty set, which the
+    # row fixes to 1, so tr Y is exactly the number of sets
+    problem = MomentProgram(len(sets), _cut_classes(sets), _cut_gram(g, sets), [{(): 1.0}], [1.0],
+                            trace_bound=len(sets))
     sol = solve_sdp(problem, opts or SolveOptions(tol=1e-9))
-    return sol.primal_obj, sol.X[0], sets, sol, certified_upper_bound(problem, sol, len(sets))
+    return sol.primal_obj, sol.X[0], sets, sol
 
 
 def _cut_objective(g: RegularGraph) -> Polynomial:
@@ -110,10 +111,8 @@ def solve_sos_maxcut(g: RegularGraph, opts: SolveOptions | None = None):
     """Level-4 moment relaxation over the ideal <x_i^2 - 1>: moment-matrix
     positions are classed by the multilinear reduction of their monomial.
 
-    Returns the value, the pseudo-expectation, the solution and the
-    weak-duality certificate of the solver's dual point, whose trace bound
-    is exact as in :func:`solve_lasserre_maxcut`: every diagonal monomial
-    reduces to the constant.
+    Returns the value, the pseudo-expectation and the solution, whose
+    ``bound`` is the weak-duality bound of the solver's dual point.
     """
     n = g.n
     if n > 8:
@@ -123,12 +122,12 @@ def solve_sos_maxcut(g: RegularGraph, opts: SolveOptions | None = None):
     for mono, pos in moment_classes(basis).items():
         classes.setdefault(_reduce(mono), []).extend(pos)
     C = spread_objective(multilinear_reduce(_cut_objective(g)), classes, len(basis))
-    problem = MomentProgram(len(basis), classes, C, [{(0,) * n: 1.0}], [1.0])
+    # every diagonal monomial reduces to the constant, so tr X is exactly N
+    problem = MomentProgram(len(basis), classes, C, [{(0,) * n: 1.0}], [1.0], trace_bound=len(basis))
     sol = solve_sdp(problem, opts or SolveOptions(tol=1e-9))
     values = problem.values(sol.X[0])
     moments = {mono: values[_reduce(mono)] for mono in monomial_basis(n, 4)}
-    cert = certified_upper_bound(problem, sol, len(basis))
-    return sol.primal_obj, PseudoExpectation(n, 4, moments, _cube_ideal(n)), sol, cert
+    return sol.primal_obj, PseudoExpectation(n, 4, moments, _cube_ideal(n)), sol
 
 
 def lasserre_to_pe(y: np.ndarray, sets, n: int) -> tuple[PseudoExpectation, float]:
@@ -173,8 +172,8 @@ def lasserre_roundtrip(g: RegularGraph, opts: SolveOptions | None = None) -> Rou
     """Solve both relaxations independently and convert each optimum across."""
     if g.n > 8:
         raise ValueError("roundtrip limited to 8 vertices")
-    lass_val, y, sets, lass_sol, lass_cert = solve_lasserre_maxcut(g, opts)
-    sos_val, pe, sos_sol, sos_cert = solve_sos_maxcut(g, opts)
+    lass_val, y, sets, lass_sol = solve_lasserre_maxcut(g, opts)
+    sos_val, pe, sos_sol = solve_sos_maxcut(g, opts)
 
     pe_from_lass, spread = lasserre_to_pe(y, sets, g.n)
     lass_conv_obj = pseudo_expect(pe_from_lass, _cut_objective(g))
@@ -186,8 +185,8 @@ def lasserre_roundtrip(g: RegularGraph, opts: SolveOptions | None = None) -> Rou
     return RoundtripReport(
         lasserre_value=lass_val,
         sos_value=sos_val,
-        lasserre_bound=lass_cert.bound,
-        sos_bound=sos_cert.bound,
+        lasserre_bound=lass_sol.bound,
+        sos_bound=sos_sol.bound,
         value_gap=abs(lass_val - sos_val),
         max_moment_discrepancy=spread,
         lasserre_converted_objective=lass_conv_obj,

@@ -2,15 +2,21 @@
 
     maximize <C, X>  subject to  X in an affine set,  X >= 0 (block diagonal),
 
-plus rigorous post-processing that turns any dual point into a certified
-upper bound via weak duality and an eigenvalue shift.
+that returns, with every solution, an upper bound valid for every feasible X:
+weak duality plus an eigenvalue shift of the dual slack.
 
-Two problem types state the affine set.  :class:`SdpProblem` lists linear
+Three problem types state the affine set.  :class:`SdpProblem` lists linear
 rows ``<A_i, X> = b_i``.  :class:`MomentProgram` states a moment matrix: X is
 constant on each class of positions, and a few rows hold on the class values.
-Each type supplies its orthogonal projection onto the affine set and its dual
-slack; :func:`solve_sdp` runs one Douglas-Rachford (ADMM) loop on either,
-alternating that projection with the projection onto the PSD cone under an
+The private ``dps._LinkedBlocks`` ties the partial transposes of a DPS
+program's main block to its other blocks.  :func:`solve_sdp` reads a problem
+only through ``blocks`` (the block sizes), ``C`` (the objective blocks), ``b``
+(the right-hand sides, paired with the dual vector y), ``project`` (the
+orthogonal projection onto the affine set, with its multiplier), ``dual_slack``
+(the solver's slack moved onto the dual affine set) and ``trace_bound`` (an
+a-priori bound on tr X over the feasible set, stated where the program is
+built).  It runs one Douglas-Rachford (ADMM) loop on any of them,
+alternating the projection with the projection onto the PSD cone under an
 adaptive penalty.  The PSD step passes each block's positive count from the
 previous iteration to :func:`~hypernorm.linalg.psd_project`, which computes
 only the positive eigenpairs while that count is small: near an optimum a
@@ -33,8 +39,7 @@ import scipy.sparse.linalg as spla
 
 from .linalg import psd_project
 
-__all__ = ["SdpProblem", "MomentProgram", "SdpSolution", "DualCertificate", "SolveOptions",
-           "solve_sdp", "certified_upper_bound"]
+__all__ = ["SdpProblem", "MomentProgram", "SdpSolution", "SolveOptions", "solve_sdp"]
 
 ADAPT_EVERY = 100      # iterations between penalty updates
 
@@ -51,14 +56,22 @@ class SolveOptions:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
-def _check_objective(blocks, C):
+def _check_objective(blocks, C, b, trace_bound):
+    """C and b as float arrays and the trace bound as a float, once C is
+    symmetric of the block shapes and all three are finite."""
     C = [np.asarray(Cb, dtype=float) for Cb in C]
+    b = np.asarray(b, dtype=float)
+    if not (all(np.isfinite(Cb).all() for Cb in C) and np.isfinite(b).all()):
+        raise ValueError("objective blocks and right-hand sides must be finite")
     for s, Cb in zip(blocks, C):
         if Cb.shape != (s, s):
             raise ValueError("objective block shape mismatch")
         if not np.allclose(Cb, Cb.T, atol=1e-12 * max(1.0, np.abs(Cb).max())):
             raise ValueError("objective blocks must be symmetric")
-    return C
+    trace_bound = float(trace_bound)
+    if not (math.isfinite(trace_bound) and trace_bound > 0):
+        raise ValueError(f"trace bound must be positive and finite, got {trace_bound}")
+    return C, b, trace_bound
 
 
 class SdpProblem:
@@ -69,16 +82,17 @@ class SdpProblem:
     constraint functional of that block, together with the scalar b.  Entries
     at ``(i, j)`` and ``(j, i)`` both count, so a symmetric matrix A enters as
     ``A[i, i]`` on the diagonal and ``2 * A[i, j]`` once per pair ``i < j``.
+    ``trace_bound`` bounds tr X over the feasible set; rows in general
+    form do not imply one, so the caller states it.
     """
 
-    def __init__(self, blocks, C, constraints, b):
+    def __init__(self, blocks, C, constraints, b, *, trace_bound):
         self.blocks = [int(s) for s in blocks]
         if any(s < 1 for s in self.blocks):
             raise ValueError("block sizes must be positive")
-        self.C = _check_objective(self.blocks, C)
         if len(constraints) != len(b) or len(constraints) == 0:
             raise ValueError("need at least one constraint with matching b")
-        self.b = np.asarray(b, dtype=float)
+        self.C, self.b, self.trace_bound = _check_objective(self.blocks, C, b, trace_bound)
 
         # svec layout: per block, diagonal then strict upper triangle (row-major),
         # off-diagonal coordinates scaled by sqrt(2) so <A, X> is a dot product.
@@ -201,16 +215,16 @@ class MomentProgram:
     one class, and every position of the ``size x size`` matrix lies in
     exactly one class.  ``rows`` are linear equations on the class values,
     each a dict from class key to coefficient, with right-hand sides ``b``.
-    ``scale`` is the positive vector s (all ones by default).
+    ``scale`` is the positive vector s (all ones by default), and
+    ``trace_bound`` bounds tr X over the feasible set.
     """
 
-    def __init__(self, size, classes, C, rows, b, scale=None):
+    def __init__(self, size, classes, C, rows, b, *, trace_bound, scale=None):
         size = int(size)
         self.blocks = [size]
-        self.C = _check_objective(self.blocks, [C])
         if len(rows) != len(b) or len(rows) == 0:
             raise ValueError("need at least one row with matching b")
-        self.b = np.asarray(b, dtype=float)
+        self.C, self.b, self.trace_bound = _check_objective(self.blocks, [C], b, trace_bound)
         s = np.ones(size) if scale is None else np.asarray(scale, dtype=float)
         if s.shape != (size,) or not (np.isfinite(s).all() and (s > 0).all()):
             raise ValueError(f"scale must be {size} finite positive numbers")
@@ -262,6 +276,11 @@ class MomentProgram:
 
 @dataclass
 class SdpSolution:
+    """The solver's last iterate and its dual point.  ``bound`` is
+    ``b^T y + trace_bound * slack_shift`` with ``slack_shift`` =
+    ``max(0, -lambda_min(dual_slack))``: every feasible X has
+    ``<C, X> = b^T y - <S, X> <= bound`` whether or not the solver converged."""
+
     X: list
     y: np.ndarray
     S: list
@@ -270,11 +289,6 @@ class SdpSolution:
     residuals: dict
     status: str
     iterations: int
-
-
-@dataclass
-class DualCertificate:
-    y: np.ndarray
     slack_shift: float
     bound: float
 
@@ -296,7 +310,9 @@ def solve_sdp(problem, opts: SolveOptions | None = None) -> SdpSolution:
     iterations to balance the primal and dual residuals.  Z is rebuilt from
     the positive eigenpairs of X + U alone, and while the last iteration's
     positive count of a block is small only those eigenpairs are computed.
-    Residuals in the result are recomputed from the returned point.
+    Residuals in the result are recomputed from the returned point, and the
+    result carries ``bound`` and ``slack_shift`` (see :class:`SdpSolution`),
+    an upper bound on every feasible objective value whatever the status.
     """
     opts = opts or SolveOptions()
     P = problem
@@ -339,31 +355,19 @@ def solve_sdp(problem, opts: SolveOptions | None = None) -> SdpSolution:
     # the multiplier of X = Z is rho * U; C was divided by scale
     y = y * scale
     sol = SdpSolution(X, y, [-(rho * scale) * u for u in U], _inner(P.C, X), float(P.b @ y),
-                      {}, status, it)
+                      {}, status, it, math.nan, math.nan)
+    slack = P.dual_slack(sol)
+    lam = min(float(np.linalg.eigvalsh((s + s.T) / 2.0)[0]) for s in slack)
+    sol.slack_shift = max(0.0, -lam)
+    sol.bound = sol.dual_obj + P.trace_bound * sol.slack_shift
     # X satisfies the affine constraints by construction; its primal
     # infeasibility is its distance to the PSD cone
     eigs = [np.linalg.eigvalsh(x) for x in X]
     rp = math.sqrt(sum(float(np.sum(np.minimum(e, 0.0) ** 2)) for e in eigs)) / (1.0 + _norm(X))
-    rd = _norm([s - t for s, t in zip(sol.S, P.dual_slack(sol))]) / (1.0 + norm_c)
+    rd = _norm([s - t for s, t in zip(sol.S, slack)]) / (1.0 + norm_c)
     gap = abs(sol.primal_obj - sol.dual_obj) / (1.0 + abs(sol.primal_obj) + abs(sol.dual_obj))
     sol.residuals = {"primal_infeas": rp, "dual_infeas": rd, "gap": gap,
                      "min_eig": min(float(e[0]) for e in eigs)}
     if status == "optimal" and max(rp, rd, gap) > 10 * opts.tol:
         sol.status = "max-iter"
     return sol
-
-
-def certified_upper_bound(problem, sol: SdpSolution, trace_bound: float) -> DualCertificate:
-    """A bound valid for every feasible X, from weak duality plus a shift.
-
-    With S = ``problem.dual_slack(sol)``, every feasible X has
-    ``<C, X> = b^T y - <S, X> <= b^T y + max(0, -lambda_min(S)) * tr(X)``,
-    whether or not the solver converged; the caller supplies an a-priori
-    bound on tr(X) over the feasible set.
-    """
-    if trace_bound is None or trace_bound <= 0:
-        raise ValueError("a positive a-priori trace bound is required")
-    lam = min(float(np.linalg.eigvalsh((s + s.T) / 2.0)[0]) for s in problem.dual_slack(sol))
-    shift = max(0.0, -lam)
-    bound = float(problem.b @ sol.y) + trace_bound * shift
-    return DualCertificate(y=sol.y.copy(), slack_shift=shift, bound=bound)

@@ -34,7 +34,7 @@ from .oracles import elementary_norms, norm_2_to_q_lower
 from .polybasis import Polynomial, chi_table, moment_classes, monomial_basis
 from .polybasis import objective_expand, quartic_gram, sphere_poly, spread_objective
 from .pseudoexp import PseudoExpectation
-from .sdp import MomentProgram, SolveOptions, certified_upper_bound, solve_sdp
+from .sdp import MomentProgram, SolveOptions, solve_sdp
 
 __all__ = [
     "MomentRelaxation",
@@ -74,13 +74,10 @@ class MomentRelaxation:
                 row[tuple(g + 2 * (t == k) for t, g in enumerate(gamma))] = 1.0
             rows.append(row)
         C = spread_objective(objective, classes, N)
-        self.problem = MomentProgram(N, classes, C, rows, [1.0] + [0.0] * len(self.sphere_gammas))
+        # tr X = sum_a E x^(2a) <= sum_k E |x|^(2k) = d/2 + 1 on every feasible (PSD) moment matrix
+        self.problem = MomentProgram(N, classes, C, rows, [1.0] + [0.0] * len(self.sphere_gammas),
+                                     trace_bound=d // 2 + 1)
         self._objective_vec = np.array([objective.coefficient(key) for key in self.problem.keys])
-
-    @property
-    def trace_bound(self) -> float:
-        """tr X = sum_k E |x|^(2k) = d/2 + 1 for every feasible moment matrix."""
-        return self.d // 2 + 1.0
 
     def extract_pseudoexpectation(self, sol) -> PseudoExpectation:
         return PseudoExpectation(self.n, self.d, self.problem.values(sol.X[0]),
@@ -88,8 +85,7 @@ class MomentRelaxation:
 
     def certificate(self, sol) -> "SosCertificate":
         """Rigorous upper bound plus the explicit sum-of-squares identity."""
-        dual = certified_upper_bound(self.problem, sol, self.trace_bound)
-        shift, bound = dual.slack_shift, dual.bound
+        shift, bound = sol.slack_shift, sol.bound
         slack = self.problem.dual_slack(sol)[0]  # >= -shift, class sums fixed by y
         # diagonal Gram matrix of sum_k |x|^(2k): D[a] = multinomial(|a|; a) >= 1
         Dd = np.array([_multinomial(a) for a in self.basis])
@@ -249,11 +245,10 @@ def a22_value(instance: OperatorInstance, opts: SolveOptions | None = None,
     s2 = np.count_nonzero(Q, axis=0).astype(float)  # 2!/beta!, the positions x^beta stands for
     trace = {tuple(2 * e for e in beta): c for beta, c in zip(basis, s2)}  # tr X = E|x|^4
     problem = MomentProgram(len(basis), moment_classes(basis), Q.T @ a22_matrix(instance) @ Q,
-                            [trace], [1.0], scale=np.sqrt(s2))
+                            [trace], [1.0], trace_bound=1.0, scale=np.sqrt(s2))
     opts = opts or SolveOptions(tol=1e-9 if n * n <= 16 else 1e-8, max_iter=50_000)
     sol = solve_sdp(problem, opts)
-    bound = certified_upper_bound(problem, sol, 1.0).bound
-    res = A22Result(sol.primal_obj, bound, sol.status, sol.iterations, sol.residuals)
+    res = A22Result(sol.primal_obj, sol.bound, sol.status, sol.iterations, sol.residuals)
     return res if return_details else res.value
 
 

@@ -14,6 +14,12 @@ def phi_state(n: int) -> np.ndarray:
     return np.outer(phi, phi)
 
 
+def phi_complex(n: int) -> np.ndarray:
+    """phi_state(n) under a local diagonal unitary: genuinely complex, same DPS value."""
+    u = np.diag(np.exp(1j * np.linspace(0.3, 2.9, n)))
+    return np.kron(u, u) @ phi_state(n).astype(complex) @ np.kron(u, u).conj().T
+
+
 @pytest.fixture
 def evr_calls(monkeypatch):
     """The drivers of every scipy.linalg.eigh call made while the test runs

@@ -8,13 +8,7 @@ from hypernorm.dps import _dps_program, _unembed, dps_value, h_ext
 from hypernorm.linalg import partial_transpose, real_embedding
 from hypernorm.sdp import SdpProblem, SolveOptions, solve_sdp
 from hypernorm.tensorsdp import a22_matrix, tensor_sdp
-from tests.conftest import phi_state
-
-
-def phi_complex(n: int) -> np.ndarray:
-    """phi_state(n) under a local diagonal unitary: genuinely complex, same DPS value."""
-    u = np.diag(np.exp(1j * np.linspace(0.3, 2.9, n)))
-    return np.kron(u, u) @ phi_state(n).astype(complex) @ np.kron(u, u).conj().T
+from tests.conftest import phi_complex, phi_state
 
 
 def _sym(rng, size):
@@ -76,7 +70,7 @@ def row_form_dps(m, n, r):
                   for a, bb, e in _sym_basis(D)}
     cons += _linking_rows(images, len(subsets), DF)
     b = [linked.b[0]] + [0.0] * (len(cons) - 1)
-    problem = SdpProblem(linked.blocks, linked.C, cons, b)
+    problem = SdpProblem(linked.blocks, linked.C, cons, b, trace_bound=linked.trace_bound)
     return solve_sdp(problem, SolveOptions(tol=1e-8, max_iter=100_000)).primal_obj
 
 

@@ -38,9 +38,9 @@ def test_converted_gram_min_eig_flags_a_moment_out_of_range(monkeypatch):
     # E[x0 x1] = 1.5 puts [[1, 1.5], [1.5, 1]] (rows {}, {0, 1}) in the
     # converted Gram matrix, whose smallest eigenvalue is then at most -0.5
     g = cycle_graph(5)
-    val, pe, sol, cert = solve_sos_maxcut(g)
+    val, pe, sol = solve_sos_maxcut(g)
     pe.moments[(1, 1, 0, 0, 0)] = 1.5
-    monkeypatch.setattr(lasserre, "solve_sos_maxcut", lambda g, opts: (val, pe, sol, cert))
+    monkeypatch.setattr(lasserre, "solve_sos_maxcut", lambda g, opts: (val, pe, sol))
     assert lasserre_roundtrip(g).converted_gram_min_eig <= -0.5 + 1e-6
 
 
@@ -54,13 +54,13 @@ def test_k3_matches_exact_cut():
 
 
 def test_sos_solution_is_valid_pef():
-    _, pe, _, _ = solve_sos_maxcut(cycle_graph(5))
+    _, pe, _ = solve_sos_maxcut(cycle_graph(5))
     rep = validate_pef(pe, 1e-6)
     assert rep.passed
 
 
 def test_lasserre_gram_constraints_hold():
-    val, y, sets, _, _ = solve_lasserre_maxcut(cycle_graph(5))
+    val, y, sets, _ = solve_lasserre_maxcut(cycle_graph(5))
     idx = {s: k for k, s in enumerate(sets)}
     assert abs(y[idx[frozenset()], idx[frozenset()]] - 1.0) <= 1e-6
     # symmetric-difference consistency on a few classes
@@ -72,7 +72,7 @@ def test_lasserre_gram_constraints_hold():
 def test_lasserre_to_pe_reports_an_inconsistent_pair():
     # <v_{0}, v_{0,1}> lies in the class of {1} but on no disjoint split of
     # {1}, so a read over splits alone would miss this perturbation
-    _, y, sets, _, _ = solve_lasserre_maxcut(cycle_graph(5))
+    _, y, sets, _ = solve_lasserre_maxcut(cycle_graph(5))
     idx = {s: k for k, s in enumerate(sets)}
     a, b = idx[frozenset([0])], idx[frozenset([0, 1])]
     bumped = y.copy()
@@ -98,8 +98,8 @@ def test_bounds_hold_for_any_dual_point(graph, max_iter):
     # the weak-duality bound holds whether or not the solver converged
     exact = exact_maxcut(graph)
     opts = SolveOptions(max_iter=max_iter)
-    assert solve_lasserre_maxcut(graph, opts)[4].bound >= exact
-    assert solve_sos_maxcut(graph, opts)[3].bound >= exact
+    assert solve_lasserre_maxcut(graph, opts)[3].bound >= exact
+    assert solve_sos_maxcut(graph, opts)[2].bound >= exact
 
 
 def test_roundtrip_bounds_are_tight_at_the_optimum():

@@ -3,23 +3,21 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hypernorm import linalg, sdp
+from hypernorm import dps, lasserre, linalg, sdp, tensorsdp
 from hypernorm.core import random_operator
+from hypernorm.dps import dps_value
+from hypernorm.lasserre import solve_lasserre_maxcut, solve_sos_maxcut
+from hypernorm.oracles import norm_2_to_q_lower
 from hypernorm.polybasis import objective_expand
-from hypernorm.sdp import (
-    DualCertificate,
-    MomentProgram,
-    SdpProblem,
-    SolveOptions,
-    certified_upper_bound,
-    solve_sdp,
-)
+from hypernorm.sdp import MomentProgram, SdpProblem, SolveOptions, solve_sdp
+from hypernorm.sse import cycle_graph
 from hypernorm.tensorsdp import MomentRelaxation, a22_value
+from tests.conftest import phi_complex, phi_state
 
 
 def lam_max_problem(diag):
     n = len(diag)
-    return SdpProblem([n], [np.diag(diag)], [[(0, i, i, 1.0) for i in range(n)]], [1.0])
+    return SdpProblem([n], [np.diag(diag)], [[(0, i, i, 1.0) for i in range(n)]], [1.0], trace_bound=1.0)
 
 
 def random_bounded(seed, n=8, m=10):
@@ -36,7 +34,7 @@ def random_bounded(seed, n=8, m=10):
         cons.append([(0, i, j, ak[i, j] if i == j else 2.0 * ak[i, j])
                      for i in range(n) for j in range(i, n)])
         b.append(float(np.sum(ak * x0)))
-    return SdpProblem([n], [c], cons, b), float(np.trace(x0)), x0
+    return SdpProblem([n], [c], cons, b, trace_bound=b[0]), x0
 
 
 class TestSolve:
@@ -52,7 +50,7 @@ class TestSolve:
 
     def test_random_kkt_suite(self):
         for seed in range(5):
-            p, _, _ = random_bounded(seed)
+            p, _ = random_bounded(seed)
             sol = solve_sdp(p, SolveOptions(tol=1e-8))
             assert sol.status == "optimal"
             slack = p.operator(sol.y)[0] - p.C[0]
@@ -61,8 +59,8 @@ class TestSolve:
             assert comp <= 10 * 1e-8 * scale * 10
 
     def test_determinism_bitwise(self):
-        p1, _, _ = random_bounded(3)
-        p2, _, _ = random_bounded(3)
+        p1, _ = random_bounded(3)
+        p2, _ = random_bounded(3)
         s1 = solve_sdp(p1, SolveOptions(tol=1e-8))
         s2 = solve_sdp(p2, SolveOptions(tol=1e-8))
         assert s1.iterations == s2.iterations
@@ -72,18 +70,18 @@ class TestSolve:
     def test_duplicate_rows_dropped_with_warning(self):
         cons = [[(0, i, i, 1.0) for i in range(2)], [(0, i, i, 1.0) for i in range(2)]]
         with pytest.warns(UserWarning, match="duplicate"):
-            p = SdpProblem([2], [np.eye(2)], cons, [1.0, 1.0])
+            p = SdpProblem([2], [np.eye(2)], cons, [1.0, 1.0], trace_bound=1.0)
         assert p.m == 1
 
     def test_contradictory_duplicates_rejected(self):
         cons = [[(0, 0, 0, 1.0)], [(0, 0, 0, 1.0)]]
         with pytest.raises(ValueError):
-            SdpProblem([1], [np.eye(1)], cons, [1.0, 2.0])
+            SdpProblem([1], [np.eye(1)], cons, [1.0, 2.0], trace_bound=1.0)
 
     def test_block_diagonal(self):
         # max x + 2y s.t. x <= 1, y <= 0.5 as two 1x1 blocks
         p = SdpProblem([1, 1], [np.array([[1.0]]), np.array([[2.0]])],
-                       [[(0, 0, 0, 1.0)], [(1, 0, 0, 1.0)]], [1.0, 0.5])
+                       [[(0, 0, 0, 1.0)], [(1, 0, 0, 1.0)]], [1.0, 0.5], trace_bound=1.5)
         sol = solve_sdp(p, SolveOptions(tol=1e-10))
         assert abs(sol.primal_obj - 2.0) <= 1e-7
 
@@ -92,29 +90,19 @@ class TestCertificate:
     def test_lambda_max_certificate(self):
         p = lam_max_problem([1.0, 2.0, 3.0])
         sol = solve_sdp(p, SolveOptions(tol=1e-9))
-        cert = certified_upper_bound(p, sol, 1.0)
-        assert isinstance(cert, DualCertificate)
-        assert 3.0 - 1e-9 <= cert.bound <= 3.0 + 1e-5
+        assert 3.0 - 1e-9 <= sol.bound <= 3.0 + 1e-5
 
     def test_under_converged_still_valid(self):
         p = lam_max_problem([1.0, 2.0, 3.0])
         sol = solve_sdp(p, SolveOptions(max_iter=10))
-        cert = certified_upper_bound(p, sol, 1.0)
-        assert cert.bound >= 3.0 - 1e-12
+        assert sol.bound >= 3.0 - 1e-12
 
     def test_weak_duality_on_feasible_points(self):
         for seed in range(4):
-            p, tb, x0 = random_bounded(seed)
+            p, x0 = random_bounded(seed)
             sol = solve_sdp(p, SolveOptions(tol=1e-8))
-            cert = certified_upper_bound(p, sol, tb)
-            assert cert.bound >= float(np.sum(p.C[0] * x0)) - 1e-9
-            assert cert.bound >= sol.primal_obj - 1e-6 * max(1, abs(sol.primal_obj))
-
-    def test_missing_trace_bound(self):
-        p = lam_max_problem([1.0])
-        sol = solve_sdp(p)
-        with pytest.raises(ValueError):
-            certified_upper_bound(p, sol, 0.0)
+            assert sol.bound >= float(np.sum(p.C[0] * x0)) - 1e-9
+            assert sol.bound >= sol.primal_obj - 1e-6 * max(1, abs(sol.primal_obj))
 
 
 class TestEntryContract:
@@ -131,7 +119,7 @@ class TestEntryContract:
                 # the same off-diagonal pair entered from both sides
                 entries += [(0, 1, 4, 0.7), (0, 4, 1, -0.3)]
                 cons.append(entries)
-            p = SdpProblem([n], [np.eye(n)], cons, [0.0] * len(cons))
+            p = SdpProblem([n], [np.eye(n)], cons, [0.0] * len(cons), trace_bound=1.0)
             assert p.m == len(cons)
             got = p.constraint_values([x])
             want = np.array([sum(c * x[i, j] for _, i, j, c in entries) for entries in cons])
@@ -141,7 +129,7 @@ class TestEntryContract:
         rng = np.random.default_rng(12)
         coeffs = rng.normal(size=6)
         cons = [[(0, 0, 0, 1.0)]] + [[(0, 0, 1 + k % 3, float(c))] for k, c in enumerate(coeffs)]
-        p = SdpProblem([4], [np.eye(4)], cons, [1.0] + [0.0] * len(coeffs))
+        p = SdpProblem([4], [np.eye(4)], cons, [1.0] + [0.0] * len(coeffs), trace_bound=1.0)
         data = p.A.tocsr()[1:].data
         assert np.array_equal(data, (coeffs / 2.0) * np.sqrt(2.0))
 
@@ -153,6 +141,37 @@ def test_solve_options_rejects_bad_values(bad):
         SolveOptions(**bad)
 
 
+def rows_program(C=np.eye(2), b=(1.0,), trace_bound=1.0):
+    """max <C, X> subject to tr X = b, in row form."""
+    return SdpProblem([2], [C], [[(0, 0, 0, 1.0), (0, 1, 1, 1.0)]], list(b), trace_bound=trace_bound)
+
+
+def classes_program(C=np.eye(2), b=(1.0,), trace_bound=1.0):
+    """The same program with every position its own class."""
+    return MomentProgram(2, {0: [(0, 0)], 1: [(0, 1)], 2: [(1, 1)]}, C, [{0: 1.0, 2: 1.0}], list(b),
+                         trace_bound=trace_bound)
+
+
+PROGRAM_TYPES = pytest.mark.parametrize("build", [rows_program, classes_program],
+                                        ids=["SdpProblem", "MomentProgram"])
+
+
+@PROGRAM_TYPES
+@pytest.mark.parametrize("trace_bound", [0.0, -1.0, np.nan, np.inf], ids=["zero", "negative", "nan", "inf"])
+def test_rejects_bad_trace_bound(build, trace_bound):
+    build()
+    with pytest.raises(ValueError, match="trace bound"):
+        build(trace_bound=trace_bound)
+
+
+@PROGRAM_TYPES
+@pytest.mark.parametrize("bad", [{"b": [np.nan]}, {"b": [np.inf]}, {"C": np.diag([np.nan, 1.0])},
+                                 {"C": np.diag([np.inf, 1.0])}], ids=["b-nan", "b-inf", "C-nan", "C-inf"])
+def test_rejects_nonfinite_objective_or_rhs(build, bad):
+    with pytest.raises(ValueError, match="finite"):
+        build(**bad)
+
+
 def random_moment_program(seed, size=7, nclasses=9, nrows=3, scale=None):
     """A class map drawn at random over the upper triangle, with random rows."""
     rng = np.random.default_rng(seed)
@@ -161,7 +180,8 @@ def random_moment_program(seed, size=7, nclasses=9, nrows=3, scale=None):
         key = int(rng.integers(nclasses)) if p >= nclasses else p
         classes.setdefault(key, []).append((int(i), int(j)))
     rows = [{key: float(rng.normal()) for key in classes} for _ in range(nrows)]
-    p = MomentProgram(size, classes, np.eye(size), rows, rng.normal(size=nrows), scale=scale)
+    p = MomentProgram(size, classes, np.eye(size), rows, rng.normal(size=nrows), trace_bound=1.0,
+                      scale=scale)
     return p, classes, rows
 
 
@@ -247,20 +267,21 @@ class TestMomentProgram:
         n = 6
         c = rng.normal(size=(n, n))
         c = (c + c.T) / 2
-        rows_form = SdpProblem([n], [c], [[(0, i, i, 1.0) for i in range(n)]], [1.0])
+        rows_form = SdpProblem([n], [c], [[(0, i, i, 1.0) for i in range(n)]], [1.0], trace_bound=1.0)
         classes = {(i, j): [(i, j)] for i in range(n) for j in range(i, n)}
-        moment_form = MomentProgram(n, classes, c, [{(i, i): 1.0 for i in range(n)}], [1.0])
+        moment_form = MomentProgram(n, classes, c, [{(i, i): 1.0 for i in range(n)}], [1.0],
+                                    trace_bound=1.0)
         opts = SolveOptions(tol=1e-9)
         a, b = solve_sdp(rows_form, opts), solve_sdp(moment_form, opts)
         assert a.status == b.status == "optimal"
         assert abs(a.primal_obj - b.primal_obj) <= 1e-7
         lam = float(np.linalg.eigvalsh(c)[-1])
         assert abs(b.primal_obj - lam) <= 1e-6
-        assert certified_upper_bound(moment_form, b, 1.0).bound >= lam - 1e-12
+        assert b.bound >= lam - 1e-12
 
     def test_rejects_classes_that_miss_positions(self):
         with pytest.raises(ValueError):
-            MomentProgram(2, {0: [(0, 0)], 1: [(1, 1)]}, np.eye(2), [{0: 1.0}], [1.0])
+            MomentProgram(2, {0: [(0, 0)], 1: [(1, 1)]}, np.eye(2), [{0: 1.0}], [1.0], trace_bound=1.0)
 
 
 def a22_program(n=8):
@@ -273,8 +294,7 @@ def l4_program(n=8):
     """The same for a level-4 moment relaxation (N = (n+1)(n+2)/2)."""
     relax = MomentRelaxation(objective_expand(random_operator("gaussian", n, 64, 0)), n, 4)
     sol = solve_sdp(relax.problem, SolveOptions(tol=1e-8))
-    bound = certified_upper_bound(relax.problem, sol, relax.trace_bound).bound
-    return sol.primal_obj, bound, sol.status, sol.iterations
+    return sol.primal_obj, sol.bound, sol.status, sol.iterations
 
 
 @pytest.mark.parametrize("program", [a22_program, l4_program], ids=["a22-n8", "L4-n8"])
@@ -288,3 +308,64 @@ def test_rank_hint_keeps_the_iterates(program, monkeypatch, evr_calls):
     assert (status, iterations) == (status_full, iterations_full)
     assert abs(value - value_full) <= 1e-10 * abs(value_full)
     assert abs(bound - bound_full) <= 1e-10 * abs(bound_full)
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """Every (problem, solution) pair solved while the test runs, through the
+    ``solve`` it is handed or the package's own entry points."""
+    seen = []
+
+    def solve(problem, opts=None):
+        sol = sdp.solve_sdp(problem, opts)
+        seen.append((problem, sol))
+        return sol
+
+    for mod in (tensorsdp, lasserre, dps):
+        monkeypatch.setattr(mod, "solve_sdp", solve)
+    return solve, seen
+
+
+def oracle_fourth(instance):
+    """|A x|_4^4 at the oracle's unit witness x: a feasible relaxation value."""
+    return norm_2_to_q_lower(instance, 4, restarts=8, seed=0).value ** 4
+
+
+L4_INSTANCE = random_operator("gaussian", 4, 16, 0)
+A22_INSTANCE = random_operator("sign", 4, 32, 1)
+
+# each problem type: one solve, a feasible objective value, and whether every
+# feasible X has tr X equal to the trace bound (not so for moment matrices,
+# where the bound counts sum_k E |x|^(2k) with multinomial weights)
+EVERY_PROBLEM_TYPE = {
+    "rows-lambda-max": (lambda solve, opts: solve(lam_max_problem([1.0, 2.0, 3.0]), opts),
+                        3.0, True),
+    "moment-L4": (lambda solve, opts: solve(MomentRelaxation(objective_expand(L4_INSTANCE), 4, 4).problem,
+                                            opts),
+                  oracle_fourth(L4_INSTANCE), False),
+    "a22": (lambda solve, opts: a22_value(A22_INSTANCE, opts), oracle_fourth(A22_INSTANCE), True),
+    # the best cut of C5 severs 4 of its 5 edges
+    "maxcut-gram-C5": (lambda solve, opts: solve_lasserre_maxcut(cycle_graph(5), opts), 0.8, True),
+    "maxcut-moment-C5": (lambda solve, opts: solve_sos_maxcut(cycle_graph(5), opts), 0.8, True),
+    # h_Sep of the maximally entangled state on C^n (x) C^n is 1/n
+    "dps-real-r2": (lambda solve, opts: dps_value(phi_state(3), 3, r=2, opts=opts), 1.0 / 3.0, True),
+    "dps-complex-r1": (lambda solve, opts: dps_value(phi_complex(2), 2, r=1, opts=opts), 0.5, True),
+}
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 10, None], ids=["iter1", "iter2", "iter10", "converged"])
+@pytest.mark.parametrize("case", list(EVERY_PROBLEM_TYPE))
+def test_every_problem_type_bounds_its_feasible_set(case, max_iter, solved):
+    # the bound holds for any dual point; the trace pin checks the problem's
+    # stated trace bound itself, which the bound scales
+    run, feasible, exact = EVERY_PROBLEM_TYPE[case]
+    solve, seen = solved
+    run(solve, None if max_iter is None else SolveOptions(max_iter=max_iter))
+    ((problem, sol),) = seen
+    assert sol.bound >= feasible - 1e-12
+    if max_iter is None:
+        assert sol.status == "optimal"
+        trace = sum(float(np.trace(x)) for x in sol.X)
+        assert trace <= problem.trace_bound * (1 + 1e-6)
+        if exact:
+            assert abs(trace - problem.trace_bound) <= 1e-6 * problem.trace_bound
