@@ -38,6 +38,8 @@ __all__ = ["dps_value", "h_ext", "DpsResult"]
 def _check_bipartite(m: np.ndarray, n: int):
     if m.shape != (n * n, n * n):
         raise ValueError(f"expected an {n * n} x {n * n} matrix on C^{n} (x) C^{n}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
     if np.linalg.norm(m - m.conj().T) > 1e-10 * max(1.0, np.linalg.norm(m)):
         raise ValueError("input must be self-adjoint")
 

@@ -8,6 +8,7 @@ with stated defaults rather than hidden constants.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -33,14 +34,20 @@ __all__ = [
 
 SELF_ADJOINT_TOL = 1e-10
 
-# psd_project computes only the positive eigenpairs (LAPACK's MRRR driver
-# ``evr`` on the interval (0, inf)) when at most N / SUBSET_RATIO of them are
-# expected and N >= SUBSET_MIN_SIZE; otherwise a full ``eigh`` is faster.
-# Measured with one BLAS thread on the solver's own iterates, subset time
-# over full time: N=36 0.58 at k=2, 0.95 at k=6, 1.05 at k=7; N=45 0.88 at
-# k=6, 1.10 at k=8; N=84 0.59 at k=6, 0.89 at k=9; N=22 0.99 at k=2.
-SUBSET_MIN_SIZE = 24
-SUBSET_RATIO = 6
+# psd_project computes only one side of the spectrum (LAPACK's MRRR driver
+# ``evr`` on (0, inf) or on (-inf, 0]) when at most N / SUBSET_RATIO
+# eigenpairs are expected on that side; otherwise a full ``eigh`` is faster.
+# Measured by scripts/psd_crossover.py with one BLAS thread, one-sided time
+# over full time, positive side / negative side:
+#   N=12  0.83/0.81 at k=3,   0.89/0.88 at k=4,   1.03/1.03 at k=6
+#   N=22  0.71/0.70 at k=4,   0.92/0.93 at k=7,   1.18/1.19 at k=11
+#   N=36  0.80/0.79 at k=6,   0.95/0.92 at k=9,   1.11/1.10 at k=12
+#   N=45  0.87/0.84 at k=8,   1.00/0.91 at k=9,   1.10/0.98 at k=11
+#   N=70  0.92/0.86 at k=12,  1.03/0.99 at k=14,  1.22/1.17 at k=18
+#   N=84  0.99/0.91 at k=14,  1.14/1.02 at k=17,  1.30/1.17 at k=21
+# At k = N/5 the ratio is about 1 from N=45 up and lower below; at N=4 it is
+# 0.84/0.85 at k=1, so no size floor is set.
+SUBSET_RATIO = 5
 
 
 def _check_self_adjoint(m: np.ndarray, tol: float):
@@ -66,29 +73,60 @@ def sym_eig(m: np.ndarray, sym_tol: float = SELF_ADJOINT_TOL):
     return w[order], v[:, order]
 
 
+@functools.cache
+def _evr_driver(n: int, complex_: bool):
+    """LAPACK's ``?syevr`` (``?heevr`` for complex) and its optimal workspace
+    sizes for order n, as ``(driver, sizes)``."""
+    name = "heevr" if complex_ else "syevr"
+    drv, query = sla.get_lapack_funcs((name, name + "_lwork"),
+                                      dtype=np.complex128 if complex_ else np.float64)
+    *sizes, info = query(n, lower=1)
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACK {name} workspace query failed (info={info})")
+    keys = ("lwork", "lrwork", "liwork") if complex_ else ("lwork", "liwork")
+    return drv, {k: int(x.real) for k, x in zip(keys, sizes)}
+
+
+def _eig_interval(h: np.ndarray, lo: float, hi: float):
+    """The eigenpairs of the self-adjoint h whose eigenvalues lie in (lo, hi],
+    ascending.  The driver works on a copy, so h is left unchanged."""
+    drv, sizes = _evr_driver(h.shape[0], np.iscomplexobj(h))
+    w, v, m, _, info = drv(h, compute_v=1, range="V", lower=1, vl=lo, vu=hi, **sizes)
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACK evr failed (info={info})")
+    return w[:m], v[:, :m]
+
+
 def psd_project(m: np.ndarray, rank_hint: int | None = None,
                 sym_tol: float = SELF_ADJOINT_TOL) -> tuple[np.ndarray, int]:
     """Nearest (Frobenius) positive-semidefinite matrix and its rank.
 
-    Returns ``(p, k)``: p is rebuilt from the k positive eigenpairs of m,
-    which is m with its negative eigenvalues clipped.  ``rank_hint`` is a
-    guess at k, such as the count of the previous iterate; when it is small
-    only the positive eigenpairs are computed.  Either way every positive
-    eigenpair is found, so the hint changes the running time and the result
-    only by rounding.
+    Returns ``(p, k)``: p is m with its negative eigenvalues clipped, and k
+    the count of its positive eigenvalues.  ``rank_hint`` is a guess at k,
+    such as the count of the previous iterate.  When it is small, only the
+    positive eigenpairs are computed and p is rebuilt from them; when it is
+    close to N, only the negative ones, and p is m minus their part.  Either
+    way every eigenpair of that side is found, so the hint changes the
+    running time and the result only by rounding.
     """
     m = np.asarray(m)
     _check_self_adjoint(m, sym_tol)
     h = (m + m.conj().T) / 2.0
     n = h.shape[0]
-    if rank_hint is not None and n >= SUBSET_MIN_SIZE and SUBSET_RATIO * rank_hint <= n:
-        w, v = sla.eigh(h, driver="evr", subset_by_value=(0.0, np.inf), check_finite=False)
+    subset = rank_hint is not None and n > 0   # the evr wrappers reject order 0
+    if subset and SUBSET_RATIO * rank_hint <= n:
+        w, v = _eig_interval(h, 0.0, np.inf)
+        out, k = (v * w) @ v.conj().T, w.size
+    elif subset and SUBSET_RATIO * (n - rank_hint) <= n:
+        w, v = _eig_interval(h, -np.inf, 0.0)
+        k = n - w.size
+        out = h - (v * w) @ v.conj().T if k else np.zeros_like(h)
     else:
         w, v = np.linalg.eigh(h)
         first = np.searchsorted(w, 0.0, side="right")
         w, v = w[first:], v[:, first:]
-    out = (v * w) @ v.conj().T
-    return (out + out.conj().T) / 2.0, w.size
+        out, k = (v * w) @ v.conj().T, w.size
+    return (out + out.conj().T) / 2.0, k
 
 
 def _check_perm(pi):

@@ -285,6 +285,8 @@ def inj_sym4_lower(t: np.ndarray, restarts: int = 64, seed: int = 0) -> OracleRe
     t = np.asarray(t, dtype=float)
     if t.ndim != 4 or len(set(t.shape)) != 1:
         raise ValueError("expected an n x n x n x n tensor")
+    if not np.isfinite(t).all():
+        raise ValueError("tensor has non-finite entries")
     t, exp = _pow2_scaled(t)
     _check_sym4(t)
     n = t.shape[0]
@@ -377,6 +379,8 @@ def h_sep_lower(m: np.ndarray, dims: tuple[int, int], restarts: int = 64, seed: 
     m = np.asarray(m)
     if m.shape != (na * nb, na * nb):
         raise ValueError("matrix shape does not match subsystem dimensions")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
     if na * nb > dim_limit:
         raise ValueError(f"dimension {na * nb} exceeds limit {dim_limit}")
     ms, exp = _pow2_scaled(m)

@@ -19,10 +19,11 @@ built).  It runs one Douglas-Rachford (ADMM) loop on any of them,
 alternating the projection with the projection onto the PSD cone under an
 adaptive penalty.  The PSD step passes each block's positive count from the
 previous iteration to :func:`~hypernorm.linalg.psd_project`, which computes
-only the positive eigenpairs while that count is small: near an optimum a
-tight moment relaxation is close to rank one.  The loop is fully
-deterministic: the same problem and options produce bitwise-identical
-iterates.
+only the positive eigenpairs while that count is small and only the negative
+ones while it is close to the block size: near an optimum a tight moment
+relaxation is close to rank one, while the blocks of a DPS program are often
+of full rank.  The loop is fully deterministic: the same problem and options
+produce bitwise-identical iterates.
 """
 
 from __future__ import annotations
@@ -247,6 +248,7 @@ class MomentProgram:
             for key, c in row.items():
                 self.R[r, col[key]] += c
         self._chol = sla.cho_factor((self.R / self._weights) @ self.R.T)
+        self._potrs, = sla.get_lapack_funcs(("potrs",), (self._chol[0],))
 
     def class_sums(self, M: np.ndarray) -> np.ndarray:
         """The sum of M over each class's positions, in key order."""
@@ -261,7 +263,10 @@ class MomentProgram:
         whose class values m satisfy ``R m = b``, as ``(X, w)``: the
         least-squares class values minus the correction ``R^T w``."""
         mean = self.class_sums(self._ss * V[0]) / self._weights
-        w = sla.cho_solve(self._chol, self.R @ mean - self.b, check_finite=False)
+        c, lower = self._chol
+        w, info = self._potrs(c, self.R @ mean - self.b, lower=lower, overwrite_b=True)
+        if info:
+            raise ValueError(f"illegal value in argument {-info} of potrs")
         m = mean - (self.R.T @ w) / self._weights
         return [self._ss * m[self._labels]], w
 
@@ -307,9 +312,10 @@ def solve_sdp(problem, opts: SolveOptions | None = None) -> SdpSolution:
 
     X is the affine iterate, Z its PSD partner and U the scaled multiplier of
     X = Z; the penalty rho moves by factors of two every ``ADAPT_EVERY``
-    iterations to balance the primal and dual residuals.  Z is rebuilt from
-    the positive eigenpairs of X + U alone, and while the last iteration's
-    positive count of a block is small only those eigenpairs are computed.
+    iterations to balance the primal and dual residuals.  Z is the PSD part of
+    X + U.  While the last iteration's positive count of a block is small,
+    only its positive eigenpairs are computed; while that count is close to
+    the block size, only its negative ones.
     Residuals in the result are recomputed from the returned point, and the
     result carries ``bound`` and ``slack_shift`` (see :class:`SdpSolution`),
     an upper bound on every feasible objective value whatever the status.
@@ -320,21 +326,23 @@ def solve_sdp(problem, opts: SolveOptions | None = None) -> SdpSolution:
     scale = max(1.0, norm_c)
     C = [Cb / scale for Cb in P.C]
     rho = 1.0
+    C_rho = C   # C / rho, rebuilt only when rho changes
     Z = [np.zeros_like(Cb) for Cb in C]
     U = [np.zeros_like(Cb) for Cb in C]
     ranks = [None] * len(C)   # each block's positive count at the last PSD step
     status = "max-iter"
     it = 0
     for it in range(1, opts.max_iter + 1):
-        X, w = P.project([z - u + c / rho for z, u, c in zip(Z, U, C)])
+        X, w = P.project([z - u + c for z, u, c in zip(Z, U, C_rho)])
         y = rho * w
         nx = _norm(X)
         if not nx <= 1e12:
             status = "infeasible-suspected"
             break
         Z_old = Z
-        Z, ranks = zip(*[psd_project(x + u, k) for x, u, k in zip(X, U, ranks)])
-        U = [u + x - z for u, x, z in zip(U, X, Z)]
+        V = [x + u for x, u in zip(X, U)]
+        Z, ranks = zip(*[psd_project(v, k) for v, k in zip(V, ranks)])
+        U = [v - z for v, z in zip(V, Z)]
         if not rho * _norm(U) <= 1e12:
             status = "infeasible-suspected"
             break
@@ -351,6 +359,7 @@ def solve_sdp(problem, opts: SolveOptions | None = None) -> SdpSolution:
             new = min(rho * 2.0, 1e6) if rp > rd else max(rho / 2.0, 1e-6)
             U = [u * (rho / new) for u in U]
             rho = new
+            C_rho = [c / rho for c in C]
 
     # the multiplier of X = Z is rho * U; C was divided by scale
     y = y * scale

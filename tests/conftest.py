@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-import scipy.linalg
+
+from hypernorm import linalg
 
 
 @pytest.fixture
@@ -22,14 +23,19 @@ def phi_complex(n: int) -> np.ndarray:
 
 @pytest.fixture
 def evr_calls(monkeypatch):
-    """The drivers of every scipy.linalg.eigh call made while the test runs
-    (``psd_project`` calls it only on its subset path)."""
+    """The side, "pos" or "neg", of every direct LAPACK evr call made while
+    the test runs (``psd_project`` makes them only on its one-sided paths)."""
     calls = []
-    eigh = scipy.linalg.eigh
+    driver = linalg._evr_driver
 
-    def counted(*args, **kw):
-        calls.append(kw.get("driver"))
-        return eigh(*args, **kw)
+    def counted(n, complex_):
+        drv, sizes = driver(n, complex_)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", counted)
+        def call(h, **kw):
+            calls.append("pos" if kw["vl"] == 0.0 else "neg")
+            return drv(h, **kw)
+
+        return call, sizes
+
+    monkeypatch.setattr(linalg, "_evr_driver", counted)
     return calls

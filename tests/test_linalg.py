@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypernorm import linalg
 from hypernorm.core import TensorShape
 from hypernorm.linalg import (
     compose_perms,
@@ -90,32 +91,61 @@ class TestPsdProject:
             # idempotent
             assert np.allclose(psd_project(p)[0], p, atol=1e-10)
 
-    @pytest.mark.parametrize("hint", [None, 0, 1, 3, 5, 20])
+    @pytest.mark.parametrize("hint", [None, 0, 1, 3, 5, 20, 30])
     def test_rank_hint_changes_nothing(self, rng, evr_calls, hint):
-        # hints 0 to 5 take the subset path at N=30, None and 20 the full one
+        # hints 0 to 5 take the positive side at N=30, 30 the negative side
+        # (whatever the spectrum), None and 20 the full eigh
         m = with_spectrum(np.r_[rng.uniform(0.5, 2.0, 3), -rng.uniform(0.1, 2.0, 27)], rng)
         p, k = psd_project(m, hint)
         assert k == 3
         assert np.abs(p - clip_oracle(m)).max() <= 1e-10
-        assert len(evr_calls) == (hint is not None and hint <= 5)
+        side = {None: [], 20: [], 30: ["neg"]}.get(hint, ["pos"])
+        assert evr_calls == side
 
-    @pytest.mark.parametrize("hint", [None, 0])
+    @pytest.mark.parametrize("hint", [None, 0, 30])
     def test_negative_definite_gives_zero(self, rng, hint):
         m = with_spectrum(-rng.uniform(0.1, 2.0, 30), rng)
         p, k = psd_project(m, hint)
         assert k == 0 and p.shape == (30, 30) and not p.any()
 
+    @pytest.mark.parametrize("hint", [None, 0])
+    def test_empty_matrix(self, hint):
+        p, k = psd_project(np.zeros((0, 0)), hint)
+        assert k == 0 and p.shape == (0, 0)
+
     def test_complex_hermitian_on_subset_path(self, rng, evr_calls):
         m = with_spectrum(np.r_[rng.uniform(0.5, 2.0, 2), -rng.uniform(0.1, 2.0, 28)], rng, True)
         p, k = psd_project(m, 2)
-        assert evr_calls and k == 2
+        assert evr_calls == ["pos"] and k == 2
         assert np.abs(p - clip_oracle(m)).max() <= 1e-10
         assert np.abs(p - p.conj().T).max() == 0.0
 
-    @given(st.integers(24, 60), st.floats(0.0, 1.0), st.one_of(st.none(), st.integers(0, 60)),
+    @pytest.mark.parametrize("first", [False, True], ids=["real-first", "complex-first"])
+    def test_workspace_cache_keeps_fields_apart(self, rng, first):
+        linalg._evr_driver.cache_clear()
+        spectrum = np.r_[rng.uniform(0.5, 2.0, 2), -rng.uniform(0.1, 2.0, 22)]
+        for complex_ in (first, not first):
+            m = with_spectrum(spectrum, rng, complex_)
+            for hint in (0, 24):
+                p, k = psd_project(m, hint)
+                assert k == 2 and np.abs(p - clip_oracle(m)).max() <= 1e-10
+        assert linalg._evr_driver.cache_info().currsize == 2
+
+    def test_driver_failure_raises(self, rng, monkeypatch):
+        def failing(h, **kw):
+            n = h.shape[0]
+            return np.zeros(n), np.zeros((n, n)), 0, np.zeros(2 * n, dtype=np.int32), 3
+
+        monkeypatch.setattr(linalg, "_evr_driver", lambda n, complex_: (failing, {}))
+        m = with_spectrum(np.r_[1.0, -np.ones(29)], rng)
+        with pytest.raises(np.linalg.LinAlgError):
+            psd_project(m, 1)
+
+    @given(st.integers(12, 60), st.floats(0.0, 1.0), st.one_of(st.none(), st.integers(0, 60)),
            st.booleans(), st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_property_any_hint(self, n, frac, hint, complex_, seed):
+        # hints up to N/5 take the positive side, hints from 4N/5 the negative one
         rng = np.random.default_rng(seed)
         pos = int(round(frac * n))
         m = with_spectrum(np.r_[rng.uniform(0.1, 2.0, pos), -rng.uniform(0.1, 2.0, n - pos)],

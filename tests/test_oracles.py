@@ -6,6 +6,7 @@ import scipy.optimize
 
 from hypernorm import oracles
 from hypernorm.core import OperatorInstance
+from hypernorm.dps import dps_value, h_ext
 from hypernorm.oracles import (
     elementary_norms,
     h_sep_lower,
@@ -369,3 +370,17 @@ def test_projector_norm_duality(rng):
                                       options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 20000})
         best = max(best, -out.fun)
     assert abs(best - rep.norm_lower) <= 1e-4 * max(1.0, best)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("call", [
+    lambda m: dps_value(m, 2),
+    lambda m: h_ext(m, 2),
+    lambda m: h_sep_lower(m, (2, 2)),
+    lambda m: inj_sym4_lower(m.reshape(2, 2, 2, 2)),
+], ids=["dps_value", "h_ext", "h_sep_lower", "inj_sym4_lower"])
+def test_nonfinite_input_rejected(call, bad):
+    m = np.eye(4)
+    m[1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        call(m)

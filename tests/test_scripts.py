@@ -38,3 +38,13 @@ def test_random_operator_sweep():
         assert (r[1], r[2], r[3]) == ("4", "80", "0")
         assert float(r[4]) <= float(r[5]) + 1e-6
         assert float(r[5]) - float(r[4]) <= 1e-4 * max(1.0, float(r[4]))
+
+
+def test_psd_crossover():
+    rows = run_script("psd_crossover.py", "--sizes", "6", "12", "--reps", "2")
+    assert rows[0] == ["n", "k", "full_pos_us", "pos_us", "pos_ratio", "full_neg_us", "neg_us", "neg_ratio"]
+    body = rows[1:]
+    assert [(r[0], r[1]) for r in body] == [("6", "1"), ("6", "2"), ("6", "3"),
+                                           ("12", "1"), ("12", "2"), ("12", "3"), ("12", "4"), ("12", "6")]
+    for r in body:
+        assert all(float(x) > 0 for x in r[2:])

@@ -297,10 +297,17 @@ def l4_program(n=8):
     return sol.primal_obj, sol.bound, sol.status, sol.iterations
 
 
-@pytest.mark.parametrize("program", [a22_program, l4_program], ids=["a22-n8", "L4-n8"])
-def test_rank_hint_keeps_the_iterates(program, monkeypatch, evr_calls):
+def dps_program():
+    """The same for a DPS program whose blocks are nearly full rank (N = 4)."""
+    res = dps_value(phi_state(2), 2, 1, return_details=True)
+    return res.value, res.bound, res.status, res.iterations
+
+
+@pytest.mark.parametrize("program, side", [(a22_program, "pos"), (l4_program, "pos"), (dps_program, "neg")],
+                         ids=["a22-n8", "L4-n8", "dps-phi2"])
+def test_rank_hint_keeps_the_iterates(program, side, monkeypatch, evr_calls):
     value, bound, status, iterations = program()
-    assert "evr" in evr_calls  # the positive-part path ran
+    assert side in evr_calls  # the one-sided path ran
     monkeypatch.setattr(sdp, "psd_project", lambda m, rank_hint=None: linalg.psd_project(m))
     evr_calls.clear()
     value_full, bound_full, status_full, iterations_full = program()
