@@ -140,17 +140,21 @@ class DpsResult:
     ppt: bool
 
 
+def _compressed(m: np.ndarray, n: int, r: int):
+    """The lift L = I (x) W onto C^n (x) (sym subspace) and the self-adjoint
+    part of L^T (M (x) I^(r-1)) L."""
+    lift = np.kron(np.eye(n), sym_isometry(r, n))
+    obj = lift.T @ kron(m, *([np.eye(n)] * (r - 1))) @ lift
+    return lift, (obj + obj.conj().T) / 2.0
+
+
 def _dps_program(m: np.ndarray, n: int, r: int, ppt: bool) -> _LinkedBlocks:
     if n > 4 or r > 3:
         raise ValueError("desk-scale limits: n <= 4, r <= 3")
     m = np.asarray(m)
     _check_bipartite(m, n)
     complex_input = np.iscomplexobj(m) and np.linalg.norm(np.imag(m)) > 1e-13
-    lift = np.kron(np.eye(n), sym_isometry(r, n))   # n^(r+1) x dim, dim = n * binom(n+r-1, r)
-    work = m.astype(complex) if complex_input else np.real(m).astype(float)
-    obj_full = kron(work, *([np.eye(n)] * (r - 1))) if r > 1 else work
-    obj = lift.T @ obj_full @ lift
-    obj = (obj + obj.conj().T) / 2.0
+    lift, obj = _compressed(m.astype(complex) if complex_input else np.real(m).astype(float), n, r)
     return _LinkedBlocks(obj, lift, TensorShape((n,) * (r + 1)), _ppt_subsets(r) if ppt else [])
 
 
@@ -175,8 +179,4 @@ def h_ext(m: np.ndarray, n: int, r: int = 1) -> float:
     _check_bipartite(m, n)
     if n ** (r + 1) > 4096:
         raise ValueError("extension space exceeds the desk-scale limit")
-    w = sym_isometry(r, n)
-    lift = np.kron(np.eye(n), w)
-    obj_full = kron(m, *([np.eye(n)] * (r - 1))) if r > 1 else m
-    compressed = lift.conj().T @ obj_full @ lift
-    return float(np.linalg.eigvalsh((compressed + compressed.conj().T) / 2.0)[-1])
+    return float(np.linalg.eigvalsh(_compressed(m, n, r)[1])[-1])

@@ -19,6 +19,7 @@ from .core import TensorShape
 
 __all__ = [
     "sym_eig",
+    "image_basis",
     "psd_project",
     "perm_operator",
     "apply_perm",
@@ -71,6 +72,13 @@ def sym_eig(m: np.ndarray, sym_tol: float = SELF_ADJOINT_TOL):
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     order = np.argsort(w)[::-1]
     return w[order], v[:, order]
+
+
+def image_basis(a: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the numerical image of ``a``: its left
+    singular vectors whose singular values exceed 1e-10 times the largest."""
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    return u[:, : int(np.sum(s > 1e-10 * max(s[0], 1e-300)))]
 
 
 @functools.cache

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .core import OperatorInstance, TensorShape
-from .linalg import kron, perm_operator, reorder_factors, sym_eig
+from .linalg import image_basis, kron, perm_operator, reorder_factors, sym_eig
 from .oracles import h_sep_lower, inj3_lower, inj_sym4_lower, norm_2_to_q_lower
 from .polybasis import quartic_gram
 
@@ -384,9 +384,8 @@ def pad_and_project(instance: OperatorInstance, eps: float, seed: int = 0,
     weights = np.concatenate([np.full(m, alpha / m), np.full(mb, (1.0 - alpha) / mb)])
     padded = OperatorInstance(np.vstack([a, b]), "expectation", row_weights=weights)
 
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > 1e-10 * max(s[0], 1e-300)))
-    proj = u[:, :rank] @ u[:, :rank].T
+    u = image_basis(a)
+    proj = u @ u.T
     b_inst = OperatorInstance(b, "expectation")
     b_norm = norm_2_to_q_lower(b_inst, 4, restarts=16, seed=seed).value
     return PadReport(padded=padded, projector=proj, sigma_min=padded.sigma_min_nonzero(),
@@ -404,13 +403,11 @@ def exact_projector_map(instance: OperatorInstance, big_threshold: float,
     sig_max = instance.two_to_two()
     if sig_max > 1.0 + eps:
         return {"early_reject_small": True, "verdict": "large", "sigma_max": sig_max}
-    rows = instance.quadratic_rows()
-    u, s, _ = np.linalg.svd(rows, full_matrices=False)
-    rank = int(np.sum(s > 1e-10 * max(s[0], 1e-300)))
+    u = image_basis(instance.quadratic_rows())
     from .sse import subspace_instance
 
-    proj_inst = subspace_instance(u[:, :rank], 4)
+    proj_inst = subspace_instance(u, 4)
     val = norm_2_to_q_lower(proj_inst, 4, restarts=restarts, seed=seed).value
     verdict = "large" if val >= big_threshold else ("small" if val <= 3**0.25 + eps else "between")
     return {"early_reject_small": False, "verdict": verdict, "projector_norm": val,
-            "sigma_max": sig_max, "dim": rank}
+            "sigma_max": sig_max, "dim": u.shape[1]}

@@ -5,44 +5,43 @@
 that returns, with every solution, an upper bound valid for every feasible X:
 weak duality plus an eigenvalue shift of the dual slack.
 
-Three problem types state the affine set.  :class:`SdpProblem` lists linear
-rows ``<A_i, X> = b_i``.  :class:`MomentProgram` states a moment matrix: X is
-constant on each class of positions, and a few rows hold on the class values.
-The private ``dps._LinkedBlocks`` ties the partial transposes of a DPS
-program's main block to its other blocks.  :func:`solve_sdp` reads a problem
-only through ``blocks`` (the block sizes), ``C`` (the objective blocks), ``b``
-(the right-hand sides, paired with the dual vector y), ``project`` (the
-orthogonal projection onto the affine set, with its multiplier), ``dual_slack``
-(the solver's slack moved onto the dual affine set) and ``trace_bound`` (an
-a-priori bound on tr X over the feasible set, stated where the program is
-built).  It runs one Douglas-Rachford (ADMM) loop on any of them,
-alternating the projection with the projection onto the PSD cone under an
-adaptive penalty.  The PSD step passes each block's positive count from the
-previous iteration to :func:`~hypernorm.linalg.psd_project`, which computes
-only the positive eigenpairs while that count is small and only the negative
-ones while it is close to the block size: near an optimum a tight moment
-relaxation is close to rank one, while the blocks of a DPS program are often
-of full rank.  The loop is fully deterministic: the same problem and options
-produce bitwise-identical iterates.
+Two problem types state the affine set.  :class:`MomentProgram` states
+moment matrices: each block of X is constant on classes of positions, a class
+may span blocks, and a few rows hold on the class values; it is projected by
+weighted class means and one Cholesky-factored correction.  Its special case
+:class:`SdpProblem` takes linear rows ``<A_i, X> = b_i`` on entries, every
+upper-triangle position its own class.  The private ``dps._LinkedBlocks``
+ties the partial transposes of a DPS program's main block to its other
+blocks.  :func:`solve_sdp` reads a problem only through ``blocks`` (the block
+sizes), ``C`` (the objective blocks), ``b`` (the right-hand sides, paired with
+the dual vector y), ``project`` (the orthogonal projection onto the affine
+set, with its multiplier), ``dual_slack`` (the solver's slack moved onto the
+dual affine set) and ``trace_bound`` (an a-priori bound on tr X over the
+feasible set, stated where the program is built).  It runs one Douglas-Rachford (ADMM) loop on any of them, alternating
+the projection with a rank-aware projection onto the PSD cone under an
+adaptive penalty: near an optimum a tight moment relaxation is close to rank
+one, while the blocks of a DPS program are often of full rank.  The loop is
+fully deterministic: the same problem and options produce bitwise-identical
+iterates.
 """
 
 from __future__ import annotations
 
-import functools
+import collections
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .linalg import psd_project
 
 __all__ = ["SdpProblem", "MomentProgram", "SdpSolution", "SolveOptions", "solve_sdp"]
 
 ADAPT_EVERY = 100      # iterations between penalty updates
+DEPENDENT = 1e-12      # squared pivot over squared norm of a dependent row
 
 
 @dataclass
@@ -57,226 +56,171 @@ class SolveOptions:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
-def _check_objective(blocks, C, b, trace_bound):
-    """C and b as float arrays and the trace bound as a float, once C is
-    symmetric of the block shapes and all three are finite."""
-    C = [np.asarray(Cb, dtype=float) for Cb in C]
-    b = np.asarray(b, dtype=float)
-    if not (all(np.isfinite(Cb).all() for Cb in C) and np.isfinite(b).all()):
-        raise ValueError("objective blocks and right-hand sides must be finite")
-    for s, Cb in zip(blocks, C):
-        if Cb.shape != (s, s):
-            raise ValueError("objective block shape mismatch")
-        if not np.allclose(Cb, Cb.T, atol=1e-12 * max(1.0, np.abs(Cb).max())):
-            raise ValueError("objective blocks must be symmetric")
-    trace_bound = float(trace_bound)
-    if not (math.isfinite(trace_bound) and trace_bound > 0):
-        raise ValueError(f"trace bound must be positive and finite, got {trace_bound}")
-    return C, b, trace_bound
-
-
-class SdpProblem:
-    """Block-diagonal standard-form SDP.
-
-    Constraints are supplied as entry lists: each constraint is a list of
-    ``(block, i, j, c)`` tuples, each adding ``c * X[i, j]`` to the
-    constraint functional of that block, together with the scalar b.  Entries
-    at ``(i, j)`` and ``(j, i)`` both count, so a symmetric matrix A enters as
-    ``A[i, i]`` on the diagonal and ``2 * A[i, j]`` once per pair ``i < j``.
-    ``trace_bound`` bounds tr X over the feasible set; rows in general
-    form do not imply one, so the caller states it.
-    """
-
-    def __init__(self, blocks, C, constraints, b, *, trace_bound):
-        self.blocks = [int(s) for s in blocks]
-        if any(s < 1 for s in self.blocks):
-            raise ValueError("block sizes must be positive")
-        if len(constraints) != len(b) or len(constraints) == 0:
-            raise ValueError("need at least one constraint with matching b")
-        self.C, self.b, self.trace_bound = _check_objective(self.blocks, C, b, trace_bound)
-
-        # svec layout: per block, diagonal then strict upper triangle (row-major),
-        # off-diagonal coordinates scaled by sqrt(2) so <A, X> is a dot product.
-        self._offsets = []
-        off = 0
-        self._triu = []
-        for s in self.blocks:
-            iu = np.triu_indices(s)
-            self._triu.append(iu)
-            self._offsets.append(off)
-            off += s * (s + 1) // 2
-        self.svec_dim = off
-
-        rows, cols, vals = [], [], []
-        seen = {}
-        keep = []
-        for k, entries in enumerate(constraints):
-            coords = {}
-            for blk, i, j, c in entries:
-                s = self.blocks[blk]
-                if not (0 <= i < s and 0 <= j < s):
-                    raise ValueError(f"entry ({i},{j}) out of range for block {blk} of size {s}")
-                p = self._svec_index(blk, i, j)
-                # X[i, j] is the svec coordinate over sqrt(2) off the diagonal
-                w = 1.0 if i == j else np.sqrt(2.0) / 2.0
-                coords[p] = coords.get(p, 0.0) + float(c) * w
-            coords = {p: v for p, v in coords.items() if v != 0.0}
-            if not coords:
-                raise ValueError(f"constraint {k} is identically zero")
-            sig = tuple(sorted(coords.items()))
-            if sig in seen:
-                prev = seen[sig]
-                if abs(self.b[k] - self.b[prev]) > 1e-12:
-                    raise ValueError(f"constraints {prev} and {k} are identical with different b")
-                warnings.warn(f"dropping duplicate constraint row {k}")
-                continue
-            seen[sig] = k
-            keep.append(k)
-            r = len(keep) - 1
-            for p, v in coords.items():
-                rows.append(r)
-                cols.append(p)
-                vals.append(v)
-        self.b = self.b[keep]
-        self.m = len(keep)
-        self.A = sp.csr_matrix((vals, (rows, cols)), shape=(self.m, self.svec_dim))
-
-    def _svec_index(self, blk, i, j):
-        s = self.blocks[blk]
-        if i > j:
-            i, j = j, i
-        # position of (i, j) in row-major upper triangle of an s x s matrix
-        return self._offsets[blk] + i * s - i * (i - 1) // 2 + (j - i)
-
-    def svec(self, mats) -> np.ndarray:
-        out = np.empty(self.svec_dim)
-        for blk, m in enumerate(mats):
-            iu = self._triu[blk]
-            v = m[iu].copy()
-            v[iu[0] != iu[1]] *= np.sqrt(2.0)
-            s0 = self._offsets[blk]
-            out[s0 : s0 + v.size] = v
-        return out
-
-    def smat(self, v: np.ndarray):
-        mats = []
-        for blk, s in enumerate(self.blocks):
-            iu = self._triu[blk]
-            s0 = self._offsets[blk]
-            seg = v[s0 : s0 + s * (s + 1) // 2].copy()
-            seg[iu[0] != iu[1]] /= np.sqrt(2.0)
-            m = np.zeros((s, s))
-            m[iu] = seg
-            m = m + m.T - np.diag(np.diag(m))
-            mats.append(m)
-        return mats
-
-    def operator(self, y: np.ndarray):
-        """The symmetric matrices of sum_i y_i A_i, per block."""
-        return self.smat(self.A.T @ y)
-
-    def constraint_values(self, X) -> np.ndarray:
-        return self.A @ self.svec(X)
-
-    @functools.cached_property
-    def _solve_normal(self):
-        """A solver for the constraint Gram matrix A A^T."""
-        AAt = (self.A @ self.A.T).tocsc()
-        try:
-            lu = spla.splu(AAt)
-            probe = np.ones(self.m)
-            if np.linalg.norm(AAt @ lu.solve(probe) - probe) <= 1e-6 * np.sqrt(self.m):
-                return lu.solve
-        except RuntimeError:
-            pass
-        # dependent constraint rows survived presolve; fall back to the
-        # minimum-norm solve, which projects onto the row space and keeps the
-        # iteration valid for consistent systems
-        warnings.warn("constraint Gram matrix is rank deficient; using pseudo-inverse solves")
-        pinv = np.linalg.pinv(AAt.toarray(), rcond=1e-12)
-        return lambda r: pinv @ r
-
-    def project(self, V):
-        """Orthogonal projection of V onto the rows' affine set, as
-        ``(X, w)`` with ``X = V - sum_i w_i A_i``."""
-        v = self.svec(V)
-        w = self._solve_normal(self.A @ v - self.b)
-        return self.smat(v - self.A.T @ w), w
-
-    def dual_slack(self, sol):
-        """``sum_i y_i A_i - C`` per block: dual-feasible once it is PSD."""
-        return [Ab - Cb for Ab, Cb in zip(self.operator(sol.y), self.C)]
-
-
 class MomentProgram:
-    """A one-block program over matrices X = ss * M, ss = s s^T, with M
-    constant on classes of positions.
+    """Block-diagonal matrices X_b = ss_b * M_b, ss_b = s_b s_b^T, with the
+    M_b constant on classes of positions.
 
-    ``classes`` maps each key to the upper-triangle positions ``(i, j)`` of
-    one class, and every position of the ``size x size`` matrix lies in
-    exactly one class.  ``rows`` are linear equations on the class values,
-    each a dict from class key to coefficient, with right-hand sides ``b``.
-    ``scale`` is the positive vector s (all ones by default), and
+    ``blocks`` lists the block sizes, ``C`` the objective blocks and ``scale``
+    the positive vectors s_b (all ones by default); a single size, matrix and
+    vector state one block.  ``classes`` maps each key to the upper-triangle
+    positions ``(block, i, j)`` of one class, or ``(i, j)`` for one block;
+    every position lies in exactly one class, and a class may span blocks.
+    ``rows`` are linear equations on the class values, each a dict from class
+    key to coefficient, with right-hand sides ``b``.  A row that depends on
+    earlier rows is dropped with a warning if its b agrees and rejected
+    otherwise; ``m`` counts the rows kept and ``svec_dim`` the classes.
     ``trace_bound`` bounds tr X over the feasible set.
     """
 
-    def __init__(self, size, classes, C, rows, b, *, trace_bound, scale=None):
-        size = int(size)
-        self.blocks = [size]
-        if len(rows) != len(b) or len(rows) == 0:
-            raise ValueError("need at least one row with matching b")
-        self.C, self.b, self.trace_bound = _check_objective(self.blocks, [C], b, trace_bound)
-        s = np.ones(size) if scale is None else np.asarray(scale, dtype=float)
-        if s.shape != (size,) or not (np.isfinite(s).all() and (s > 0).all()):
-            raise ValueError(f"scale must be {size} finite positive numbers")
-        self._ss = np.outer(s, s)
+    def __init__(self, blocks, classes, C, rows, b, *, trace_bound, scale=None):
+        one = np.ndim(blocks) == 0
+        if one:
+            blocks, C, scale = [blocks], [C], [scale]
+        self.blocks = [int(n) for n in blocks]
+        self.C = [np.asarray(c, dtype=float) for c in C]
+        b = np.asarray(b, dtype=float)
+        self.trace_bound = float(trace_bound)
+        scale = [None] * len(self.blocks) if scale is None else scale
+        if not self.blocks or min(self.blocks) < 1:
+            raise ValueError("block sizes must be positive")
+        if not (len(self.C) == len(scale) == len(self.blocks) and len(rows) == len(b) > 0):
+            raise ValueError("need one objective block and scale per block, and one b per row")
+        if not (all(np.isfinite(c).all() for c in self.C) and np.isfinite(b).all()):
+            raise ValueError("objective blocks and right-hand sides must be finite")
+        if not (math.isfinite(self.trace_bound) and self.trace_bound > 0):
+            raise ValueError(f"trace bound must be positive and finite, got {trace_bound}")
+        ss = []
+        for n, c, s in zip(self.blocks, self.C, scale):
+            if c.shape != (n, n) or not np.allclose(c, c.T, atol=1e-12 * max(1.0, np.abs(c).max())):
+                raise ValueError(f"objective blocks must be symmetric and {n} x {n}")
+            s = np.ones(n) if s is None else np.asarray(s, dtype=float)
+            if s.shape != (n,) or not (np.isfinite(s).all() and (s > 0).all()):
+                raise ValueError(f"scale must be {n} finite positive numbers")
+            ss.append(np.outer(s, s).ravel())
+        self._ss = np.concatenate(ss)
+        self._ends = np.cumsum([n * n for n in self.blocks])
         self.keys = list(classes)
-        labels = np.full((size, size), -1)
-        for k, pos in enumerate(classes.values()):
-            i, j = np.asarray(pos).T
-            labels[i, j] = k
-            labels[j, i] = k
-        if sum(len(pos) for pos in classes.values()) != size * (size + 1) // 2 or (labels < 0).any():
-            raise ValueError("classes must cover every upper-triangle position exactly once")
-        self._labels = labels
+        self._labels = self._label(classes.values(), 2 if one else 3)
         # <E_c, E_c> for the scaled class direction E_c = ss * [class c]
-        self._weights = self.class_sums(self._ss * self._ss)
-        self._first = np.unique(labels, return_index=True)[1]
+        self._weights = self._sums(self._ss * self._ss)
+        self._first = np.unique(self._labels, return_index=True)[1]
         col = {key: k for k, key in enumerate(self.keys)}
-        self.R = np.zeros((len(rows), len(self.keys)))
+        R = np.zeros((len(rows), len(self.keys)))
         for r, row in enumerate(rows):
             for key, c in row.items():
-                self.R[r, col[key]] += c
-        self._chol = sla.cho_factor((self.R / self._weights) @ self.R.T)
-        self._potrs, = sla.get_lapack_funcs(("potrs",), (self._chol[0],))
+                if key not in col:
+                    raise ValueError(f"row {r} names {key!r}, which is not a class")
+                R[r, col[key]] += c
+        gram = (R / self._weights) @ R.T
+        potrf, self._potrs = sla.get_lapack_funcs(("potrf", "potrs"), (gram,))
+        # the upper Cholesky factor of the Gram matrix of the rows kept
+        self._chol, info = potrf(gram)
+        if info or (np.diag(self._chol) ** 2 <= DEPENDENT * np.diag(gram)).any():
+            keep, self._chol = _independent_rows(gram, b)
+            R, b = R[keep], b[keep]
+        self.R, self.b, self.m, self.svec_dim = R, b, len(b), len(self.keys)
 
-    def class_sums(self, M: np.ndarray) -> np.ndarray:
-        """The sum of M over each class's positions, in key order."""
-        return np.bincount(self._labels.ravel(), weights=M.ravel(), minlength=len(self.keys))
+    def _label(self, classes, width):
+        """Each position's class index, over the blocks raveled end to end."""
+        counts = [len(pos) for pos in classes]
+        pos = np.array(list(itertools.chain.from_iterable(classes)), dtype=np.intp).reshape(-1, width)
+        blk, i, j = (0 * pos[:, 0], *pos.T) if width == 2 else pos.T
+        # a block past the end of the list has size 0, so it holds no position
+        n = np.array(self.blocks + [0])[np.minimum(blk, len(self.blocks))]
+        if (pos < 0).any() or (np.maximum(i, j) >= n).any():
+            raise ValueError("a class names a position outside the blocks")
+        labels = np.full(self._ends[-1], -1)
+        start = self._ends[blk] - n * n
+        labels[start + i * n + j] = labels[start + j * n + i] = np.repeat(np.arange(len(counts)), counts)
+        if len(pos) != sum(n * (n + 1) // 2 for n in self.blocks) or (labels < 0).any() or 0 in counts:
+            raise ValueError("classes must cover every upper-triangle position exactly once")
+        return labels
 
-    def values(self, X: np.ndarray) -> dict:
-        """The class values of M for an X of the program's form, by key."""
-        return dict(zip(self.keys, (X / self._ss).ravel()[self._first].tolist()))
+    def _sums(self, flat: np.ndarray) -> np.ndarray:
+        return np.bincount(self._labels, weights=flat, minlength=len(self.keys))
+
+    def _split(self, flat: np.ndarray) -> list:
+        """The blocks of a vector raveled like :meth:`_label`'s labels."""
+        if len(self.blocks) == 1:
+            return [flat.reshape(self.blocks[0], -1)]
+        return [x.reshape(n, n) for x, n in zip(np.split(flat, self._ends[:-1]), self.blocks)]
+
+    def class_sums(self, *mats) -> np.ndarray:
+        """The sum of the blocks ``mats`` over each class's positions, in key order."""
+        return self._sums(_ravel(mats))
+
+    def values(self, *X) -> dict:
+        """The class values of M for the blocks X of the program's form, by key."""
+        return dict(zip(self.keys, (_ravel(X) / self._ss)[self._first].tolist()))
 
     def project(self, V):
-        """Orthogonal projection of V onto the matrices ``ss * m[labels]``
-        whose class values m satisfy ``R m = b``, as ``(X, w)``: the
-        least-squares class values minus the correction ``R^T w``."""
-        mean = self.class_sums(self._ss * V[0]) / self._weights
-        c, lower = self._chol
-        w, info = self._potrs(c, self.R @ mean - self.b, lower=lower, overwrite_b=True)
+        """Orthogonal projection of V onto the blocks ``ss * m[labels]`` whose
+        class values m satisfy ``R m = b``, as ``(X, w)``: the least-squares
+        class values minus the correction ``R^T w``."""
+        mean = self._sums(self._ss * _ravel(V)) / self._weights
+        w, info = self._potrs(self._chol, self.R @ mean - self.b, overwrite_b=True)
         if info:
             raise ValueError(f"illegal value in argument {-info} of potrs")
         m = mean - (self.R.T @ w) / self._weights
-        return [self._ss * m[self._labels]], w
+        return self._split(self._ss * m[self._labels]), w
 
     def dual_slack(self, sol):
         """The solver's slack S moved onto the dual affine set: dual
         feasibility asks only that ``<C + S, E_c>`` equal ``(R^T y)_c`` for
         every class, so S absorbs the difference along the E_c."""
-        S = sol.S[0]
-        fix = (self.R.T @ sol.y - self.class_sums(self._ss * (self.C[0] + S))) / self._weights
-        return [S + self._ss * fix[self._labels]]
+        S = _ravel(sol.S)
+        fix = (self.R.T @ sol.y - self._sums(self._ss * (_ravel(self.C) + S))) / self._weights
+        return self._split(S + self._ss * fix[self._labels])
+
+
+def _ravel(mats) -> np.ndarray:
+    return mats[0].ravel() if len(mats) == 1 else np.concatenate([m.ravel() for m in mats])
+
+
+def _independent_rows(gram: np.ndarray, b: np.ndarray):
+    """The rows, in order, that do not depend on earlier rows, and the upper
+    Cholesky factor of their Gram matrix, from the Gram matrix of all rows:
+    row k depends on earlier rows when its squared pivot in that factor would
+    be at most ``DEPENDENT * gram[k, k]``."""
+    U = np.zeros_like(gram)   # upper Cholesky factor of the kept rows' Gram matrix
+    keep = []
+    for k in range(len(b)):
+        n = len(keep)
+        x = sla.solve_triangular(U[:n, :n], gram[keep, k], trans="T")
+        pivot = gram[k, k] - x @ x
+        if pivot > DEPENDENT * gram[k, k]:
+            U[:n, n], U[n, n] = x, math.sqrt(pivot)
+            keep.append(k)
+            continue
+        a = sla.solve_triangular(U[:n, :n], x)   # row k = sum_i a_i (row keep[i])
+        if abs(b[k] - a @ b[keep]) > 1e-9 * max(1.0, abs(b[k]), np.abs(a) @ np.abs(b[keep])):
+            raise ValueError(f"row {k} depends on earlier rows, but not its right-hand side")
+        warnings.warn(f"dropping row {k}, a duplicate or combination of earlier rows")
+    if not keep:
+        raise ValueError("every row is identically zero")
+    return keep, np.asfortranarray(U[:len(keep), :len(keep)])
+
+
+class SdpProblem(MomentProgram):
+    """Block-diagonal standard-form SDP: the :class:`MomentProgram` with every
+    upper-triangle position its own class, keyed ``(block, i, j)``, i <= j.
+
+    Each constraint is a list of ``(block, i, j, c)`` entries, each adding
+    ``c * X[i, j]`` of that block to the constraint functional, with the
+    scalar b.  Entries at ``(i, j)`` and ``(j, i)`` both count, so a symmetric
+    A enters as ``A[i, i]`` and as ``2 * A[i, j]`` once per pair ``i < j``.
+    Rows in general form imply no ``trace_bound``, so the caller states it.
+    """
+
+    def __init__(self, blocks, C, constraints, b, *, trace_bound):
+        blocks = [int(n) for n in blocks]
+        classes = {(k, i, j): [(k, i, j)] for k, n in enumerate(blocks)
+                   for i in range(n) for j in range(i, n)}
+        rows = [collections.defaultdict(float) for _ in constraints]
+        for row, entries in zip(rows, constraints):
+            for blk, i, j, c in entries:
+                row[blk, min(i, j), max(i, j)] += c
+        super().__init__(blocks, classes, C, rows, b, trace_bound=trace_bound)
 
 
 @dataclass
@@ -308,7 +252,8 @@ def _norm(mats) -> float:
 
 def solve_sdp(problem, opts: SolveOptions | None = None) -> SdpSolution:
     """Douglas-Rachford splitting between ``problem.project`` and the PSD
-    cone, for an :class:`SdpProblem` or a :class:`MomentProgram`.
+    cone, for a :class:`MomentProgram` (an :class:`SdpProblem` included) or any
+    problem with the attributes that the module docstring lists.
 
     X is the affine iterate, Z its PSD partner and U the scaled multiplier of
     X = Z; the penalty rho moves by factors of two every ``ADAPT_EVERY``
@@ -346,8 +291,9 @@ def solve_sdp(problem, opts: SolveOptions | None = None) -> SdpSolution:
         if not rho * _norm(U) <= 1e12:
             status = "infeasible-suspected"
             break
-        # S - dual_slack = rho * scale * (Z - Z_old) for rows (a MomentProgram
-        # moves S less), so rd bounds the dual infeasibility the result reports
+        # S - dual_slack = rho * scale * (Z - Z_old) when every position is its
+        # own class (coarser classes move S less), so rd bounds the dual
+        # infeasibility the result reports
         rp = _norm([x - z for x, z in zip(X, Z)]) / (1.0 + nx)
         rd = rho * scale * _norm([z - zo for z, zo in zip(Z, Z_old)]) / (1.0 + norm_c)
         pobj, dobj = scale * _inner(C, X), scale * float(P.b @ y)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OperatorInstance
-from .linalg import sym_eig
+from .linalg import image_basis, sym_eig
 from .oracles import norm_2_to_q_lower
 
 __all__ = [
@@ -356,15 +356,13 @@ def subexp_decide(instance: OperatorInstance, q: int, c: float, C: float,
     if not 1.0 < c < C:
         raise ValueError("need 1 < c < C")
     sigma = instance.sigma_min_nonzero()
-    rows = instance.quadratic_rows()
-    svd_u, svd_s, _ = np.linalg.svd(rows, full_matrices=False)
-    rank = int(np.sum(svd_s > 1e-10 * max(svd_s[0], 1e-300)))
+    u = image_basis(instance.quadratic_rows())
+    rank = u.shape[1]
     n_out = instance.m
     if sigma > c:
         return SubexpVerdict("LARGE", "gate", None, sigma, rank, c, C, 0, restart_cap)
     if rank > C**2 * n_out ** (2.0 / q):
         return SubexpVerdict("LARGE", "gate", None, sigma, rank, c, C, 0, restart_cap)
-    u = svd_u[:, :rank]
     restarts = int(min(2**rank, restart_cap))
     ora = norm_2_to_q_lower(subspace_instance(u, q), q, restarts=restarts, seed=seed)
     value = ora.value

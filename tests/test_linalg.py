@@ -9,6 +9,7 @@ from hypernorm import linalg
 from hypernorm.core import TensorShape
 from hypernorm.linalg import (
     compose_perms,
+    image_basis,
     kron,
     partial_trace,
     partial_transpose,
@@ -69,6 +70,16 @@ def with_spectrum(w, rng, complex_=False):
     q, _ = np.linalg.qr(g)
     m = (q * w) @ q.conj().T
     return (m + m.conj().T) / 2
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_image_basis_spans_the_image(rng, scale):
+    a = scale * rng.normal(size=(7, 2)) @ rng.normal(size=(2, 5))
+    u = image_basis(a)
+    assert u.shape == (7, 2)
+    assert np.allclose(u.T @ u, np.eye(2), rtol=0, atol=1e-12)
+    assert np.allclose(u @ (u.T @ a), a, rtol=0, atol=1e-12 * scale)
+    assert image_basis(np.zeros((3, 4))).shape == (3, 0)
 
 
 class TestPsdProject:

@@ -53,7 +53,7 @@ class TestSolve:
             p, _ = random_bounded(seed)
             sol = solve_sdp(p, SolveOptions(tol=1e-8))
             assert sol.status == "optimal"
-            slack = p.operator(sol.y)[0] - p.C[0]
+            slack = p.dual_slack(sol)[0]
             comp = abs(np.sum(sol.X[0] * slack))
             scale = max(1.0, abs(sol.primal_obj))
             assert comp <= 10 * 1e-8 * scale * 10
@@ -121,17 +121,9 @@ class TestEntryContract:
                 cons.append(entries)
             p = SdpProblem([n], [np.eye(n)], cons, [0.0] * len(cons), trace_bound=1.0)
             assert p.m == len(cons)
-            got = p.constraint_values([x])
+            got = p.R @ np.array(list(p.values(x).values()))
             want = np.array([sum(c * x[i, j] for _, i, j, c in entries) for entries in cons])
             assert np.allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
-
-    def test_off_diagonal_coefficient_is_half_sqrt2(self):
-        rng = np.random.default_rng(12)
-        coeffs = rng.normal(size=6)
-        cons = [[(0, 0, 0, 1.0)]] + [[(0, 0, 1 + k % 3, float(c))] for k, c in enumerate(coeffs)]
-        p = SdpProblem([4], [np.eye(4)], cons, [1.0] + [0.0] * len(coeffs), trace_bound=1.0)
-        data = p.A.tocsr()[1:].data
-        assert np.array_equal(data, (coeffs / 2.0) * np.sqrt(2.0))
 
 
 @pytest.mark.parametrize("bad", [{"tol": 0.0}, {"tol": -1e-8}, {"tol": float("nan")},
@@ -170,6 +162,128 @@ def test_rejects_bad_trace_bound(build, trace_bound):
 def test_rejects_nonfinite_objective_or_rhs(build, bad):
     with pytest.raises(ValueError, match="finite"):
         build(**bad)
+
+
+def rows_with(entry):
+    """A row program over blocks of sizes 2 and 3 whose one constraint is ``entry``."""
+    return SdpProblem([2, 3], [np.eye(2), np.eye(3)], [[entry]], [1.0], trace_bound=1.0)
+
+
+def classes_with(pos):
+    """A class program whose last class is ``pos``: (i, j) in one block of size 2, or
+    (block, i, j) in two blocks of size 1."""
+    if len(pos) == 2:
+        return MomentProgram(2, {0: [(0, 0)], 1: [(0, 1)], 2: [pos]}, np.eye(2), [{0: 1.0}], [1.0],
+                             trace_bound=1.0)
+    return MomentProgram([1, 1], {0: [(0, 0, 0)], 1: [pos]}, [np.eye(1)] * 2, [{0: 1.0}], [1.0], trace_bound=1.0)
+
+
+@pytest.mark.parametrize("build, good, bad", [
+    (rows_with, (1, 0, 0, 1.0), (-1, 0, 0, 1.0)), (rows_with, (1, 0, 0, 1.0), (2, 0, 0, 1.0)),
+    (rows_with, (1, 2, 0, 1.0), (1, -1, 0, 1.0)), (rows_with, (1, 2, 0, 1.0), (1, 3, 0, 1.0)),
+    (classes_with, (1, 1), (-1, -1)), (classes_with, (1, 1), (2, 2)),
+    (classes_with, (1, 0, 0), (-1, 0, 0)), (classes_with, (1, 0, 0), (2, 0, 0)),
+], ids=["rows-block-negative", "rows-block-too-large", "rows-position-negative", "rows-position-too-large",
+        "classes-position-negative", "classes-position-too-large", "classes-block-negative",
+        "classes-block-too-large"])
+def test_rejects_out_of_range_indices(build, good, bad):
+    build(good)
+    with pytest.raises(ValueError):
+        build(bad)
+
+
+def test_counts_rows_and_classes():
+    with pytest.warns(UserWarning, match="duplicate"):
+        p = SdpProblem([2, 3], [np.eye(2), np.eye(3)],
+                       [[(0, 0, 0, 1.0)], [(1, 2, 1, 1.0)], [(0, 0, 0, 1.0)]], [1.0, 0.0, 1.0], trace_bound=1.0)
+    assert (p.m, p.svec_dim) == (2, 3 + 6)
+
+
+# r1: tr X = 1; r2: X00 - X22 + X01 = -0.1 (both hold at diag(0.3, 0.3, 0.4)); r3 = r1 + r2
+DEPENDENT_C = np.array([[1.0, 0.2, -0.3], [0.2, 0.5, 0.4], [-0.3, 0.4, 0.8]])
+ROW_ENTRIES = [[(0, i, i, 1.0) for i in range(3)], [(0, 0, 0, 1.0), (0, 2, 2, -1.0), (0, 0, 1, 1.0)]]
+CLASS_ROWS = [{"d01": 2.0, "d2": 1.0}, {"d01": 1.0, "d2": -1.0, "o01": 1.0}]
+
+
+def dependent_rows_program(extra):
+    """The program above in row form, with the third row r1 + r2 when
+    ``extra`` gives its right-hand side."""
+    cons, b = list(ROW_ENTRIES), [1.0, -0.1]
+    if extra is not None:
+        cons, b = cons + [ROW_ENTRIES[0] + ROW_ENTRIES[1]], b + [extra]
+    return SdpProblem([3], [DEPENDENT_C], cons, b, trace_bound=1.0)
+
+
+def dependent_classes_program(extra):
+    """The same over classes: X00 = X11, X02 = X12."""
+    classes = {"d01": [(0, 0), (1, 1)], "d2": [(2, 2)], "o01": [(0, 1)], "o02": [(0, 2), (1, 2)]}
+    rows, b = list(CLASS_ROWS), [1.0, -0.1]
+    if extra is not None:
+        rows, b = rows + [{"d01": 3.0, "d2": 0.0, "o01": 1.0}], b + [extra]
+    return MomentProgram(3, classes, DEPENDENT_C, rows, b, trace_bound=1.0)
+
+
+@pytest.mark.parametrize("build", [dependent_rows_program, dependent_classes_program],
+                         ids=["SdpProblem", "MomentProgram"])
+def test_dependent_rows(build):
+    with pytest.warns(UserWarning, match="row 2"):
+        p = build(0.9)
+    assert p.m == 2
+    opts = SolveOptions(tol=1e-9)
+    got, want = solve_sdp(p, opts), solve_sdp(build(None), opts)
+    assert got.status == want.status == "optimal"
+    assert abs(got.primal_obj - want.primal_obj) <= 1e-9
+    assert abs(got.bound - want.bound) <= 1e-9
+    with pytest.raises(ValueError, match="right-hand side"):
+        build(1.4)
+
+
+class TestSeveralBlocks:
+    """Block 1 is a scaled copy of block 0: one class per position pair, over
+    both blocks.  The value is lambda_max(C_0 + ss * C_1)."""
+
+    n = 4
+
+    def program(self):
+        rng = np.random.default_rng(5)
+        c0, c1 = (rng.normal(size=(self.n, self.n)) for _ in range(2))
+        c0, c1 = (c0 + c0.T) / 2, (c1 + c1.T) / 2
+        s = rng.uniform(0.5, 2.0, size=self.n)
+        classes = {(i, j): [(0, i, j), (1, i, j)] for i in range(self.n) for j in range(i, self.n)}
+        p = MomentProgram([self.n, self.n], classes, [c0, c1], [{(i, i): 1.0 for i in range(self.n)}], [1.0],
+                          trace_bound=1.0 + float(np.max(s)) ** 2, scale=[None, s])
+        return p, np.outer(s, s)
+
+    def test_projection_and_dual_slack_contract(self):
+        p, ss = self.program()
+        rng = np.random.default_rng(6)
+        V = [rng.normal(size=(self.n, self.n)) for _ in range(2)]
+        V = [(v + v.T) / 2 for v in V]
+        X, _ = p.project(V)
+        assert np.allclose(X[1], ss * X[0], rtol=0, atol=1e-15)
+        assert abs(np.trace(X[0]) - 1.0) <= 1e-14
+        vals = p.values(*X)
+        assert all(vals[(i, j)] == X[0][i, j] for i, j in vals)
+        X2, _ = p.project(X)
+        assert all(np.allclose(a, b, rtol=0, atol=1e-14) for a, b in zip(X, X2))
+        sol = SimpleNamespace(S=[(v + v.T) / 2 for v in (rng.normal(size=(self.n, self.n)) for _ in range(2))],
+                              y=rng.normal(size=1))
+        S = p.dual_slack(sol)
+        sums = p.class_sums(p.C[0] + S[0], ss * (p.C[1] + S[1]))
+        assert np.allclose(sums, p.R.T @ sol.y, rtol=0, atol=1e-12)
+
+    def test_agrees_with_row_form(self):
+        moment, ss = self.program()
+        n = self.n
+        ties = [[(1, i, j, 1.0), (0, i, j, -ss[i, j])] for i in range(n) for j in range(i, n)]
+        rows = SdpProblem([n, n], moment.C, [[(0, i, i, 1.0) for i in range(n)]] + ties, [1.0] + [0.0] * len(ties),
+                          trace_bound=moment.trace_bound)
+        lam = float(np.linalg.eigvalsh(moment.C[0] + ss * moment.C[1])[-1])
+        for p in (moment, rows):
+            sol = solve_sdp(p, SolveOptions(tol=1e-9))
+            assert sol.status == "optimal"
+            assert abs(sol.primal_obj - lam) <= 1e-6 * max(1.0, abs(lam))
+            assert sol.bound >= lam - 1e-9
 
 
 def random_moment_program(seed, size=7, nclasses=9, nrows=3, scale=None):
