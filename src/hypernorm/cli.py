@@ -100,7 +100,8 @@ def _cmd_quantum_hsep(args):
     na = args.na or side
     nb = m.shape[0] // na
     res = h_sep_lower(m, (na, nb), restarts=args.restarts, seed=args.seed)
-    return {"value": res.value, "dims": [na, nb]}, 0
+    return {"value": res.value, "dims": [na, nb],
+            "starts": res.trace["starts"], "steps": res.trace["steps"]}, 0
 
 
 def _cmd_quantum_dps(args):

@@ -5,7 +5,9 @@ and the separability support function h_Sep via seesaw alternation.
 Every oracle re-evaluates its witness before returning, so the reported value
 is exactly the objective at the returned feasible point.  Restarts draw their
 own seeds from the caller's seed plus the restart index, which makes results
-reproducible and monotone in the restart budget.
+reproducible and monotone in the restart budget up to rounding: the batched
+loops use matrix products whose rounding may change with the batch size, so a
+larger budget can report a value a few ulps lower.
 """
 
 from __future__ import annotations
@@ -149,6 +151,13 @@ def _power_ascent(objective, x, iters=300, rtol=1e-14):
     return x, val, steps
 
 
+def _best_start(vals):
+    """The first start of the largest value, and how many starts beat every
+    earlier one."""
+    running = np.maximum.accumulate(vals)
+    return int(np.argmax(vals)), 1 + int(np.count_nonzero(running[1:] > running[:-1]))
+
+
 def _linesearch_polish(fun, grad, x, iters=60):
     """Projected gradient on the sphere with doubling/halving step search."""
     val = fun(x)
@@ -243,11 +252,7 @@ def norm_2_to_q_lower(instance: OperatorInstance, q: int = 4, restarts: int = 64
         top = np.argsort(vals)[::-1][:8]
         starts = [grid[i] for i in top] + starts
     xs, vals, steps = _power_ascent(objective, np.stack(starts, axis=1))
-    best, improvements = -np.inf, 0
-    for s, val in enumerate(vals):
-        if val > best:
-            best_s, best = s, val
-            improvements += 1
+    best_s, improvements = _best_start(vals)
 
     on_rows = _PowerObjective(rows, 1, q)
 
@@ -282,6 +287,8 @@ def inj_sym4_lower(t: np.ndarray, restarts: int = 64, seed: int = 0) -> OracleRe
     makes P PSD; being index-symmetric too, P makes each step monotone (the
     fixed-shift power method of Kolda and Mayo).  The best point is polished.
     """
+    if restarts < 1:
+        raise ValueError("need at least one restart")
     t = np.asarray(t, dtype=float)
     if t.ndim != 4 or len(set(t.shape)) != 1:
         raise ValueError("expected an n x n x n x n tensor")
@@ -331,6 +338,8 @@ def inj_sym4_lower(t: np.ndarray, restarts: int = 64, seed: int = 0) -> OracleRe
 
 def inj3_lower(t: np.ndarray, restarts: int = 64, seed: int = 0) -> OracleResult:
     """Lower bound on the injective norm of a 3-tensor by alternating maximization."""
+    if restarts < 1:
+        raise ValueError("need at least one restart")
     t = np.asarray(t, dtype=float)
     if t.ndim != 3:
         raise ValueError("expected a 3-tensor")
@@ -357,13 +366,50 @@ def inj3_lower(t: np.ndarray, restarts: int = 64, seed: int = 0) -> OracleResult
     return OracleResult(value, best_w, restarts)
 
 
-def _contract_left(m4, y):
-    # <x (x) y, M (x (x) y)> as a quadratic form in x
-    return np.einsum("ajbl,j,l->ab", m4, y.conj(), y)
+def _bloch_grid(cplx, k=8):
+    """Unit vectors of C^2 (R^2 when not cplx) on a Bloch-sphere grid: k polar
+    angles, slowest, times k azimuths (0 and pi for real states), as rows."""
+    phis = np.linspace(0, 2 * np.pi, k, endpoint=False) if cplx else np.array([0.0, np.pi])
+    theta = np.repeat(np.linspace(0, np.pi, k), len(phis))
+    phase = np.exp(1j * np.tile(phis, k)) if cplx else np.cos(np.tile(phis, k))
+    return np.stack([np.cos(theta / 2), phase * np.sin(theta / 2)], axis=1)
 
 
-def _contract_right(m4, x):
-    return np.einsum("ajbl,a,b->jl", m4, x.conj(), x)
+def _outer_rows(z):
+    """Row s is conj(z_s) (x) z_s, so that <z, A z> = outer . vec(A)."""
+    return (z.conj()[:, :, None] * z[:, None, :]).reshape(z.shape[0], z.shape[1] ** 2)
+
+
+def _seesaw(pair, x, y, iters=300, rtol=1e-14):
+    """Seesaw on every row of x (S, na) and y (S, nb) at once.
+
+    pair[(a, b), (j, l)] = H[(a, j), (b, l)] for a Hermitian H.  The rows
+    conj(y) (x) y times pair^T are the na x na operators H contracted with y
+    on the second factor, and conj(x) (x) x times pair those contracted with x
+    on the first.  Each step sets x, then y, to the top eigenvector of its
+    operator (one product and one stacked eigh per half-step); the top
+    eigenvalue after the y half-step is <x (x) y, H x (x) y>, the step's value.
+    A row stops when a step gains no more than rtol relative, or after iters
+    steps, and leaves the active set.  Returns the final points, their values
+    and the steps each row took.
+    """
+    x, y = x.copy(), y.copy()
+    na, nb = x.shape[1], y.shape[1]
+    oy = _outer_rows(y)
+    val = np.real(np.sum((_outer_rows(x) @ pair) * oy, axis=1))
+    steps = np.zeros(x.shape[0], dtype=int)
+    active = np.arange(x.shape[0])
+    for _ in range(iters):
+        if active.size == 0:
+            break
+        x_new = np.linalg.eigh((oy @ pair.T).reshape(-1, na, na))[1][:, :, -1]
+        w, v = np.linalg.eigh((_outer_rows(x_new) @ pair).reshape(-1, nb, nb))
+        y_new, new = v[:, :, -1], w[:, -1]
+        go_on = new - val[active] > rtol * np.maximum(1.0, np.abs(new))
+        x[active], y[active], val[active] = x_new, y_new, new
+        steps[active] += 1
+        active, oy = active[go_on], _outer_rows(y_new[go_on])
+    return x, y, val, steps
 
 
 def h_sep_lower(m: np.ndarray, dims: tuple[int, int], restarts: int = 64, seed: int = 0,
@@ -371,10 +417,18 @@ def h_sep_lower(m: np.ndarray, dims: tuple[int, int], restarts: int = 64, seed: 
     """Lower bound on max <x (x) y, M (x (x) y)> over unit x, y, by seesaw.
 
     Each half-step replaces one factor by the top eigenvector of the operator
-    obtained by contracting the other factor, so the value never decreases.
-    For 2x2 problems a coarse product-state grid seeds the polish pass.
-    psd_tol and the stop rule are relative to the largest entry of M.
+    obtained by contracting the other factor, so the value never decreases;
+    the top eigenvalue after the y half-step is the value itself.  All starts
+    run as one batched seesaw (see :func:`_seesaw`): one matrix product and one
+    stacked eigh per half-step.  The starts are ``restarts`` random product
+    states and, for 2x2 problems, the products of a Bloch-sphere grid with a
+    third of it.  psd_tol and the stop rule are relative to the largest entry
+    of M; the best witness is re-evaluated on M as given.  The trace gives
+    ``starts``, ``improving_starts`` (starts that beat every earlier one) and
+    ``steps`` (seesaw steps over all starts).
     """
+    if restarts < 1:
+        raise ValueError("need at least one restart")
     na, nb = dims
     m = np.asarray(m)
     if m.shape != (na * nb, na * nb):
@@ -384,59 +438,33 @@ def h_sep_lower(m: np.ndarray, dims: tuple[int, int], restarts: int = 64, seed: 
     if na * nb > dim_limit:
         raise ValueError(f"dimension {na * nb} exceeds limit {dim_limit}")
     ms, exp = _pow2_scaled(m)
-    lam_min = float(np.linalg.eigvalsh((ms + ms.conj().T) / 2.0)[0])
+    hs = (ms + ms.conj().T) / 2.0
+    lam_min = float(np.linalg.eigvalsh(hs)[0])
     if lam_min < -psd_tol:
         raise ValueError(f"matrix is not PSD within tolerance (min eig {np.ldexp(lam_min, exp):.3e})")
-    m4 = ms.reshape(na, nb, na, nb)
     cplx = np.iscomplexobj(m)
 
-    def value(mat, x, y):
-        v = np.kron(x, y)
-        return float(np.real(np.vdot(v, mat @ v)))
-
-    def seesaw(x, y, iters=300):
-        val = value(ms, x, y)
-        for _ in range(iters):
-            mx = _contract_left(m4, y)
-            w, v = np.linalg.eigh((mx + mx.conj().T) / 2.0)
-            x = v[:, -1]
-            my = _contract_right(m4, x)
-            w, v = np.linalg.eigh((my + my.conj().T) / 2.0)
-            y = v[:, -1]
-            new = value(ms, x, y)
-            if new - val <= 1e-14 * max(1.0, abs(new)):
-                return x, y, new
-            val = new
-        return x, y, val
-
-    starts = []
+    xs, ys = [], []
     for r in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
         x = rng.normal(size=na) + (1j * rng.normal(size=na) if cplx else 0.0)
         y = rng.normal(size=nb) + (1j * rng.normal(size=nb) if cplx else 0.0)
-        starts.append((_unit(x), _unit(y)))
+        xs.append(_unit(x))
+        ys.append(_unit(y))
+    xs, ys = np.array(xs), np.array(ys)
     if na == 2 and nb == 2:
-        for xa in _bloch_grid(cplx):
-            for yb in _bloch_grid(cplx)[::3]:
-                starts.append((xa, yb))
+        grid = _bloch_grid(cplx)
+        sub = grid[::3]
+        xs = np.concatenate([xs, np.repeat(grid, len(sub), axis=0)])
+        ys = np.concatenate([ys, np.tile(sub, (len(grid), 1))])
 
-    best, best_w = -np.inf, None
-    for x0, y0 in starts:
-        x, y, val = seesaw(x0, y0)
-        if val > best:
-            best, best_w = val, (x, y)
-    x, y = best_w
-    return OracleResult(value(m, x, y), (x, y), restarts)
-
-
-def _bloch_grid(cplx, k=8):
-    out = []
-    for theta in np.linspace(0, np.pi, k):
-        phis = np.linspace(0, 2 * np.pi, k, endpoint=False) if cplx else [0.0, np.pi]
-        for phi in phis:
-            out.append(np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
-                       if cplx else np.array([np.cos(theta / 2), np.cos(phi) * np.sin(theta / 2)]))
-    return out
+    pair = hs.reshape(na, nb, na, nb).transpose(0, 2, 1, 3).reshape(na * na, nb * nb)
+    xs, ys, vals, steps = _seesaw(pair, xs, ys)
+    best_s, improvements = _best_start(vals)
+    x, y = xs[best_s], ys[best_s]
+    v = np.kron(x, y)
+    trace = {"starts": len(vals), "improving_starts": improvements, "steps": int(steps.sum())}
+    return OracleResult(float(np.real(np.vdot(v, m @ v))), (x, y), restarts, trace=trace)
 
 
 def elementary_norms(instance: OperatorInstance) -> dict:

@@ -66,6 +66,15 @@ def test_quantum_hsep_phi(files, capsys):
     code, rep = run(["quantum", "hsep", "--in", str(files / "phi2.json")], capsys)
     assert code == 0
     assert abs(rep["results"]["value"] - 0.5) <= 1e-3
+    # 64 random starts plus the 16 x 6 real Bloch-grid products of a real 2x2 input
+    assert rep["results"]["starts"] == 64 + 16 * 6
+    assert rep["results"]["starts"] <= rep["results"]["steps"] <= 300 * rep["results"]["starts"]
+
+
+def test_quantum_hsep_no_restarts_exit_code(files, capsys):
+    code, rep = run(["quantum", "hsep", "--in", str(files / "phi2.json"), "--restarts", "0"], capsys)
+    assert code == 2
+    assert "restart" in rep["error"]
 
 
 def test_quantum_dps_and_hext(files, capsys):

@@ -15,7 +15,7 @@ from hypernorm.oracles import (
     norm_2_to_q_lower,
 )
 from hypernorm.oracles import _PowerObjective, _power_ascent, _starts
-from tests.conftest import phi_state
+from tests.conftest import phi_complex, phi_state
 
 
 def _ref_quartic_value(rows, x, q):
@@ -268,7 +268,117 @@ class TestInj3:
         assert abs(v3**2 - v24**4) <= 1e-7 * max(1.0, v24**4)
 
 
+def _ref_h_sep(m, dims, restarts, seed, iters=300):
+    """The sequential one-start seesaw that the batched one replaced, over the
+    same starts, kept as the reference."""
+    na, nb = dims
+    cplx = np.iscomplexobj(m)
+    ms = m / np.abs(m).max()
+    m4 = ms.reshape(na, nb, na, nb)
+
+    def value(mat, x, y):
+        v = np.kron(x, y)
+        return float(np.real(np.vdot(v, mat @ v)))
+
+    def top(h):
+        return np.linalg.eigh((h + h.conj().T) / 2.0)[1][:, -1]
+
+    starts = []
+    for r in range(restarts):
+        g = np.random.default_rng(np.random.SeedSequence([seed, r]))
+        x = g.normal(size=na) + (1j * g.normal(size=na) if cplx else 0.0)
+        y = g.normal(size=nb) + (1j * g.normal(size=nb) if cplx else 0.0)
+        starts.append((x / np.linalg.norm(x), y / np.linalg.norm(y)))
+    if dims == (2, 2):
+        bloch = [np.array([np.cos(t / 2), np.exp(1j * p) * np.sin(t / 2)]) if cplx
+                 else np.array([np.cos(t / 2), np.cos(p) * np.sin(t / 2)])
+                 for t in np.linspace(0, np.pi, 8)
+                 for p in (np.linspace(0, 2 * np.pi, 8, endpoint=False) if cplx else [0.0, np.pi])]
+        starts += [(xa, yb) for xa in bloch for yb in bloch[::3]]
+    best, best_w = -np.inf, None
+    for x, y in starts:
+        val = value(ms, x, y)
+        for _ in range(iters):
+            x = top(np.einsum("ajbl,j,l->ab", m4, y.conj(), y))
+            y = top(np.einsum("ajbl,a,b->jl", m4, x.conj(), x))
+            new = value(ms, x, y)
+            stop, val = new - val <= 1e-14 * max(1.0, abs(new)), new
+            if stop:
+                break
+        if val > best:
+            best, best_w = val, (x, y)
+    return value(m, *best_w), len(starts)
+
+
+def _psd(rng, d, cplx=False):
+    g = rng.normal(size=(d, d)) + (1j * rng.normal(size=(d, d)) if cplx else 0.0)
+    return g @ g.conj().T / d
+
+
+HSEP_REF_CASES = {
+    "real-2x3": (lambda rng: _psd(rng, 6), (2, 3)),
+    "real-3x3": (lambda rng: _psd(rng, 9), (3, 3)),
+    "complex-2x2": (lambda rng: _psd(rng, 4, cplx=True), (2, 2)),
+    "phi2": (lambda rng: phi_complex(2), (2, 2)),
+    "phi3": (lambda rng: phi_complex(3), (3, 3)),
+}
+
+
 class TestHSep:
+    @pytest.mark.parametrize("name", sorted(HSEP_REF_CASES))
+    def test_batched_matches_sequential(self, name, rng):
+        make, dims = HSEP_REF_CASES[name]
+        m = make(rng)
+        res = h_sep_lower(m, dims, restarts=12, seed=3)
+        ref, n_starts = _ref_h_sep(m, dims, 12, 3)
+        assert res.value >= ref - 1e-12 * max(1.0, ref)
+        assert res.trace["starts"] == n_starts
+
+    def test_trace_keys(self, rng):
+        for dims, restarts, grid in (((2, 3), 8, 0), ((2, 2), 8, 16 * 6)):
+            res = h_sep_lower(_psd(rng, dims[0] * dims[1]), dims, restarts=restarts)
+            assert set(res.trace) == {"starts", "improving_starts", "steps"}
+            assert res.trace["starts"] == restarts + grid
+            assert res.trace["starts"] <= res.trace["steps"] <= 300 * res.trace["starts"]
+            assert 1 <= res.trace["improving_starts"] <= res.trace["starts"]
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_real_2x2_matches_dense_grid(self, k):
+        m = _psd(np.random.default_rng(100 + k), 4)
+        ang = np.linspace(0, np.pi, 512, endpoint=False)
+        units = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        prods = (units[:, None, :, None] * units[None, :, None, :]).reshape(-1, 4)
+        vals = np.einsum("si,ij,sj->s", prods, m, prods)
+
+        def neg(t):
+            v = np.kron([np.cos(t[0]), np.sin(t[0])], [np.cos(t[1]), np.sin(t[1])])
+            return -(v @ m @ v)
+
+        s = int(np.argmax(vals))
+        out = scipy.optimize.minimize(neg, [ang[s // 512], ang[s % 512]], method="Nelder-Mead",
+                                      options={"xatol": 1e-10, "fatol": 1e-14})
+        best = max(vals[s], -out.fun)
+        assert abs(h_sep_lower(m, (2, 2), restarts=8).value - best) <= 1e-6 * max(1.0, best)
+
+    @pytest.mark.parametrize("dims, cplx", [((3, 3), False), ((2, 3), True), ((3, 2), False)])
+    def test_monotone_in_restarts(self, rng, dims, cplx):
+        # 16 restarts run the 8 starts of the smaller budget and 8 more; only
+        # the rounding of the batched products may differ, by a few ulps
+        for _ in range(4):
+            m = _psd(rng, dims[0] * dims[1], cplx)
+            few = h_sep_lower(m, dims, restarts=8, seed=1).value
+            assert h_sep_lower(m, dims, restarts=16, seed=1).value >= few * (1 - 1e-14)
+
+    @pytest.mark.parametrize("call", [
+        lambda r: h_sep_lower(np.eye(9), (3, 3), restarts=r),
+        lambda r: inj3_lower(np.ones((2, 2, 2)), restarts=r),
+        lambda r: inj_sym4_lower(np.ones((2, 2, 2, 2)), restarts=r),
+    ], ids=["h_sep_lower", "inj3_lower", "inj_sym4_lower"])
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_rejects_no_restarts(self, call, restarts):
+        with pytest.raises(ValueError, match="need at least one restart"):
+            call(restarts)
+
     def test_identity(self):
         assert abs(h_sep_lower(np.eye(6).astype(complex), (2, 3), restarts=4).value - 1.0) <= 1e-9
 
