@@ -3,13 +3,21 @@
 ``dps_value(M, n, r, ppt=True)`` maximizes <M, tr_{3..r+1} sigma> over density
 operators sigma supported on (first system) (x) (r-fold symmetric subspace),
 optionally requiring every partial transpose of sigma to be PSD.  The
-symmetric subspace enters through the isometry L = I (x) W onto its
-coordinates, so the main PSD block X holds sigma in those coordinates.  PPT
-block k is the image T_k(X) = PT_k(L X L^T) of the main block.  L is an
-isometry and a partial transpose permutes entries, so T_k^T T_k = I, and the
-affine set {(X, T_1 X, ..., T_K X) : tr X = 1} has a closed-form projection:
-average block 0 with the pulled-back PPT blocks, shift the trace, push the
-result forward.  The dual slack is repaired the same way.
+symmetric subspace enters through the isometry L = I (x) W_r onto its
+coordinates (W_s = ``sym_isometry(s, n)``, W_0 = [[1]]), so the main PSD
+block X holds sigma in those coordinates.  PPT block k is the image
+T_k(X) = W_k^T PT_k(L X L^T) W_k of the main block, where PT_k transposes the
+first factor or not and the first s of the r extension factors, and
+W_k = I (x) W_s (x) W_(r-s).  PT_k(L X L^T) is unchanged by permutations
+among the transposed extension factors and among the others, so it equals
+Pi_k PT_k(L X L^T) Pi_k with Pi_k = W_k W_k^T: the block loses nothing by
+living on that support, and has size n * binom(n+s-1, s) *
+binom(n+r-s-1, r-s) instead of n^(r+1) (Gatermann-Parrilo 2004; Phi_3 at
+r=3: [30, 54, 54, 30] instead of [30, 81, 81, 81]).  L and W_k are
+isometries and a partial transpose permutes entries, so T_k^T T_k = I, and
+the affine set {(X, T_1 X, ..., T_K X) : tr X = 1} has a closed-form
+projection: average block 0 with the pulled-back PPT blocks, shift the
+trace, push the result forward.  The dual slack is repaired the same way.
 
 ``h_ext(M, n, r)`` is the eigenvalue relaxation without PPT: the top
 eigenvalue of M (x) I^(r-1) restricted to the extension subspace.
@@ -45,7 +53,9 @@ def _check_bipartite(m: np.ndarray, n: int):
 
 
 def _ppt_subsets(r: int):
-    """Nontrivial partial transposes up to complementation and B-permutations."""
+    """Nontrivial partial transposes up to complementation and B-permutations,
+    as factor lists: the first factor or not, then the first s of the r
+    extension factors."""
     seen = {(0, 0)}
     out = []
     for a in (0, 1):
@@ -69,18 +79,29 @@ def _unembed(s: np.ndarray) -> np.ndarray:
 class _LinkedBlocks:
     """The DPS program over blocks (X, T_1 X, ..., T_K X), all PSD.
 
-    Maximize <C_0, X> subject to tr X = b_0, with T_k(X) = PT_k(L X L^T) for
-    real inputs and T_k(X) = emb(PT_k(L unemb(X) L^T)) for complex ones.  On
-    the admissible X (every X for real inputs, the J-invariant X for complex
+    Maximize <C_0, X> subject to tr X = b_0, with
+    T_k(X) = W_k^T PT_k(L X L^T) W_k for real inputs and
+    T_k(X) = emb(W_k^T PT_k(L unemb(X) L^T) W_k) for complex ones.  On the
+    admissible X (every X for real inputs, the J-invariant X for complex
     ones) each T_k is a Frobenius isometry, so each block has trace b_0 and
     the trace bound of the whole program is b_0 (1 + K).
     """
 
-    def __init__(self, obj: np.ndarray, lift: np.ndarray, shape: TensorShape, subsets):
+    def __init__(self, obj: np.ndarray, lift: np.ndarray, n: int, r: int, subsets):
         self.complex = np.iscomplexobj(obj)
-        self.lift, self.shape, self.subsets = lift, shape, subsets
+        self.lift, self.subsets = lift, subsets
+        shape = TensorShape((n,) * (r + 1))
+        d = shape.total
+        # PT_k permutes the entries of a d x d matrix and is an involution, so
+        # one gather index serves it and its inverse
+        entries = np.arange(d * d).reshape(d, d)
+        self.gather = [partial_transpose(entries, shape, sub).ravel() for sub in subsets]
+        # sub is the first factor or not, then extension factors 1..t, so
+        # PT_k(L X L^T) lives on C^n (x) Sym^t (x) Sym^(r-t)
+        self.support = [kron(np.eye(n), sym_isometry(t, n), sym_isometry(r - t, n))
+                        for t in (len(sub) - (0 in sub) for sub in subsets)]
         e = 2 if self.complex else 1
-        self.blocks = [e * lift.shape[1]] + [e * lift.shape[0]] * len(subsets)
+        self.blocks = [e * lift.shape[1]] + [e * w.shape[1] for w in self.support]
         self.C = [real_embedding(obj) / 2.0 if self.complex else obj]
         self.C += [np.zeros((s, s)) for s in self.blocks[1:]]
         self.b = np.array([float(e)])
@@ -90,16 +111,22 @@ class _LinkedBlocks:
         """The nearest admissible block-0 matrix: (S - J S J)/2, or S itself."""
         return real_embedding(_unembed(s)) if self.complex else s
 
+    def _transpose(self, m: np.ndarray, k: int) -> np.ndarray:
+        """PT_k(m) for a full-size m, by the gather index."""
+        return m.ravel()[self.gather[k]].reshape(m.shape)
+
     def image(self, x: np.ndarray, k: int) -> np.ndarray:
         """T_k(x), the PPT block k that block 0 fixes."""
         h = _unembed(x) if self.complex else x
-        y = partial_transpose(self.lift @ h @ self.lift.T, self.shape, self.subsets[k])
+        w = self.support[k]
+        y = w.T @ self._transpose(self.lift @ h @ self.lift.T, k) @ w
         return real_embedding(y) if self.complex else y
 
     def coimage(self, v: np.ndarray, k: int) -> np.ndarray:
         """T_k^T(v), the adjoint of :meth:`image`."""
         g = _unembed(v) if self.complex else v
-        x = self.lift.T @ partial_transpose(g, self.shape, self.subsets[k]) @ self.lift
+        w = self.support[k]
+        x = self.lift.T @ self._transpose(w @ g @ w.T, k) @ self.lift
         return real_embedding(x) if self.complex else x
 
     def pull_back(self, mats) -> np.ndarray:
@@ -155,7 +182,7 @@ def _dps_program(m: np.ndarray, n: int, r: int, ppt: bool) -> _LinkedBlocks:
     _check_bipartite(m, n)
     complex_input = np.iscomplexobj(m) and np.linalg.norm(np.imag(m)) > 1e-13
     lift, obj = _compressed(m.astype(complex) if complex_input else np.real(m).astype(float), n, r)
-    return _LinkedBlocks(obj, lift, TensorShape((n,) * (r + 1)), _ppt_subsets(r) if ppt else [])
+    return _LinkedBlocks(obj, lift, n, r, _ppt_subsets(r) if ppt else [])
 
 
 def dps_value(m: np.ndarray, n: int, r: int = 1, ppt: bool = True,

@@ -1,6 +1,6 @@
 """Dense linear-algebra kernels: eigendecompositions, PSD projection,
-permutation operators on tensor powers, partial transpose/trace, and Gram
-factorization.
+permutation operators on tensor powers, the symmetric-subspace isometry,
+partial transposes and the complex-to-real embedding.
 
 All functions are pure; inputs are never mutated.  Tolerances are parameters
 with stated defaults rather than hidden constants.
@@ -23,11 +23,8 @@ __all__ = [
     "psd_project",
     "perm_operator",
     "apply_perm",
-    "compose_perms",
-    "sym_projector",
     "sym_isometry",
     "partial_transpose",
-    "partial_trace",
     "kron",
     "real_embedding",
     "reorder_factors",
@@ -119,22 +116,34 @@ def psd_project(m: np.ndarray, rank_hint: int | None = None,
     """
     m = np.asarray(m)
     _check_self_adjoint(m, sym_tol)
-    h = (m + m.conj().T) / 2.0
+    return _psd_project(m, rank_hint)
+
+
+def _conj_transpose(a: np.ndarray) -> np.ndarray:
+    return a.conj().T
+
+
+def _psd_project(m: np.ndarray, rank_hint: int | None = None) -> tuple[np.ndarray, int]:
+    """:func:`psd_project` of a square m that the caller has checked to be
+    finite and self-adjoint within tolerance.  The input and the output are
+    still symmetrized, so rounding in m does not reach the result."""
+    adj = _conj_transpose if np.iscomplexobj(m) else np.transpose
+    h = (m + adj(m)) / 2.0
     n = h.shape[0]
     subset = rank_hint is not None and n > 0   # the evr wrappers reject order 0
     if subset and SUBSET_RATIO * rank_hint <= n:
         w, v = _eig_interval(h, 0.0, np.inf)
-        out, k = (v * w) @ v.conj().T, w.size
+        out, k = (v * w) @ adj(v), w.size
     elif subset and SUBSET_RATIO * (n - rank_hint) <= n:
         w, v = _eig_interval(h, -np.inf, 0.0)
         k = n - w.size
-        out = h - (v * w) @ v.conj().T if k else np.zeros_like(h)
+        out = h - (v * w) @ adj(v) if k else np.zeros_like(h)
     else:
         w, v = np.linalg.eigh(h)
         first = np.searchsorted(w, 0.0, side="right")
         w, v = w[first:], v[:, first:]
-        out, k = (v * w) @ v.conj().T, w.size
-    return (out + out.conj().T) / 2.0, k
+        out, k = (v * w) @ adj(v), w.size
+    return (out + adj(out)) / 2.0, k
 
 
 def _check_perm(pi):
@@ -157,32 +166,12 @@ def apply_perm(pi, v: np.ndarray, n: int) -> np.ndarray:
 
 
 def perm_operator(pi, n: int) -> np.ndarray:
-    """Matrix of the operator permuting tensor factors according to ``pi``."""
+    """Matrix of the operator permuting tensor factors according to ``pi``:
+    column j is ``apply_perm(pi, e_j, n)``."""
     pi = _check_perm(pi)
     r = len(pi)
     dim = n**r
-    out = np.zeros((dim, dim))
-    eye = np.eye(dim)
-    for j in range(dim):
-        out[:, j] = apply_perm(pi, eye[:, j], n)
-    return out
-
-
-def compose_perms(pi, sigma):
-    """The permutation ``tau`` with ``perm_operator(tau) = perm_operator(pi) @ perm_operator(sigma)``."""
-    pi, sigma = _check_perm(pi), _check_perm(sigma)
-    return tuple(sigma[pi[k]] for k in range(len(pi)))
-
-
-def sym_projector(r: int, n: int) -> np.ndarray:
-    """Orthogonal projector onto the symmetric subspace of (F^n)^(x r)."""
-    if r < 1:
-        raise ValueError("tensor power must be >= 1")
-    dim = n**r
-    acc = np.zeros((dim, dim))
-    for pi in itertools.permutations(range(r)):
-        acc += perm_operator(pi, n)
-    return acc / math.factorial(r)
+    return np.eye(dim).reshape((n,) * r + (dim,)).transpose(pi + (r,)).reshape(dim, dim)
 
 
 def sym_isometry(r: int, n: int) -> np.ndarray:
@@ -222,19 +211,6 @@ def partial_transpose(x: np.ndarray, shape: TensorShape, subsystems) -> np.ndarr
     for s in subsystems:
         axes[s], axes[s + r] = axes[s + r], axes[s]
     return np.transpose(t, axes).reshape(shape.total, shape.total)
-
-
-def partial_trace(x: np.ndarray, shape: TensorShape, subsystems) -> np.ndarray:
-    """Trace out the tensor factors listed in ``subsystems`` (0-based)."""
-    r = shape.rank
-    subsystems = sorted(set(subsystems))
-    if any(s < 0 or s >= r for s in subsystems):
-        raise ValueError(f"subsystem out of range for rank-{r} shape: {subsystems}")
-    t = _as_two_sided_tensor(np.asarray(x), shape)
-    for k, s in enumerate(subsystems):
-        t = np.trace(t, axis1=s - k, axis2=s + r - 2 * k)
-    keep = int(np.prod([shape.dims[k] for k in range(r) if k not in subsystems]))
-    return t.reshape(keep, keep)
 
 
 def reorder_factors(x: np.ndarray, shape: TensorShape, order) -> np.ndarray:

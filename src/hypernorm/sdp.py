@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .linalg import psd_project
+from .linalg import SELF_ADJOINT_TOL, _check_self_adjoint, _psd_project
 
 __all__ = ["SdpProblem", "MomentProgram", "SdpSolution", "SolveOptions", "solve_sdp"]
 
@@ -242,14 +242,6 @@ class SdpSolution:
     bound: float
 
 
-def _inner(A, B) -> float:
-    return float(sum(np.vdot(a, b) for a, b in zip(A, B)))
-
-
-def _norm(mats) -> float:
-    return math.sqrt(_inner(mats, mats))
-
-
 def solve_sdp(problem, opts: SolveOptions | None = None) -> SdpSolution:
     """Douglas-Rachford splitting between ``problem.project`` and the PSD
     cone, for a :class:`MomentProgram` (an :class:`SdpProblem` included) or any
@@ -261,65 +253,88 @@ def solve_sdp(problem, opts: SolveOptions | None = None) -> SdpSolution:
     X + U.  While the last iteration's positive count of a block is small,
     only its positive eigenpairs are computed; while that count is close to
     the block size, only its negative ones.
+    The blocks of the first projection must be self-adjoint (ValueError
+    otherwise); the PSD steps then skip that check.
     Residuals in the result are recomputed from the returned point, and the
     result carries ``bound`` and ``slack_shift`` (see :class:`SdpSolution`),
     an upper bound on every feasible objective value whatever the status.
     """
     opts = opts or SolveOptions()
     P = problem
-    norm_c = _norm(P.C)
+    # Z, U and C/rho live on the blocks raveled end to end; a block is a view
+    ends = list(itertools.accumulate(n * n for n in P.blocks))
+    spans = [(e - n * n, e, (n, n)) for e, n in zip(ends, P.blocks)]
+
+    def split(flat: np.ndarray) -> list:
+        return [flat[a:e].reshape(shape) for a, e, shape in spans]
+
+    c_in = _ravel(P.C)
+    norm_c = math.sqrt(c_in @ c_in)
     scale = max(1.0, norm_c)
-    C = [Cb / scale for Cb in P.C]
+    c = c_in / scale
     rho = 1.0
-    C_rho = C   # C / rho, rebuilt only when rho changes
-    Z = [np.zeros_like(Cb) for Cb in C]
-    U = [np.zeros_like(Cb) for Cb in C]
-    ranks = [None] * len(C)   # each block's positive count at the last PSD step
+    c_rho = c   # C / rho, rebuilt only when rho changes
+    z = np.zeros_like(c)
+    u = np.zeros_like(c)
+    ranks = [None] * len(P.blocks)   # each block's positive count at the last PSD step
     status = "max-iter"
     it = 0
     for it in range(1, opts.max_iter + 1):
-        X, w = P.project([z - u + c for z, u, c in zip(Z, U, C_rho)])
+        X, w = P.project(split(z - u + c_rho))
         y = rho * w
-        nx = _norm(X)
+        x = _ravel(X)
+        nx = math.sqrt(x @ x)
         if not nx <= 1e12:
             status = "infeasible-suspected"
             break
-        Z_old = Z
-        V = [x + u for x, u in zip(X, U)]
-        Z, ranks = zip(*[psd_project(v, k) for v, k in zip(V, ranks)])
-        U = [v - z for v, z in zip(V, Z)]
-        if not rho * _norm(U) <= 1e12:
+        if it == 1:
+            # a problem's projection returns self-adjoint blocks; the PSD
+            # step takes that on trust after this check and symmetrizes away
+            # the rounding
+            for xb in X:
+                _check_self_adjoint(xb, SELF_ADJOINT_TOL)
+        z_old = z
+        v = x + u
+        Zb, ranks = zip(*[_psd_project(vb, k) for vb, k in zip(split(v), ranks)])
+        z = _ravel(Zb)
+        u = v - z
+        if not rho * math.sqrt(u @ u) <= 1e12:
             status = "infeasible-suspected"
             break
         # S - dual_slack = rho * scale * (Z - Z_old) when every position is its
         # own class (coarser classes move S less), so rd bounds the dual
         # infeasibility the result reports
-        rp = _norm([x - z for x, z in zip(X, Z)]) / (1.0 + nx)
-        rd = rho * scale * _norm([z - zo for z, zo in zip(Z, Z_old)]) / (1.0 + norm_c)
-        pobj, dobj = scale * _inner(C, X), scale * float(P.b @ y)
+        d = x - z
+        rp = math.sqrt(d @ d) / (1.0 + nx)
+        d = z - z_old
+        rd = rho * scale * math.sqrt(d @ d) / (1.0 + norm_c)
+        pobj, dobj = scale * float(c @ x), scale * float(P.b @ y)
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         if max(rp, rd, gap) <= opts.tol:
             status = "optimal"
             break
         if it % ADAPT_EVERY == 0 and (rp > 10.0 * rd or rd > 10.0 * rp):
             new = min(rho * 2.0, 1e6) if rp > rd else max(rho / 2.0, 1e-6)
-            U = [u * (rho / new) for u in U]
+            u = u * (rho / new)
             rho = new
-            C_rho = [c / rho for c in C]
+            c_rho = c / rho
 
     # the multiplier of X = Z is rho * U; C was divided by scale
     y = y * scale
-    sol = SdpSolution(X, y, [-(rho * scale) * u for u in U], _inner(P.C, X), float(P.b @ y),
+    sol = SdpSolution(X, y, split(-(rho * scale) * u), float(c_in @ x), float(P.b @ y),
                       {}, status, it, math.nan, math.nan)
     slack = P.dual_slack(sol)
     lam = min(float(np.linalg.eigvalsh((s + s.T) / 2.0)[0]) for s in slack)
     sol.slack_shift = max(0.0, -lam)
     sol.bound = sol.dual_obj + P.trace_bound * sol.slack_shift
     # X satisfies the affine constraints by construction; its primal
-    # infeasibility is its distance to the PSD cone
-    eigs = [np.linalg.eigvalsh(x) for x in X]
-    rp = math.sqrt(sum(float(np.sum(np.minimum(e, 0.0) ** 2)) for e in eigs)) / (1.0 + _norm(X))
-    rd = _norm([s - t for s, t in zip(sol.S, slack)]) / (1.0 + norm_c)
+    # infeasibility is its distance to the PSD cone (nan for a non-finite X,
+    # which stopped the loop as infeasible-suspected)
+    eigs = [np.linalg.eigvalsh(xb) if np.isfinite(xb).all() else np.full(len(xb), math.nan)
+            for xb in X]
+    rp = math.sqrt(sum(float(np.sum(np.minimum(e, 0.0) ** 2)) for e in eigs)) / (1.0 + nx)
+    d = _ravel(sol.S) - _ravel(slack)
+    rd = math.sqrt(d @ d) / (1.0 + norm_c)
     gap = abs(sol.primal_obj - sol.dual_obj) / (1.0 + abs(sol.primal_obj) + abs(sol.dual_obj))
     sol.residuals = {"primal_infeas": rp, "dual_infeas": rd, "gap": gap,
                      "min_eig": min(float(e[0]) for e in eigs)}

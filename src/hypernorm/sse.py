@@ -19,6 +19,7 @@ import numpy as np
 from .core import OperatorInstance
 from .linalg import image_basis, sym_eig
 from .oracles import norm_2_to_q_lower
+from .tensorsdp import SIZE_LIMITS, tensor_sdp
 
 __all__ = [
     "RegularGraph",
@@ -226,9 +227,7 @@ def check_norm_implies_expansion(g: RegularGraph, lam: float, q: int = 4,
         raise ValueError("all-subsets verification limited to 12 vertices")
     rep = top_projector_norm(g, lam, q, restarts, seed)
     upper4 = None
-    if q == 4 and rep.dim <= 20:
-        from .tensorsdp import tensor_sdp
-
+    if q == 4 and rep.dim <= SIZE_LIMITS[4]:
         inst = subspace_instance(rep.basis, 4)
         upper4 = tensor_sdp(inst, 4).certificate.bound
     violations = []

@@ -1,10 +1,11 @@
+import functools
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hypernorm.core import OperatorInstance
-from hypernorm.dps import _dps_program, _unembed, dps_value, h_ext
+from hypernorm.core import OperatorInstance, TensorShape
+from hypernorm.dps import _dps_program, _ppt_subsets, _unembed, dps_value, h_ext
 from hypernorm.linalg import partial_transpose, real_embedding
 from hypernorm.sdp import SdpProblem, SolveOptions, solve_sdp
 from hypernorm.tensorsdp import a22_matrix, tensor_sdp
@@ -44,14 +45,29 @@ def _linking_rows(images, blocks, size):
     return cons
 
 
-def row_form_dps(m, n, r):
-    """The PPT DPS program stated as an SdpProblem: every PPT block is tied
-    entrywise to the partial transpose of block 0's lift by linking rows, and a
-    complex input's block 0 is held J-invariant by explicit rows.  Reference for
-    the linked-block projection of ``dps_value``."""
+def full_images(m, n, r):
+    """The program of ``dps_value`` and, for each PPT block, the map
+    X -> PT_k(L X L^T) (embedded for complex inputs) at the full size n^(r+1)."""
     linked = _dps_program(m, n, r, True)
-    lift, shape, subsets = linked.lift, linked.shape, linked.subsets
-    D, DF = linked.blocks[0], lift.shape[0] * (2 if linked.complex else 1)
+    lift, shape = linked.lift, TensorShape((n,) * (r + 1))
+
+    def image(x, sub):
+        if linked.complex:
+            return real_embedding(partial_transpose(lift @ _unembed(x) @ lift.T, shape, sub))
+        return partial_transpose(lift @ x @ lift.T, shape, sub)
+
+    return linked, [functools.partial(image, sub=sub) for sub in _ppt_subsets(r)]
+
+
+def row_form_dps(m, n, r):
+    """The PPT DPS program stated as an SdpProblem: every PPT block, at the
+    full size n^(r+1), is tied entrywise to the partial transpose of block 0's
+    lift by linking rows, and a complex input's block 0 is held J-invariant by
+    explicit rows.  Reference for the compressed linked blocks of ``dps_value``."""
+    linked, images = full_images(m, n, r)
+    D = linked.blocks[0]
+    DF = linked.lift.shape[0] * (2 if linked.complex else 1)
+    blocks = [D] + [DF] * len(images)
     cons = [[(0, i, i, 1.0) for i in range(D)]]
     if linked.complex:
         dim = D // 2
@@ -63,21 +79,18 @@ def row_form_dps(m, n, r):
             for bb in range(a, dim):
                 cons.append([(0, a, a + dim, 1.0)] if a == bb
                             else [(0, a, bb + dim, 1.0), (0, bb, a + dim, 1.0)])
-        images = {(a, bb): [real_embedding(partial_transpose(lift @ _unembed(e) @ lift.T, shape, s))
-                            for s in subsets] for a, bb, e in _sym_basis(D)}
-    else:
-        images = {(a, bb): [partial_transpose(lift @ e @ lift.T, shape, s) for s in subsets]
-                  for a, bb, e in _sym_basis(D)}
-    cons += _linking_rows(images, len(subsets), DF)
+    cons += _linking_rows({(a, bb): [image(e) for image in images] for a, bb, e in _sym_basis(D)},
+                          len(images), DF)
     b = [linked.b[0]] + [0.0] * (len(cons) - 1)
-    problem = SdpProblem(linked.blocks, linked.C, cons, b, trace_bound=linked.trace_bound)
+    C = [linked.C[0]] + [np.zeros((DF, DF))] * len(images)
+    problem = SdpProblem(blocks, C, cons, b, trace_bound=linked.trace_bound)
     return solve_sdp(problem, SolveOptions(tol=1e-8, max_iter=100_000)).primal_obj
 
 
-# (input, n, r) for the real r = 1, 2, 3 and complex r = 1, 2 programs
+# (input, n, r) for the real and complex r = 1, 2, 3 programs
 LINKED_CASES = [(phi_state(3), 3, 1), (phi_state(3), 3, 2), (phi_state(2), 2, 3),
-                (phi_complex(2), 2, 1), (phi_complex(2), 2, 2)]
-LINKED_IDS = ["real-r1", "real-r2", "real-r3", "complex-r1", "complex-r2"]
+                (phi_complex(2), 2, 1), (phi_complex(2), 2, 2), (phi_complex(2), 2, 3)]
+LINKED_IDS = ["real-r1", "real-r2", "real-r3", "complex-r1", "complex-r2", "complex-r3"]
 
 
 @pytest.mark.parametrize("m, n, r", LINKED_CASES, ids=LINKED_IDS)
@@ -98,6 +111,30 @@ class TestLinkedBlocks:
             x, v = _sym(rng, p.blocks[0]), _sym(rng, p.blocks[k + 1])
             lhs, rhs = np.vdot(p.image(x, k), v), np.vdot(x, p.coimage(v, k))
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+    def test_gather_index_is_the_partial_transpose(self, m, n, r, rng):
+        p = _dps_program(m, n, r, True)
+        d = n ** (r + 1)
+        for k, sub in enumerate(p.subsets):
+            for g in (rng.normal(size=(d, d)), rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))):
+                assert np.array_equal(p._transpose(g, k), partial_transpose(g, TensorShape((n,) * (r + 1)), sub))
+
+    def test_compressed_blocks_keep_the_full_spectrum(self, m, n, r, rng):
+        # T_k(X) is PT_k(L X L^T) restricted to its support, so it has the
+        # same Frobenius norm and trace, and the same spectrum up to the
+        # zeros off the support: in particular the same lambda_min on an
+        # indefinite X, and the same PSD-ness
+        p, images = full_images(m, n, r)
+        x = self._admissible(p, rng)
+        for k, image in enumerate(images):
+            small, full = p.image(x, k), image(x)
+            assert p.blocks[k + 1] <= full.shape[0]
+            assert abs(np.linalg.norm(small) - np.linalg.norm(full)) <= 1e-13
+            assert abs(np.trace(small) - np.trace(full)) <= 1e-13
+            spectrum = np.linalg.eigvalsh((small + small.T) / 2.0)
+            padded = np.sort(np.r_[spectrum, np.zeros(full.shape[0] - small.shape[0])])
+            assert np.abs(padded - np.linalg.eigvalsh((full + full.T) / 2.0)).max() <= 1e-13
+            assert spectrum[0] < -1e-3   # so lambda_min is not one of the padded zeros
 
     def test_project_is_feasible_idempotent_and_orthogonal(self, m, n, r, rng):
         p = _dps_program(m, n, r, True)
@@ -196,10 +233,11 @@ class TestDps:
         assert res.status == "optimal"
         assert abs(res.bound - res.value) <= 1e-6
 
-    @pytest.mark.parametrize("case", ["phi3-r2", "a22-r1", "phi2c-r2"])
+    @pytest.mark.parametrize("case", ["phi3-r2", "phi2-r3", "a22-r1", "phi2c-r2"])
     def test_linked_blocks_match_the_row_form(self, case):
         m, n, r = {
             "phi3-r2": (phi_state(3), 3, 2),
+            "phi2-r3": (phi_state(2), 2, 3),
             "a22-r1": (a22_matrix(OperatorInstance(np.random.default_rng(5).normal(size=(4, 3)))), 3, 1),
             "phi2c-r2": (phi_complex(2), 2, 2),
         }[case]

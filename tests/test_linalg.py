@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,10 +9,9 @@ from hypothesis import strategies as st
 from hypernorm import linalg
 from hypernorm.core import TensorShape
 from hypernorm.linalg import (
-    compose_perms,
+    apply_perm,
     image_basis,
     kron,
-    partial_trace,
     partial_transpose,
     perm_operator,
     psd_project,
@@ -19,8 +19,41 @@ from hypernorm.linalg import (
     reorder_factors,
     sym_eig,
     sym_isometry,
-    sym_projector,
 )
+
+
+# References for the checks below; the package itself needs none of them.
+
+def perm_operator_by_columns(pi, n):
+    """perm_operator built one identity column at a time."""
+    dim = n ** len(pi)
+    out = np.zeros((dim, dim))
+    eye = np.eye(dim)
+    for j in range(dim):
+        out[:, j] = apply_perm(pi, eye[:, j], n)
+    return out
+
+
+def compose_perms(pi, sigma):
+    """The permutation tau with perm_operator(tau) = perm_operator(pi) @ perm_operator(sigma)."""
+    return tuple(sigma[pi[k]] for k in range(len(pi)))
+
+
+def sym_projector(r, n):
+    """Orthogonal projector onto the symmetric subspace of (F^n)^(x r)."""
+    acc = sum(perm_operator(pi, n) for pi in itertools.permutations(range(r)))
+    return acc / math.factorial(r)
+
+
+def partial_trace(x, shape, subsystems):
+    """Trace out the tensor factors listed in ``subsystems`` (0-based)."""
+    r = shape.rank
+    subsystems = sorted(set(subsystems))
+    t = np.asarray(x).reshape(shape.dims + shape.dims)
+    for k, s in enumerate(subsystems):
+        t = np.trace(t, axis1=s - k, axis2=s + r - 2 * k)
+    keep = int(np.prod([shape.dims[k] for k in range(r) if k not in subsystems]))
+    return t.reshape(keep, keep)
 
 
 class TestSymEig:
@@ -206,6 +239,12 @@ class TestPermOperators:
         pp = np.outer(phi, phi)
         gamma = partial_transpose(pp, TensorShape((n, n)), [1])
         assert np.allclose(gamma, perm_operator((1, 0), n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_the_column_by_column_build(self, n):
+        for r in (1, 2, 3, 4):
+            for pi in itertools.permutations(range(r)):
+                assert np.array_equal(perm_operator(pi, n), perm_operator_by_columns(pi, n))
 
     def test_invalid_perm(self):
         with pytest.raises(ValueError):

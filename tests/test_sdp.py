@@ -422,13 +422,49 @@ def dps_program():
 def test_rank_hint_keeps_the_iterates(program, side, monkeypatch, evr_calls):
     value, bound, status, iterations = program()
     assert side in evr_calls  # the one-sided path ran
-    monkeypatch.setattr(sdp, "psd_project", lambda m, rank_hint=None: linalg.psd_project(m))
+    monkeypatch.setattr(sdp, "_psd_project", lambda m, rank_hint=None: linalg._psd_project(m))
     evr_calls.clear()
     value_full, bound_full, status_full, iterations_full = program()
     assert not evr_calls
     assert (status, iterations) == (status_full, iterations_full)
     assert abs(value - value_full) <= 1e-10 * abs(value_full)
     assert abs(bound - bound_full) <= 1e-10 * abs(bound_full)
+
+
+class FixedProjection:
+    """A two-block problem whose projection always returns the same blocks."""
+
+    blocks = [2, 3]
+    C = [np.eye(2), np.eye(3)]
+    b = np.array([1.0])
+    trace_bound = 5.0
+
+    def __init__(self, out):
+        self.out = out
+
+    def project(self, V):
+        return [x.copy() for x in self.out], np.array([0.0])
+
+    def dual_slack(self, sol):
+        return sol.S
+
+
+def test_rejects_a_projection_that_is_not_self_adjoint():
+    skew = np.eye(3)
+    skew[0, 2] = 1e-3
+    with pytest.raises(ValueError, match="not self-adjoint"):
+        solve_sdp(FixedProjection([np.eye(2), skew]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_iterate_stops_before_the_psd_step(bad, monkeypatch, evr_calls):
+    steps = []
+    monkeypatch.setattr(sdp, "_psd_project", lambda m, rank_hint=None: steps.append(m))
+    broken = np.eye(3)
+    broken[1, 1] = bad
+    sol = solve_sdp(FixedProjection([np.eye(2), broken]))
+    assert (sol.status, sol.iterations) == ("infeasible-suspected", 1)
+    assert not steps and not evr_calls
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hypernorm.core import OperatorInstance
+from hypernorm.tensorsdp import SIZE_LIMITS
 from hypernorm.sse import (
     RegularGraph,
     check_expansion_implies_norm,
@@ -121,6 +122,13 @@ class TestNormImpliesExpansion:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             check_norm_implies_expansion(disjoint_matching(8), 0.5, 4)
+
+    def test_relaxation_side_follows_the_level_4_limit(self, monkeypatch):
+        # C12's eigenspace at lambda = 1/2 has dimension 5
+        g = cycle_graph(12)
+        assert check_norm_implies_expansion(g, 0.5, 4, restarts=8).norm_upper_fourth is not None
+        monkeypatch.setitem(SIZE_LIMITS, 4, 4)
+        assert check_norm_implies_expansion(g, 0.5, 4, restarts=8).norm_upper_fourth is None
 
 
 class TestExpansionImpliesNorm:
