@@ -168,6 +168,12 @@ def matrix_to_json(a: np.ndarray) -> dict:
 
 
 def matrix_from_json(doc: dict) -> np.ndarray:
+    """Decode a :func:`matrix_to_json` document; a malformed one raises ``ValueError``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"matrix document must be a JSON object, got {type(doc).__name__}")
+    missing = [k for k in ("rows", "cols", "scalar", "data") if k not in doc]
+    if missing:
+        raise ValueError(f"matrix document lacks {', '.join(missing)}")
     rows, cols, scalar = int(doc["rows"]), int(doc["cols"]), doc["scalar"]
     data = doc["data"]
     if len(data) != rows:

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TensorShape
-from .linalg import kron, partial_transpose, real_embedding, sym_isometry
+from .linalg import (SELF_ADJOINT_TOL, _check_self_adjoint, kron, partial_transpose,
+                     real_embedding, sym_isometry)
 from .sdp import SolveOptions, solve_sdp
 
 __all__ = ["dps_value", "h_ext", "DpsResult"]
@@ -46,10 +47,7 @@ __all__ = ["dps_value", "h_ext", "DpsResult"]
 def _check_bipartite(m: np.ndarray, n: int):
     if m.shape != (n * n, n * n):
         raise ValueError(f"expected an {n * n} x {n * n} matrix on C^{n} (x) C^{n}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix has non-finite entries")
-    if np.linalg.norm(m - m.conj().T) > 1e-10 * max(1.0, np.linalg.norm(m)):
-        raise ValueError("input must be self-adjoint")
+    _check_self_adjoint(m, SELF_ADJOINT_TOL)
 
 
 def _ppt_subsets(r: int):

@@ -30,6 +30,7 @@ __all__ = [
     "reorder_factors",
 ]
 
+# A matrix counts as self-adjoint when |m - m^*|_F <= SELF_ADJOINT_TOL * max(1, |m|_F).
 SELF_ADJOINT_TOL = 1e-10
 
 # psd_project computes only one side of the spectrum (LAPACK's MRRR driver
@@ -58,14 +59,14 @@ def _check_self_adjoint(m: np.ndarray, tol: float):
         raise ValueError("matrix is not self-adjoint within tolerance")
 
 
-def sym_eig(m: np.ndarray, sym_tol: float = SELF_ADJOINT_TOL):
-    """Eigendecomposition of a self-adjoint matrix.
+def sym_eig(m: np.ndarray):
+    """Eigendecomposition of a matrix that is self-adjoint within ``SELF_ADJOINT_TOL``.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted in
     descending order and eigenvectors as orthonormal columns.
     """
     m = np.asarray(m)
-    _check_self_adjoint(m, sym_tol)
+    _check_self_adjoint(m, SELF_ADJOINT_TOL)
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     order = np.argsort(w)[::-1]
     return w[order], v[:, order]
@@ -102,8 +103,7 @@ def _eig_interval(h: np.ndarray, lo: float, hi: float):
     return w[:m], v[:, :m]
 
 
-def psd_project(m: np.ndarray, rank_hint: int | None = None,
-                sym_tol: float = SELF_ADJOINT_TOL) -> tuple[np.ndarray, int]:
+def psd_project(m: np.ndarray, rank_hint: int | None = None) -> tuple[np.ndarray, int]:
     """Nearest (Frobenius) positive-semidefinite matrix and its rank.
 
     Returns ``(p, k)``: p is m with its negative eigenvalues clipped, and k
@@ -115,7 +115,7 @@ def psd_project(m: np.ndarray, rank_hint: int | None = None,
     running time and the result only by rounding.
     """
     m = np.asarray(m)
-    _check_self_adjoint(m, sym_tol)
+    _check_self_adjoint(m, SELF_ADJOINT_TOL)
     return _psd_project(m, rank_hint)
 
 

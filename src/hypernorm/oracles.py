@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 GRID_POINTS = 10_000
+# h_sep_lower rejects an M with an eigenvalue below -HSEP_PSD_TOL times its largest entry.
+HSEP_PSD_TOL = 1e-9
 
 
 @dataclass
@@ -413,7 +415,7 @@ def _seesaw(pair, x, y, iters=300, rtol=1e-14):
 
 
 def h_sep_lower(m: np.ndarray, dims: tuple[int, int], restarts: int = 64, seed: int = 0,
-                dim_limit: int = 64, psd_tol: float = 1e-9) -> OracleResult:
+                dim_limit: int = 64) -> OracleResult:
     """Lower bound on max <x (x) y, M (x (x) y)> over unit x, y, by seesaw.
 
     Each half-step replaces one factor by the top eigenvector of the operator
@@ -422,10 +424,10 @@ def h_sep_lower(m: np.ndarray, dims: tuple[int, int], restarts: int = 64, seed: 
     run as one batched seesaw (see :func:`_seesaw`): one matrix product and one
     stacked eigh per half-step.  The starts are ``restarts`` random product
     states and, for 2x2 problems, the products of a Bloch-sphere grid with a
-    third of it.  psd_tol and the stop rule are relative to the largest entry
-    of M; the best witness is re-evaluated on M as given.  The trace gives
-    ``starts``, ``improving_starts`` (starts that beat every earlier one) and
-    ``steps`` (seesaw steps over all starts).
+    third of it.  ``HSEP_PSD_TOL`` and the stop rule are relative to the
+    largest entry of M; the best witness is re-evaluated on M as given.  The
+    trace gives ``starts``, ``improving_starts`` (starts that beat every
+    earlier one) and ``steps`` (seesaw steps over all starts).
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -440,7 +442,7 @@ def h_sep_lower(m: np.ndarray, dims: tuple[int, int], restarts: int = 64, seed: 
     ms, exp = _pow2_scaled(m)
     hs = (ms + ms.conj().T) / 2.0
     lam_min = float(np.linalg.eigvalsh(hs)[0])
-    if lam_min < -psd_tol:
+    if lam_min < -HSEP_PSD_TOL:
         raise ValueError(f"matrix is not PSD within tolerance (min eig {np.ldexp(lam_min, exp):.3e})")
     cplx = np.iscomplexobj(m)
 

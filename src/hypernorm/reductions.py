@@ -10,7 +10,6 @@ routines and the test suite.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -77,9 +76,12 @@ def build_tensor_forms(instance: OperatorInstance, audit: bool = False,
     if np.iscomplexobj(rows):
         raise ValueError("tensor forms need a real operator; realify first")
     m, n = rows.shape
-    a4 = _symmetric_fourth_power(rows)
-    a3 = np.einsum("ia,ib->abi", rows, rows)
     a22 = quartic_gram(rows)
+    # A4 = sum_i a_i^(x)4, read from A22 at each entry's sorted index tuple, so
+    # permutation invariance holds bitwise, not just to rounding
+    i, j, k, l = np.sort(np.indices((n,) * 4).reshape(4, -1), axis=0)
+    a4 = a22[i * n + j, k * n + l].reshape((n,) * 4)
+    a3 = np.einsum("ia,ib->abi", rows, rows)
     forms = {"A4": a4, "A3": a3, "A22": a22}
     if not audit:
         return forms, None
@@ -97,19 +99,6 @@ def build_tensor_forms(instance: OperatorInstance, audit: bool = False,
     gap = (max(vals) - min(vals)) / scale
     passed = gap <= tol and upper >= max(vals) - tol * scale
     return forms, TensorFormsAudit(v24, v4, v3, vh, upper, gap, passed)
-
-
-def _symmetric_fourth_power(rows: np.ndarray) -> np.ndarray:
-    """sum_i a_i^(x)4 with every entry computed once in canonical index order,
-    so permutation invariance holds bitwise, not just to rounding."""
-    m, n = rows.shape
-    a4 = np.empty((n, n, n, n))
-    for combo in itertools.combinations_with_replacement(range(n), 4):
-        val = float(np.sum(rows[:, combo[0]] * rows[:, combo[1]]
-                           * rows[:, combo[2]] * rows[:, combo[3]]))
-        for perm in set(itertools.permutations(combo)):
-            a4[perm] = val
-    return a4
 
 
 # ---------------------------------------------------------------------------

@@ -42,10 +42,14 @@ __all__ = [
 ]
 
 EXACT_ENUMERATION_LIMIT = 16
+REGULAR_GRAPH_TRIES = 200
 
 
 @dataclass
 class RegularGraph:
+    """A regular multigraph whose subsets are scored as one table of exact
+    integer endpoint counts (:meth:`evaluate_subsets`)."""
+
     n: int
     edges: list          # undirected pairs (u, v), multiplicities by repetition
 
@@ -55,49 +59,48 @@ class RegularGraph:
                 raise ValueError(f"edge ({u},{v}) out of range")
             if u == v:
                 raise ValueError("self-loops are not supported")
-        deg = np.zeros(self.n, dtype=int)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
         if self.n == 0 or len(self.edges) == 0:
             raise ValueError("graph must have vertices and edges")
+        adj = np.zeros((self.n, self.n), dtype=np.int64)
+        np.add.at(adj, tuple(np.transpose(self.edges)), 1)
+        self._adj = adj + adj.T          # both directions, with multiplicities
+        deg = self._adj.sum(axis=1)
         if not np.all(deg == deg[0]):
             raise ValueError(f"graph is not regular: degree spread {deg.min()}..{deg.max()}")
         self.degree = int(deg[0])
 
     def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        for u, v in self.edges:
-            a[u, v] += 1.0
-            a[v, u] += 1.0
-        return a
+        return self._adj.astype(float)
 
     def normalized_adjacency(self) -> np.ndarray:
-        return self.adjacency() / self.degree
+        return self._adj / self.degree
+
+    def evaluate_subsets(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """Phi and cp of each subset, given as the 0/1 indicator rows of s.
+
+        Row t of h = s A counts the edge endpoints from S_t that land on each
+        vertex, d|S_t| in all, so Phi = (d|S| - <h, s>) / (d|S|) and
+        cp = |h|^2 / (d|S|)^2: exact integer counts, each ratio rounded once.
+        """
+        s = np.asarray(s)
+        hits, total = s @ self._adj, self.degree * s.sum(axis=1)
+        if np.any(total == 0):
+            raise ValueError("subset must be nonempty")
+        phi = (total - np.einsum("ij,ij->i", hits, s)) / total
+        return phi, np.einsum("ij,ij->i", hits, hits) / total**2
 
     def phi(self, subset) -> float:
         """Fraction of edge endpoints from the subset that land outside it."""
-        s = set(subset)
-        if not s:
-            raise ValueError("subset must be nonempty")
-        inside = np.zeros(self.n, dtype=bool)
-        inside[list(s)] = True
-        stay = leave = 0
-        for u, v in self.edges:
-            for a, b in ((u, v), (v, u)):
-                if inside[a]:
-                    if inside[b]:
-                        stay += 1
-                    else:
-                        leave += 1
-        return leave / (stay + leave)
+        return float(self.evaluate_subsets(self._indicator(subset))[0][0])
 
     def collision_probability(self, subset) -> float:
         """cp of the distribution: uniform vertex of the subset, then a random neighbor."""
-        s = sorted(set(subset))
-        g = self.normalized_adjacency()
-        p = g[s].sum(axis=0) / len(s)
-        return float(np.sum(p * p))
+        return float(self.evaluate_subsets(self._indicator(subset))[1][0])
+
+    def _indicator(self, subset) -> np.ndarray:
+        row = np.zeros((1, self.n), dtype=np.int64)
+        row[0, list(subset)] = 1
+        return row
 
 
 @dataclass
@@ -110,55 +113,63 @@ class ExpansionReport:
     subsets_checked: int
 
 
-def _subsets_up_to(n, max_size):
+def _subset_table(n, max_size) -> np.ndarray:
+    """Indicator rows of the nonempty subsets of range(n) with at most
+    max_size elements: by size, then in ``itertools.combinations`` order."""
+    blocks = []
     for k in range(1, max_size + 1):
-        yield from itertools.combinations(range(n), k)
+        members = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), k)),
+                              dtype=np.intp).reshape(-1, k)
+        blocks.append(np.zeros((len(members), n), dtype=bool))
+        np.put_along_axis(blocks[-1], members, True, axis=1)
+    return np.concatenate(blocks)
+
+
+def _members(row) -> tuple:
+    return tuple(np.flatnonzero(row).tolist())
 
 
 def expansion_profile(g: RegularGraph, delta: float, seed: int = 0) -> ExpansionReport:
     """Minimum expansion over nonempty subsets of measure at most delta.
 
-    Exact enumeration up to 16 vertices; beyond that a local-search heuristic
-    with no optimality claim (flagged in the report).
+    Up to 16 vertices every such subset is scored, as one table; beyond that
+    a local search with no optimality claim (flagged in the report) scores
+    each step's single swaps as one table and takes the first that lowers Phi.
     """
     max_size = int(math.floor(delta * g.n + 1e-12))
     if max_size < 1:
         raise ValueError(f"no nonempty subset has measure <= {delta} on {g.n} vertices")
-    best, best_s = np.inf, None
-    checked = 0
-    if g.n <= EXACT_ENUMERATION_LIMIT:
-        for s in _subsets_up_to(g.n, max_size):
-            checked += 1
-            val = g.phi(s)
-            if val < best:
-                best, best_s = val, s
-        exhaustive = True
+    exhaustive = g.n <= EXACT_ENUMERATION_LIMIT
+    if exhaustive:
+        table = _subset_table(g.n, max_size)
+        phi, _ = g.evaluate_subsets(table)
+        first = int(np.argmin(phi))
+        best, best_s, checked = phi[first], _members(table[first]), len(table)
     else:
         rng = np.random.default_rng(seed)
+        eye = np.eye(g.n, dtype=np.int64)
+        best, checked = np.inf, 0
         for _ in range(64):
             size = int(rng.integers(1, max_size + 1))
-            cur = list(rng.choice(g.n, size=size, replace=False))
+            cur = rng.choice(g.n, size=size, replace=False).tolist()
             val = g.phi(cur)
-            improved = True
-            while improved:
-                improved = False
-                for swap_out in list(cur):
-                    for swap_in in range(g.n):
-                        if swap_in in cur:
-                            continue
-                        cand = [x for x in cur if x != swap_out] + [swap_in]
-                        cv = g.phi(cand)
-                        checked += 1
-                        if cv < val:
-                            cur, val = cand, cv
-                            improved = True
-                            break
-                    if improved:
-                        break
+            while True:
+                outside = np.setdiff1d(np.arange(g.n), cur)
+                # swaps[p, q] is cur with its p-th member replaced by outside[q]
+                swaps = eye[cur].sum(axis=0) - eye[cur][:, None] + eye[outside][None]
+                phi, _ = g.evaluate_subsets(swaps.reshape(-1, g.n))
+                better = np.flatnonzero(phi < val)
+                if not better.size:
+                    checked += phi.size
+                    break
+                first = int(better[0])
+                checked += first + 1
+                out_pos, in_pos = divmod(first, len(outside))
+                cur = cur[:out_pos] + cur[out_pos + 1:] + [int(outside[in_pos])]
+                val = phi[first]
             if val < best:
                 best, best_s = val, tuple(sorted(cur))
-        exhaustive = False
-    return ExpansionReport(delta=delta, phi=float(best), argmin=tuple(best_s),
+    return ExpansionReport(delta=delta, phi=float(best), argmin=best_s,
                            cp_argmin=g.collision_probability(best_s),
                            exhaustive=exhaustive, subsets_checked=checked)
 
@@ -218,10 +229,12 @@ def check_norm_implies_expansion(g: RegularGraph, lam: float, q: int = 4,
                                  slack: float = 1e-6) -> NormExpansionCheck:
     """Verify Phi(S) >= 1 - lam - |P|^2 mu(S)^((q-2)/q) for every nonempty S.
 
-    The oracle value (a lower bound on the projector norm) makes the tested
-    right-hand side an over-estimate, so passing is strictly stronger than
-    the inequality with the true norm.  For q=4 the report also carries the
-    rigorous relaxation upper bound, making the check two-sided.
+    Every subset is scored at once, as one table of exact integer endpoint
+    counts (:meth:`RegularGraph.evaluate_subsets`).  The oracle value (a lower
+    bound on the projector norm) makes the tested right-hand side an
+    over-estimate, so passing is strictly stronger than the inequality with
+    the true norm.  For q=4 the report also carries the rigorous relaxation
+    upper bound, making the check two-sided.
     """
     if g.n > 12:
         raise ValueError("all-subsets verification limited to 12 vertices")
@@ -230,25 +243,22 @@ def check_norm_implies_expansion(g: RegularGraph, lam: float, q: int = 4,
     if q == 4 and rep.dim <= SIZE_LIMITS[4]:
         inst = subspace_instance(rep.basis, 4)
         upper4 = tensor_sdp(inst, 4).certificate.bound
+    table = _subset_table(g.n, g.n)
+    phi, _ = g.evaluate_subsets(table)
+    weight = np.array([(k / g.n) ** ((q - 2) / q) for k in range(g.n + 1)])[table.sum(axis=1)]
+    margin = phi - (1.0 - lam - rep.norm_lower**2 * weight)
+    sound = (phi - (1.0 - lam - np.sqrt(upper4) * weight) if upper4 is not None
+             else np.full_like(phi, np.inf))
     violations = []
-    worst = np.inf
-    checked = 0
-    exponent = (q - 2) / q
-    for s in _subsets_up_to(g.n, g.n):
-        checked += 1
-        mu = len(s) / g.n
-        phi = g.phi(s)
-        margin = phi - (1.0 - lam - rep.norm_lower**2 * mu**exponent)
-        worst = min(worst, margin)
-        if margin < -slack:
-            violations.append({"subset": s, "phi": phi, "margin": margin})
-        if upper4 is not None:
-            sound = phi - (1.0 - lam - np.sqrt(upper4) * mu**exponent)
-            if sound < -1e-9:
-                violations.append({"subset": s, "phi": phi, "margin": sound, "side": "sdp"})
+    for t in np.flatnonzero((margin < -slack) | (sound < -1e-9)):
+        s, phi_s = _members(table[t]), float(phi[t])
+        if margin[t] < -slack:
+            violations.append({"subset": s, "phi": phi_s, "margin": float(margin[t])})
+        if sound[t] < -1e-9:
+            violations.append({"subset": s, "phi": phi_s, "margin": float(sound[t]), "side": "sdp"})
     return NormExpansionCheck(lam=lam, q=q, norm_lower=rep.norm_lower,
-                              norm_upper_fourth=upper4, subsets_checked=checked,
-                              violations=violations, worst_slack=float(worst),
+                              norm_upper_fourth=upper4, subsets_checked=len(table),
+                              violations=violations, worst_slack=float(margin.min()),
                               passed=not violations)
 
 
@@ -271,9 +281,11 @@ def check_expansion_implies_norm(g: RegularGraph, lam: float, q: int, delta: flo
     """If cp(G(S)) <= 1/(e |S|) for all small S, the top eigenspace has small q-norms.
 
     The hypothesis is verified by direct enumeration of cp over all subsets of
-    measure at most delta (``e = 2^(c q) / lam``, with the loose constant c
-    exposed as a parameter); only when it holds is the conclusion
-    max |f|_q / |f|_2 <= 2 / sqrt(delta) tested by oracle maximization.
+    measure at most delta, scored as one table of exact integer endpoint
+    counts (``e = 2^(c q) / lam``, with the loose constant c exposed as a
+    parameter); the first violating subset is the witness.  Only when it
+    holds is the conclusion max |f|_q / |f|_2 <= 2 / sqrt(delta) tested by
+    oracle maximization.
     """
     if g.n > 14:
         raise ValueError("hypothesis enumeration limited to 14 vertices")
@@ -283,19 +295,16 @@ def check_expansion_implies_norm(g: RegularGraph, lam: float, q: int, delta: flo
     max_size = int(math.floor(delta * g.n + 1e-12))
     if max_size < 1:
         raise ValueError("delta admits no nonempty subset")
-    witness = None
-    for s in _subsets_up_to(g.n, max_size):
-        if g.collision_probability(s) > 1.0 / (e * len(s)) + 1e-12:
-            witness = s
-            break
-    if witness is not None:
-        return ExpansionNormCheck(lam, q, delta, e, False, witness, None,
-                                  2.0 / math.sqrt(delta), passed=True)
-    rep = top_projector_norm(g, lam, q, restarts, seed)
-    ratio = rep.norm_lower
-    ok = ratio <= 2.0 / math.sqrt(delta) + 1e-4
-    return ExpansionNormCheck(lam, q, delta, e, True, None, ratio,
-                              2.0 / math.sqrt(delta), passed=ok)
+    table = _subset_table(g.n, max_size)
+    _, cp = g.evaluate_subsets(table)
+    hit = np.flatnonzero(cp > 1.0 / (e * table.sum(axis=1)) + 1e-12)
+    bound = 2.0 / math.sqrt(delta)
+    if hit.size:
+        return ExpansionNormCheck(lam, q, delta, e, False, _members(table[hit[0]]), None,
+                                  bound, passed=True)
+    ratio = top_projector_norm(g, lam, q, restarts, seed).norm_lower
+    return ExpansionNormCheck(lam, q, delta, e, True, None, ratio, bound,
+                              passed=ratio <= bound + 1e-4)
 
 
 def heavy_set_extract(probs, g, n_target: int):
@@ -437,43 +446,33 @@ def disjoint_matching(pairs: int) -> RegularGraph:
     return RegularGraph(2 * pairs, [(2 * i, 2 * i + 1) for i in range(pairs)])
 
 
-def random_regular_graph(n: int, d: int, seed: int = 0, tries: int = 200) -> RegularGraph:
+def random_regular_graph(n: int, d: int, seed: int = 0) -> RegularGraph:
     """Configuration-model d-regular graph, resampled until simple and connected."""
     rng = np.random.default_rng(seed)
-    for _ in range(tries):
+    for _ in range(REGULAR_GRAPH_TRIES):
         stubs = np.repeat(np.arange(n), d)
         rng.shuffle(stubs)
         edges = [(int(stubs[2 * i]), int(stubs[2 * i + 1])) for i in range(len(stubs) // 2)]
-        if any(u == v for u, v in edges):
+        if any(u == v for u, v in edges) or len({tuple(sorted(e)) for e in edges}) != len(edges):
             continue
-        if len({tuple(sorted(e)) for e in edges}) != len(edges):
-            continue
-        adj = {i: set() for i in range(n)}
-        for u, v in edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        seen, stack = {0}, [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) == n:
-            return RegularGraph(n, edges)
+        g = RegularGraph(n, edges)
+        reach = np.arange(n) == 0        # the vertices reached from vertex 0 so far
+        for _ in range(n - 1):
+            reach = reach | (reach @ g._adj > 0)
+        if reach.all():
+            return g
     raise RuntimeError(f"could not sample a simple connected {d}-regular graph on {n} vertices")
 
 
 def parse_graph_text(text: str) -> RegularGraph:
     """First line "n m", then m lines "u v" (0-indexed)."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("graph file is empty: expected a header line \"n m\"")
     n, m = (int(t) for t in lines[0].split())
     if len(lines) - 1 != m:
         raise ValueError(f"header claims {m} edges, file has {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        u, v = (int(t) for t in ln.split())
-        edges.append((u, v))
-    return RegularGraph(n, edges)
+    return RegularGraph(n, [tuple(int(t) for t in ln.split()) for ln in lines[1:]])
 
 
 def graph_to_text(g: RegularGraph) -> str:

@@ -153,6 +153,18 @@ def test_validation_failure_exit_code(files, capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command,name,text,words", [
+    (["sse", "analyze", "--delta", "0.25", "--graph"], "empty.txt", "", "empty"),
+    (["norm24", "--in"], "no_cols.json", '{"rows": 2}', "cols"),
+    (["norm24", "--in"], "array.json", "[1, 2]", "JSON object"),
+])
+def test_malformed_input_file_exit_code(capsys, tmp_path, command, name, text, words):
+    (tmp_path / name).write_text(text)
+    code, rep = run(command + [str(tmp_path / name)], capsys)
+    assert code == 2
+    assert words in rep["error"]
+
+
 def test_solver_runtime_error_exit_code(files, capsys, monkeypatch):
     def diverge(*args, **kwargs):
         raise RuntimeError("solver diverged on a feasible-by-construction program")

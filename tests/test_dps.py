@@ -249,6 +249,8 @@ class TestDps:
             dps_value(rng.normal(size=(4, 4)), 2)
         with pytest.raises(ValueError):
             dps_value(np.eye(25), 5)
+        with pytest.raises(ValueError, match="non-finite"):
+            h_ext(np.full((4, 4), np.inf), 2)
 
 
 class TestHExt:

@@ -76,6 +76,12 @@ class TestTensorForms:
         for pi in itertools.permutations(range(4)):
             assert np.array_equal(np.transpose(a4, pi), a4)
 
+    def test_a4_is_the_sum_of_fourth_powers(self, rng):
+        rows = rng.normal(size=(5, 3))
+        forms, _ = build_tensor_forms(OperatorInstance(rows))
+        want = np.einsum("ia,ib,ic,id->abcd", rows, rows, rows, rows)
+        assert np.allclose(forms["A4"], want, rtol=1e-13, atol=1e-13)
+
     def test_a22_psd(self, rng):
         forms, _ = build_tensor_forms(OperatorInstance(rng.normal(size=(5, 3))))
         assert np.linalg.eigvalsh(forms["A22"])[0] >= -1e-10

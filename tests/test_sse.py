@@ -1,8 +1,10 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from hypernorm import sse
 from hypernorm.core import OperatorInstance
 from hypernorm.tensorsdp import SIZE_LIMITS
 from hypernorm.sse import (
@@ -23,6 +25,97 @@ from hypernorm.sse import (
     subspace_instance,
     top_projector_norm,
 )
+
+
+# References: subsets scored one at a time from the edge list, as the package
+# did before it scored them as one table of integer endpoint counts.
+
+
+def _ref_phi(g, subset):
+    """Fraction of edge endpoints from the subset that land outside it."""
+    inside = np.zeros(g.n, dtype=bool)
+    inside[list(set(subset))] = True
+    stay = leave = 0
+    for u, v in g.edges:
+        for a, b in ((u, v), (v, u)):
+            if inside[a]:
+                if inside[b]:
+                    stay += 1
+                else:
+                    leave += 1
+    return leave / (stay + leave)
+
+
+def _ref_cp(g, subset):
+    a = np.zeros((g.n, g.n))
+    for u, v in g.edges:
+        a[u, v] += 1.0
+        a[v, u] += 1.0
+    s = sorted(set(subset))
+    p = (a / g.degree)[s].sum(axis=0) / len(s)
+    return float(np.sum(p * p))
+
+
+def _ref_local_search(g, delta, seed):
+    """(phi, argmin, subsets_checked) of expansion_profile's heuristic, one
+    swap scored at a time."""
+    max_size = int(np.floor(delta * g.n + 1e-12))
+    rng = np.random.default_rng(seed)
+    best, best_s, checked = np.inf, None, 0
+    for _ in range(64):
+        size = int(rng.integers(1, max_size + 1))
+        cur = list(rng.choice(g.n, size=size, replace=False))
+        val = _ref_phi(g, cur)
+        improved = True
+        while improved:
+            improved = False
+            for swap_out in list(cur):
+                for swap_in in range(g.n):
+                    if swap_in in cur:
+                        continue
+                    cand = [x for x in cur if x != swap_out] + [swap_in]
+                    cv = _ref_phi(g, cand)
+                    checked += 1
+                    if cv < val:
+                        cur, val = cand, cv
+                        improved = True
+                        break
+                if improved:
+                    break
+        if val < best:
+            best, best_s = val, tuple(sorted(cur))
+    return best, best_s, checked
+
+
+def _ref_violations(g, lam, q, norm_lower, upper4, slack):
+    violations = []
+    exponent = (q - 2) / q
+    for k in range(1, g.n + 1):
+        for s in itertools.combinations(range(g.n), k):
+            mu = len(s) / g.n
+            phi = _ref_phi(g, s)
+            margin = phi - (1.0 - lam - norm_lower**2 * mu**exponent)
+            if margin < -slack:
+                violations.append({"subset": s, "phi": phi, "margin": margin})
+            sound = phi - (1.0 - lam - np.sqrt(upper4) * mu**exponent)
+            if sound < -1e-9:
+                violations.append({"subset": s, "phi": phi, "margin": sound, "side": "sdp"})
+    return violations
+
+
+def multigraph(n, d, seed):
+    """A d-regular configuration-model multigraph: repeated edges are kept,
+    draws with a self-loop are redrawn."""
+    rng = np.random.default_rng(seed)
+    while True:
+        stubs = rng.permutation(np.repeat(np.arange(n), d))
+        edges = [(int(stubs[2 * i]), int(stubs[2 * i + 1])) for i in range(n * d // 2)]
+        if all(u != v for u, v in edges):
+            return RegularGraph(n, edges)
+
+
+def has_repeated_edges(g):
+    return len({tuple(sorted(e)) for e in g.edges}) < len(g.edges)
 
 
 class TestGraphBasics:
@@ -58,6 +151,84 @@ class TestGraphBasics:
         g = petersen_graph()
         back = parse_graph_text(graph_to_text(g))
         assert back.n == g.n and sorted(back.edges) == sorted(g.edges)
+
+
+class TestSubsetTable:
+    @pytest.mark.parametrize("n,d,seed", [(6, 4, 0), (8, 3, 1), (9, 4, 2), (10, 5, 3)])
+    def test_phi_and_cp_match_the_per_edge_reference(self, n, d, seed):
+        g = multigraph(n, d, seed)
+        assert has_repeated_edges(g)
+        subsets = [s for k in range(1, n + 1) for s in itertools.combinations(range(n), k)]
+        rows = np.zeros((len(subsets), n), dtype=int)
+        for t, s in enumerate(subsets):
+            rows[t, list(s)] = 1
+        phi, cp = g.evaluate_subsets(rows)
+        assert np.array_equal(phi, [_ref_phi(g, s) for s in subsets])
+        want = np.array([_ref_cp(g, s) for s in subsets])
+        assert np.max(np.abs(cp - want) / want) <= 1e-15
+        for t in (0, len(subsets) // 2, len(subsets) - 1):
+            assert g.phi(subsets[t]) == phi[t]
+            assert g.collision_probability(subsets[t]) == cp[t]
+
+    def test_adjacency_counts_both_directions_and_repeats(self):
+        g = RegularGraph(4, [(0, 1), (1, 0), (2, 3), (3, 2), (0, 2), (1, 3)])
+        a = g.adjacency()
+        assert g.degree == 3 and a[0, 1] == a[1, 0] == 2.0 and a[0, 2] == 1.0
+        assert np.array_equal(g.normalized_adjacency(), a / 3)
+
+    def test_empty_subset_rejected(self):
+        g = cycle_graph(5)
+        with pytest.raises(ValueError, match="nonempty"):
+            g.phi([])
+        with pytest.raises(ValueError, match="nonempty"):
+            g.evaluate_subsets(np.array([[1, 0, 0, 0, 0], [0, 0, 0, 0, 0]]))
+
+    @pytest.mark.parametrize("g,delta", [
+        (cycle_graph(8), 0.5),
+        (petersen_graph(), 0.3),
+        (multigraph(10, 5, 3), 0.4),
+        (multigraph(12, 3, 4), 0.25),
+    ])
+    def test_exhaustive_profile_matches_the_reference_scan(self, g, delta):
+        rep = expansion_profile(g, delta)
+        max_size = int(np.floor(delta * g.n + 1e-12))
+        subsets = [s for k in range(1, max_size + 1) for s in itertools.combinations(range(g.n), k)]
+        best = min(subsets, key=lambda s: _ref_phi(g, s))     # the first minimizer
+        assert (rep.phi, rep.argmin, rep.subsets_checked) == (_ref_phi(g, best), best, len(subsets))
+        assert abs(rep.cp_argmin - _ref_cp(g, best)) <= 1e-15 * _ref_cp(g, best)
+
+    @pytest.mark.parametrize("g,delta,seed", [
+        (disjoint_matching(12), 1 / 12, 1),
+        (random_regular_graph(24, 3, seed=0), 0.125, 0),
+        (multigraph(20, 4, 5), 0.2, 2),
+    ])
+    def test_local_search_matches_the_one_swap_reference(self, g, delta, seed):
+        rep = expansion_profile(g, delta, seed=seed)
+        assert not rep.exhaustive
+        assert (rep.phi, rep.argmin, rep.subsets_checked) == _ref_local_search(g, delta, seed)
+
+    @pytest.mark.parametrize("g,delta,seed,checked,phi,argmin", [
+        (disjoint_matching(12), 1 / 12, 1, 2637, 0.0, (20, 21)),
+        (random_regular_graph(24, 3, seed=0), 0.125, 0, 3158, 1 / 3, (1, 2, 4)),
+        (random_regular_graph(40, 3, seed=0), 0.1, 0, 7956, 1 / 3, (3, 10, 27, 35)),
+        (random_regular_graph(60, 4, seed=0), 0.1, 0, 19320, 5 / 12, (4, 9, 17, 39, 50, 59)),
+    ])
+    def test_local_search_results_and_plain_int_argmin(self, g, delta, seed, checked, phi, argmin):
+        rep = expansion_profile(g, delta, seed=seed)
+        assert (rep.subsets_checked, rep.phi, rep.argmin) == (checked, phi, argmin)
+        assert all(type(v) is int for v in rep.argmin)
+
+    def test_violations_keep_order_keys_and_types(self, monkeypatch):
+        # a negative slack and a tiny relaxation bound make both sides report
+        bound = SimpleNamespace(certificate=SimpleNamespace(bound=1e-3))
+        monkeypatch.setattr(sse, "tensor_sdp", lambda inst, level: bound)
+        g = cycle_graph(8)
+        chk = check_norm_implies_expansion(g, 0.4, 4, restarts=8, slack=-1.0)
+        assert chk.violations == _ref_violations(g, 0.4, 4, chk.norm_lower, 1e-3, -1.0)
+        assert {v.get("side") for v in chk.violations} == {None, "sdp"}
+        for v in chk.violations:
+            assert type(v["phi"]) is float and type(v["margin"]) is float
+            assert all(type(x) is int for x in v["subset"])
 
 
 class TestExpansionProfile:
