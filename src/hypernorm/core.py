@@ -50,10 +50,6 @@ class TensorShape:
     def total(self) -> int:
         return int(np.prod(self.dims))
 
-    def check_vector(self, length: int):
-        if length != self.total:
-            raise ValueError(f"vector length {length} != product of dims {self.dims}")
-
 
 def _require_finite(a: np.ndarray):
     if not np.all(np.isfinite(a.view(np.float64) if a.dtype == complex else a)):
@@ -150,9 +146,6 @@ class OperatorInstance:
             return float(row_norms.max(initial=0.0))
         return float(np.sqrt(self.n) * row_norms.max(initial=0.0))
 
-    def scaled(self, c: float) -> "OperatorInstance":
-        return OperatorInstance(self.matrix * c, self.convention, self.row_weights)
-
 
 def matrix_to_json(a: np.ndarray) -> dict:
     """Encode a dense matrix as ``{"rows", "cols", "scalar", "data"}``."""
@@ -174,16 +167,24 @@ def matrix_from_json(doc: dict) -> np.ndarray:
     missing = [k for k in ("rows", "cols", "scalar", "data") if k not in doc]
     if missing:
         raise ValueError(f"matrix document lacks {', '.join(missing)}")
-    rows, cols, scalar = int(doc["rows"]), int(doc["cols"]), doc["scalar"]
-    data = doc["data"]
+    for key in ("rows", "cols"):
+        if isinstance(doc[key], bool) or not isinstance(doc[key], int):
+            raise ValueError(f"matrix document field {key!r} must be an integer, got {doc[key]!r}")
+    rows, cols, scalar, data = doc["rows"], doc["cols"], doc["scalar"], doc["data"]
+    if scalar not in ("real", "complex"):
+        raise ValueError(f"unknown scalar kind {scalar!r}")
+    if not isinstance(data, list):
+        raise ValueError(f"matrix document field 'data' must be a list of rows, got {data!r}")
     if len(data) != rows:
         raise ValueError(f"matrix document claims {rows} rows, data has {len(data)}")
-    if scalar == "real":
-        a = np.array(data, dtype=float)
-    elif scalar == "complex":
-        a = np.array([[complex(re, im) for re, im in row] for row in data])
-    else:
-        raise ValueError(f"unknown scalar kind {scalar!r}")
+    try:
+        if scalar == "real":
+            a = np.array(data, dtype=float)
+        else:
+            a = np.array([[complex(re, im) for re, im in row] for row in data])
+    except (TypeError, ValueError) as exc:
+        entry = "number" if scalar == "real" else "[re, im] pair of numbers"
+        raise ValueError(f"matrix document field 'data' must hold one {entry} per entry: {exc}") from None
     if a.shape != (rows, cols):
         raise ValueError(f"matrix document shape mismatch: header {(rows, cols)}, data {a.shape}")
     _require_finite(a)

@@ -23,11 +23,10 @@ trace, push the result forward.  The dual slack is repaired the same way.
 eigenvalue of M (x) I^(r-1) restricted to the extension subspace.
 
 Real symmetric inputs yield real SDPs (an optimal extension can always be
-conjugated to a real one).  Complex Hermitian inputs are solved through the
-2d x 2d real embedding [[Re,-Im],[Im,Re]], under which Hermitian-PSD and
-embedded-real-PSD coincide.  Block 0 is kept an embedded Hermitian matrix by
-the averaging projection (S - J S J)/2 onto the matrices that commute with the
-complex structure J, and T_k acts on the Hermitian matrix that X embeds.
+conjugated to a real one).  Complex Hermitian inputs yield complex Hermitian
+blocks of the same sizes: L and W_k are real, and a partial transpose of a
+Hermitian matrix is Hermitian, so every formula above holds verbatim and the
+solver's PSD projection takes the Hermitian blocks directly.
 """
 
 from __future__ import annotations
@@ -37,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TensorShape
-from .linalg import (SELF_ADJOINT_TOL, _check_self_adjoint, kron, partial_transpose,
-                     real_embedding, sym_isometry)
+from .linalg import SELF_ADJOINT_TOL, _check_self_adjoint, kron, partial_transpose, sym_isometry
 from .sdp import SolveOptions, solve_sdp
 
 __all__ = ["dps_value", "h_ext", "DpsResult"]
@@ -66,27 +64,16 @@ def _ppt_subsets(r: int):
     return out
 
 
-def _unembed(s: np.ndarray) -> np.ndarray:
-    """The complex matrix whose real embedding is the J-invariant part of s."""
-    d = s.shape[0] // 2
-    re = (s[:d, :d] + s[d:, d:]) / 2.0
-    im = (s[d:, :d] - s[:d, d:]) / 2.0
-    return re + 1j * im
-
-
 class _LinkedBlocks:
-    """The DPS program over blocks (X, T_1 X, ..., T_K X), all PSD.
+    """The DPS program over blocks (X, T_1 X, ..., T_K X), all PSD and of
+    the input's dtype.
 
-    Maximize <C_0, X> subject to tr X = b_0, with
-    T_k(X) = W_k^T PT_k(L X L^T) W_k for real inputs and
-    T_k(X) = emb(W_k^T PT_k(L unemb(X) L^T) W_k) for complex ones.  On the
-    admissible X (every X for real inputs, the J-invariant X for complex
-    ones) each T_k is a Frobenius isometry, so each block has trace b_0 and
-    the trace bound of the whole program is b_0 (1 + K).
+    Maximize Re <C_0, X> subject to tr X = 1, with
+    T_k(X) = W_k^T PT_k(L X L^T) W_k.  Each T_k is a Frobenius isometry, so
+    each block has trace 1 and the trace bound of the whole program is 1 + K.
     """
 
     def __init__(self, obj: np.ndarray, lift: np.ndarray, n: int, r: int, subsets):
-        self.complex = np.iscomplexobj(obj)
         self.lift, self.subsets = lift, subsets
         shape = TensorShape((n,) * (r + 1))
         d = shape.total
@@ -98,16 +85,10 @@ class _LinkedBlocks:
         # PT_k(L X L^T) lives on C^n (x) Sym^t (x) Sym^(r-t)
         self.support = [kron(np.eye(n), sym_isometry(t, n), sym_isometry(r - t, n))
                         for t in (len(sub) - (0 in sub) for sub in subsets)]
-        e = 2 if self.complex else 1
-        self.blocks = [e * lift.shape[1]] + [e * w.shape[1] for w in self.support]
-        self.C = [real_embedding(obj) / 2.0 if self.complex else obj]
-        self.C += [np.zeros((s, s)) for s in self.blocks[1:]]
-        self.b = np.array([float(e)])
-        self.trace_bound = float(e * len(self.blocks))
-
-    def average(self, s: np.ndarray) -> np.ndarray:
-        """The nearest admissible block-0 matrix: (S - J S J)/2, or S itself."""
-        return real_embedding(_unembed(s)) if self.complex else s
+        self.blocks = [lift.shape[1]] + [w.shape[1] for w in self.support]
+        self.C = [obj] + [np.zeros((s, s), dtype=obj.dtype) for s in self.blocks[1:]]
+        self.b = np.array([1.0])
+        self.trace_bound = float(len(self.blocks))
 
     def _transpose(self, m: np.ndarray, k: int) -> np.ndarray:
         """PT_k(m) for a full-size m, by the gather index."""
@@ -115,21 +96,17 @@ class _LinkedBlocks:
 
     def image(self, x: np.ndarray, k: int) -> np.ndarray:
         """T_k(x), the PPT block k that block 0 fixes."""
-        h = _unembed(x) if self.complex else x
         w = self.support[k]
-        y = w.T @ self._transpose(self.lift @ h @ self.lift.T, k) @ w
-        return real_embedding(y) if self.complex else y
+        return w.T @ self._transpose(self.lift @ x @ self.lift.T, k) @ w
 
     def coimage(self, v: np.ndarray, k: int) -> np.ndarray:
         """T_k^T(v), the adjoint of :meth:`image`."""
-        g = _unembed(v) if self.complex else v
         w = self.support[k]
-        x = self.lift.T @ self._transpose(w @ g @ w.T, k) @ self.lift
-        return real_embedding(x) if self.complex else x
+        return self.lift.T @ self._transpose(w @ v @ w.T, k) @ self.lift
 
     def pull_back(self, mats) -> np.ndarray:
-        """P(M_0) + sum_k T_k^T(M_k): the adjoint of X -> (X, T_1 X, ..., T_K X)."""
-        out = self.average(mats[0])
+        """M_0 + sum_k T_k^T(M_k): the adjoint of X -> (X, T_1 X, ..., T_K X)."""
+        out = mats[0]
         for k, m in enumerate(mats[1:]):
             out = out + self.coimage(m, k)
         return out
@@ -138,16 +115,16 @@ class _LinkedBlocks:
         return [x] + [self.image(x, k) for k in range(len(self.subsets))]
 
     def project(self, V):
-        """Orthogonal projection onto the linked blocks with tr X = b_0, as
+        """Orthogonal projection onto the linked blocks with tr X = 1, as
         ``(blocks, w)`` with w the multiplier of the trace row."""
         links = len(self.blocks)
         xbar = self.pull_back(V) / links
-        w = (np.trace(xbar) - self.b[0]) * links / self.blocks[0]
+        w = (np.trace(xbar).real - 1.0) * links / self.blocks[0]
         return self.push(xbar - (w / links) * np.eye(self.blocks[0])), np.array([w])
 
     def dual_slack(self, sol):
         """The solver's slack S moved onto the dual affine set
-        P(C_0 + S_0) + sum_k T_k^T(C_k + S_k) = y I by the least change,
+        (C_0 + S_0) + sum_k T_k^T(C_k + S_k) = y I by the least change,
         which is a pushed-forward block-0 matrix."""
         fix = sol.y[0] * np.eye(self.blocks[0]) - self.pull_back(
             [c + s for c, s in zip(self.C, sol.S)])

@@ -1,6 +1,6 @@
 """Dense linear-algebra kernels: eigendecompositions, PSD projection,
-permutation operators on tensor powers, the symmetric-subspace isometry,
-partial transposes and the complex-to-real embedding.
+permutation operators on tensor powers, the symmetric-subspace isometry and
+partial transposes.
 
 All functions are pure; inputs are never mutated.  Tolerances are parameters
 with stated defaults rather than hidden constants.
@@ -22,11 +22,9 @@ __all__ = [
     "image_basis",
     "psd_project",
     "perm_operator",
-    "apply_perm",
     "sym_isometry",
     "partial_transpose",
     "kron",
-    "real_embedding",
     "reorder_factors",
 ]
 
@@ -153,21 +151,10 @@ def _check_perm(pi):
     return pi
 
 
-def apply_perm(pi, v: np.ndarray, n: int) -> np.ndarray:
-    """Apply the factor permutation operator to a vector of length n^r.
-
-    Maps ``x_1 (x) ... (x) x_r`` to ``x_pi(1) (x) ... (x) x_pi(r)`` (0-based
-    ``pi``), using the row-major factor-1-slowest index convention.
-    """
-    pi = _check_perm(pi)
-    r = len(pi)
-    t = np.asarray(v).reshape((n,) * r)
-    return np.transpose(t, axes=pi).reshape(-1)
-
-
 def perm_operator(pi, n: int) -> np.ndarray:
-    """Matrix of the operator permuting tensor factors according to ``pi``:
-    column j is ``apply_perm(pi, e_j, n)``."""
+    """Matrix of the operator permuting tensor factors according to ``pi``
+    (0-based): it maps ``x_1 (x) ... (x) x_r`` to ``x_pi(1) (x) ... (x) x_pi(r)``
+    in the row-major factor-1-slowest index convention."""
     pi = _check_perm(pi)
     r = len(pi)
     dim = n**r
@@ -232,12 +219,3 @@ def kron(*mats: np.ndarray) -> np.ndarray:
     for m in mats[1:]:
         out = np.kron(out, np.asarray(m))
     return out
-
-
-def real_embedding(h: np.ndarray) -> np.ndarray:
-    """The 2n x 2n real image [[Re, -Im], [Im, Re]] of a complex matrix.
-
-    For Hermitian ``h`` the image is symmetric, and it is PSD iff ``h`` is.
-    """
-    re, im = np.real(h), np.imag(h)
-    return np.block([[re, -im], [im, re]])

@@ -3,7 +3,10 @@
     maximize <C, X>  subject to  X in an affine set,  X >= 0 (block diagonal),
 
 that returns, with every solution, an upper bound valid for every feasible X:
-weak duality plus an eigenvalue shift of the dual slack.
+weak duality plus an eigenvalue shift of the dual slack.  The blocks may be
+real symmetric or, as in a DPS program with a complex input, complex
+Hermitian; every inner product and norm is the real Frobenius product
+Re <A, B>, so <C, X> is real and the PSD cone is the Hermitian one.
 
 Two problem types state the affine set.  :class:`MomentProgram` states
 moment matrices: each block of X is constant on classes of positions, a class
@@ -17,12 +20,12 @@ sizes), ``C`` (the objective blocks), ``b`` (the right-hand sides, paired with
 the dual vector y), ``project`` (the orthogonal projection onto the affine
 set, with its multiplier), ``dual_slack`` (the solver's slack moved onto the
 dual affine set) and ``trace_bound`` (an a-priori bound on tr X over the
-feasible set, stated where the program is built).  It runs one Douglas-Rachford (ADMM) loop on any of them, alternating
-the projection with a rank-aware projection onto the PSD cone under an
-adaptive penalty: near an optimum a tight moment relaxation is close to rank
-one, while the blocks of a DPS program are often of full rank.  The loop is
-fully deterministic: the same problem and options produce bitwise-identical
-iterates.
+feasible set, stated where the program is built).  It runs one
+Douglas-Rachford (ADMM) loop on any of them, alternating the projection with
+a rank-aware projection onto the PSD cone under an adaptive penalty: near an
+optimum a tight moment relaxation is close to rank one, while the blocks of a
+DPS program are often of full rank.  The loop is fully deterministic: the
+same problem and options produce bitwise-identical iterates.
 """
 
 from __future__ import annotations
@@ -177,6 +180,11 @@ def _ravel(mats) -> np.ndarray:
     return mats[0].ravel() if len(mats) == 1 else np.concatenate([m.ravel() for m in mats])
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The real Frobenius product Re <a, b>; on real vectors it equals a @ b bit for bit."""
+    return float(np.vdot(a, b).real)
+
+
 def _independent_rows(gram: np.ndarray, b: np.ndarray):
     """The rows, in order, that do not depend on earlier rows, and the upper
     Cholesky factor of their Gram matrix, from the Gram matrix of all rows:
@@ -269,7 +277,7 @@ def solve_sdp(problem, opts: SolveOptions | None = None) -> SdpSolution:
         return [flat[a:e].reshape(shape) for a, e, shape in spans]
 
     c_in = _ravel(P.C)
-    norm_c = math.sqrt(c_in @ c_in)
+    norm_c = math.sqrt(_dot(c_in, c_in))
     scale = max(1.0, norm_c)
     c = c_in / scale
     rho = 1.0
@@ -283,7 +291,7 @@ def solve_sdp(problem, opts: SolveOptions | None = None) -> SdpSolution:
         X, w = P.project(split(z - u + c_rho))
         y = rho * w
         x = _ravel(X)
-        nx = math.sqrt(x @ x)
+        nx = math.sqrt(_dot(x, x))
         if not nx <= 1e12:
             status = "infeasible-suspected"
             break
@@ -298,17 +306,17 @@ def solve_sdp(problem, opts: SolveOptions | None = None) -> SdpSolution:
         Zb, ranks = zip(*[_psd_project(vb, k) for vb, k in zip(split(v), ranks)])
         z = _ravel(Zb)
         u = v - z
-        if not rho * math.sqrt(u @ u) <= 1e12:
+        if not rho * math.sqrt(_dot(u, u)) <= 1e12:
             status = "infeasible-suspected"
             break
         # S - dual_slack = rho * scale * (Z - Z_old) when every position is its
         # own class (coarser classes move S less), so rd bounds the dual
         # infeasibility the result reports
         d = x - z
-        rp = math.sqrt(d @ d) / (1.0 + nx)
+        rp = math.sqrt(_dot(d, d)) / (1.0 + nx)
         d = z - z_old
-        rd = rho * scale * math.sqrt(d @ d) / (1.0 + norm_c)
-        pobj, dobj = scale * float(c @ x), scale * float(P.b @ y)
+        rd = rho * scale * math.sqrt(_dot(d, d)) / (1.0 + norm_c)
+        pobj, dobj = scale * _dot(c, x), scale * float(P.b @ y)
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         if max(rp, rd, gap) <= opts.tol:
             status = "optimal"
@@ -321,10 +329,10 @@ def solve_sdp(problem, opts: SolveOptions | None = None) -> SdpSolution:
 
     # the multiplier of X = Z is rho * U; C was divided by scale
     y = y * scale
-    sol = SdpSolution(X, y, split(-(rho * scale) * u), float(c_in @ x), float(P.b @ y),
+    sol = SdpSolution(X, y, split(-(rho * scale) * u), _dot(c_in, x), float(P.b @ y),
                       {}, status, it, math.nan, math.nan)
     slack = P.dual_slack(sol)
-    lam = min(float(np.linalg.eigvalsh((s + s.T) / 2.0)[0]) for s in slack)
+    lam = min(float(np.linalg.eigvalsh((s + s.conj().T) / 2.0)[0]) for s in slack)
     sol.slack_shift = max(0.0, -lam)
     sol.bound = sol.dual_obj + P.trace_bound * sol.slack_shift
     # X satisfies the affine constraints by construction; its primal
@@ -334,7 +342,7 @@ def solve_sdp(problem, opts: SolveOptions | None = None) -> SdpSolution:
             for xb in X]
     rp = math.sqrt(sum(float(np.sum(np.minimum(e, 0.0) ** 2)) for e in eigs)) / (1.0 + nx)
     d = _ravel(sol.S) - _ravel(slack)
-    rd = math.sqrt(d @ d) / (1.0 + norm_c)
+    rd = math.sqrt(_dot(d, d)) / (1.0 + norm_c)
     gap = abs(sol.primal_obj - sol.dual_obj) / (1.0 + abs(sol.primal_obj) + abs(sol.dual_obj))
     sol.residuals = {"primal_infeas": rp, "dual_infeas": rd, "gap": gap,
                      "min_eig": min(float(e[0]) for e in eigs)}

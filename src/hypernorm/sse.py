@@ -98,8 +98,11 @@ class RegularGraph:
         return float(self.evaluate_subsets(self._indicator(subset))[1][0])
 
     def _indicator(self, subset) -> np.ndarray:
+        subset = list(subset)
+        if not all(0 <= v < self.n for v in subset):
+            raise ValueError(f"subset names a vertex outside 0..{self.n - 1}: {subset}")
         row = np.zeros((1, self.n), dtype=np.int64)
-        row[0, list(subset)] = 1
+        row[0, subset] = 1
         return row
 
 
@@ -448,6 +451,8 @@ def disjoint_matching(pairs: int) -> RegularGraph:
 
 def random_regular_graph(n: int, d: int, seed: int = 0) -> RegularGraph:
     """Configuration-model d-regular graph, resampled until simple and connected."""
+    if n * d % 2:
+        raise ValueError(f"a {d}-regular graph on {n} vertices needs n*d even, got n*d = {n * d}")
     rng = np.random.default_rng(seed)
     for _ in range(REGULAR_GRAPH_TRIES):
         stubs = np.repeat(np.arange(n), d)

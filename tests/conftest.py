@@ -21,6 +21,13 @@ def phi_complex(n: int) -> np.ndarray:
     return np.kron(u, u) @ phi_state(n).astype(complex) @ np.kron(u, u).conj().T
 
 
+def real_embedding(h: np.ndarray) -> np.ndarray:
+    """The 2n x 2n real image [[Re, -Im], [Im, Re]] of a complex matrix:
+    symmetric for Hermitian h, and PSD iff h is."""
+    re, im = np.real(h), np.imag(h)
+    return np.block([[re, -im], [im, re]])
+
+
 @pytest.fixture
 def evr_calls(monkeypatch):
     """The side, "pos" or "neg", of every direct LAPACK evr call made while

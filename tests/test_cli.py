@@ -157,6 +157,11 @@ def test_validation_failure_exit_code(files, capsys, tmp_path):
     (["sse", "analyze", "--delta", "0.25", "--graph"], "empty.txt", "", "empty"),
     (["norm24", "--in"], "no_cols.json", '{"rows": 2}', "cols"),
     (["norm24", "--in"], "array.json", "[1, 2]", "JSON object"),
+    (["norm24", "--in"], "null_rows.json", '{"rows": null, "cols": 1, "scalar": "real", "data": [[1.0]]}',
+     "'rows'"),
+    (["norm24", "--in"], "bare_complex.json", '{"rows": 1, "cols": 1, "scalar": "complex", "data": [[1.0]]}',
+     "'data'"),
+    (["norm24", "--in"], "null_data.json", '{"rows": 1, "cols": 1, "scalar": "real", "data": null}', "'data'"),
 ])
 def test_malformed_input_file_exit_code(capsys, tmp_path, command, name, text, words):
     (tmp_path / name).write_text(text)

@@ -42,9 +42,6 @@ def test_nonfinite_entries_rejected():
 def test_tensor_shape_invariants():
     sh = TensorShape((2, 3, 2))
     assert sh.total == 12 and sh.rank == 3
-    sh.check_vector(12)
-    with pytest.raises(ValueError):
-        sh.check_vector(11)
     with pytest.raises(ValueError):
         TensorShape((0, 2))
 

@@ -5,20 +5,29 @@ import numpy as np
 import pytest
 
 from hypernorm.core import OperatorInstance, TensorShape
-from hypernorm.dps import _dps_program, _ppt_subsets, _unembed, dps_value, h_ext
-from hypernorm.linalg import partial_transpose, real_embedding
+from hypernorm.dps import _dps_program, _ppt_subsets, dps_value, h_ext
+from hypernorm.linalg import partial_transpose
 from hypernorm.sdp import SdpProblem, SolveOptions, solve_sdp
 from hypernorm.tensorsdp import a22_matrix, tensor_sdp
-from tests.conftest import phi_complex, phi_state
+from tests.conftest import phi_complex, phi_state, real_embedding
 
 
-def _sym(rng, size):
+def _sym(rng, size, dtype=float):
+    """A random real symmetric or, for a complex dtype, Hermitian matrix."""
     g = rng.normal(size=(size, size))
-    return (g + g.T) / 2.0
+    if np.issubdtype(dtype, np.complexfloating):
+        g = g + 1j * rng.normal(size=(size, size))
+    return (g + g.conj().T) / 2.0
 
 
 def _inner(a, b):
-    return sum(float(np.vdot(x, y)) for x, y in zip(a, b))
+    return sum(np.vdot(x, y).real for x, y in zip(a, b))
+
+
+def _unembed(s):
+    """The complex matrix whose real embedding is the J-invariant part of s."""
+    d = s.shape[0] // 2
+    return (s[:d, :d] + s[d:, d:]) / 2.0 + 1j * (s[d:, :d] - s[:d, d:]) / 2.0
 
 
 def _sym_basis(dim):
@@ -47,13 +56,11 @@ def _linking_rows(images, blocks, size):
 
 def full_images(m, n, r):
     """The program of ``dps_value`` and, for each PPT block, the map
-    X -> PT_k(L X L^T) (embedded for complex inputs) at the full size n^(r+1)."""
+    X -> PT_k(L X L^T) at the full size n^(r+1)."""
     linked = _dps_program(m, n, r, True)
     lift, shape = linked.lift, TensorShape((n,) * (r + 1))
 
     def image(x, sub):
-        if linked.complex:
-            return real_embedding(partial_transpose(lift @ _unembed(x) @ lift.T, shape, sub))
         return partial_transpose(lift @ x @ lift.T, shape, sub)
 
     return linked, [functools.partial(image, sub=sub) for sub in _ppt_subsets(r)]
@@ -62,14 +69,21 @@ def full_images(m, n, r):
 def row_form_dps(m, n, r):
     """The PPT DPS program stated as an SdpProblem: every PPT block, at the
     full size n^(r+1), is tied entrywise to the partial transpose of block 0's
-    lift by linking rows, and a complex input's block 0 is held J-invariant by
-    explicit rows.  Reference for the compressed linked blocks of ``dps_value``."""
+    lift by linking rows.  A complex input is stated through the real
+    embedding [[Re, -Im], [Im, Re]], under which Hermitian-PSD and
+    embedded-real-PSD coincide, with block 0 held J-invariant by explicit
+    rows.  Reference for the compressed Hermitian linked blocks of
+    ``dps_value``."""
     linked, images = full_images(m, n, r)
-    D = linked.blocks[0]
-    DF = linked.lift.shape[0] * (2 if linked.complex else 1)
+    embed = np.iscomplexobj(linked.C[0])
+    factor = 2 if embed else 1
+    if embed:
+        images = [lambda x, image=image: real_embedding(image(_unembed(x))) for image in images]
+    D = factor * linked.blocks[0]
+    DF = factor * linked.lift.shape[0]
     blocks = [D] + [DF] * len(images)
     cons = [[(0, i, i, 1.0) for i in range(D)]]
-    if linked.complex:
+    if embed:
         dim = D // 2
         # J-invariance: S[a, b] = S[a+dim, b+dim] and S[a, b+dim] + S[b, a+dim] = 0
         for a in range(dim):
@@ -81,9 +95,9 @@ def row_form_dps(m, n, r):
                             else [(0, a, bb + dim, 1.0), (0, bb, a + dim, 1.0)])
     cons += _linking_rows({(a, bb): [image(e) for image in images] for a, bb, e in _sym_basis(D)},
                           len(images), DF)
-    b = [linked.b[0]] + [0.0] * (len(cons) - 1)
-    C = [linked.C[0]] + [np.zeros((DF, DF))] * len(images)
-    problem = SdpProblem(blocks, C, cons, b, trace_bound=linked.trace_bound)
+    b = [float(factor)] + [0.0] * (len(cons) - 1)
+    C = [real_embedding(linked.C[0]) / 2.0 if embed else linked.C[0]] + [np.zeros((DF, DF))] * len(images)
+    problem = SdpProblem(blocks, C, cons, b, trace_bound=factor * linked.trace_bound)
     return solve_sdp(problem, SolveOptions(tol=1e-8, max_iter=100_000)).primal_obj
 
 
@@ -96,19 +110,19 @@ LINKED_IDS = ["real-r1", "real-r2", "real-r3", "complex-r1", "complex-r2", "comp
 @pytest.mark.parametrize("m, n, r", LINKED_CASES, ids=LINKED_IDS)
 class TestLinkedBlocks:
     def _admissible(self, p, rng, traceless=False):
-        x = p.average(_sym(rng, p.blocks[0]))
+        x = _sym(rng, p.blocks[0], p.C[0].dtype)
         if traceless:
             x -= np.trace(x) / p.blocks[0] * np.eye(p.blocks[0])
         return x / np.linalg.norm(x)
 
     def test_images_are_isometries_with_the_stated_adjoint(self, m, n, r, rng):
         p = _dps_program(m, n, r, True)
-        assert p.complex == np.iscomplexobj(m)
+        assert all(c.dtype == m.dtype for c in p.C)
         assert len(p.subsets) == r
         for k in range(len(p.subsets)):
             x = self._admissible(p, rng)
             assert abs(np.linalg.norm(p.image(x, k)) - 1.0) <= 1e-13
-            x, v = _sym(rng, p.blocks[0]), _sym(rng, p.blocks[k + 1])
+            x, v = _sym(rng, p.blocks[0], m.dtype), _sym(rng, p.blocks[k + 1], m.dtype)
             lhs, rhs = np.vdot(p.image(x, k), v), np.vdot(x, p.coimage(v, k))
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
@@ -131,18 +145,18 @@ class TestLinkedBlocks:
             assert p.blocks[k + 1] <= full.shape[0]
             assert abs(np.linalg.norm(small) - np.linalg.norm(full)) <= 1e-13
             assert abs(np.trace(small) - np.trace(full)) <= 1e-13
-            spectrum = np.linalg.eigvalsh((small + small.T) / 2.0)
+            spectrum = np.linalg.eigvalsh((small + small.conj().T) / 2.0)
             padded = np.sort(np.r_[spectrum, np.zeros(full.shape[0] - small.shape[0])])
-            assert np.abs(padded - np.linalg.eigvalsh((full + full.T) / 2.0)).max() <= 1e-13
+            assert np.abs(padded - np.linalg.eigvalsh((full + full.conj().T) / 2.0)).max() <= 1e-13
             assert spectrum[0] < -1e-3   # so lambda_min is not one of the padded zeros
 
     def test_project_is_feasible_idempotent_and_orthogonal(self, m, n, r, rng):
         p = _dps_program(m, n, r, True)
-        V = [_sym(rng, s) for s in p.blocks]
+        V = [_sym(rng, s, m.dtype) for s in p.blocks]
         X, w = p.project(V)
-        assert w.shape == (1,)
-        assert abs(np.trace(X[0]) - p.b[0]) <= 1e-12
-        assert np.linalg.norm(p.average(X[0]) - X[0]) <= 1e-12
+        assert w.shape == (1,) and w.dtype == float
+        assert abs(np.trace(X[0]) - 1.0) <= 1e-12
+        assert all(x.dtype == m.dtype and np.linalg.norm(x - x.conj().T) <= 1e-12 for x in X)
         for k, y in enumerate(X[1:]):
             assert np.linalg.norm(y - p.image(X[0], k)) <= 1e-12
         X2, _ = p.project(X)
@@ -157,9 +171,9 @@ class TestLinkedBlocks:
 
     def test_dual_slack_lies_on_the_dual_affine_set(self, m, n, r, rng):
         p = _dps_program(m, n, r, True)
-        sol = SimpleNamespace(y=np.array([rng.normal()]), S=[_sym(rng, s) for s in p.blocks])
+        sol = SimpleNamespace(y=np.array([rng.normal()]), S=[_sym(rng, s, m.dtype) for s in p.blocks])
         S = p.dual_slack(sol)
-        total = p.average(p.C[0] + S[0])
+        total = p.C[0] + S[0]
         for k, s in enumerate(S[1:]):
             total = total + p.coimage(s, k)
         assert np.linalg.norm(total - sol.y[0] * np.eye(p.blocks[0])) <= 1e-12 * len(p.blocks)
@@ -201,7 +215,7 @@ class TestDps:
                        opts=SolveOptions(tol=1e-9, max_iter=200_000))
         assert abs(v6 - vd) <= 1e-4 * max(1.0, abs(v6))
 
-    def test_complex_input_through_embedding(self):
+    def test_locally_rotated_complex_input(self):
         u = np.diag(np.exp(1j * np.array([0.3, -1.2])))
         v = np.diag(np.exp(1j * np.array([0.7, 2.1])))
         mc = np.kron(u, v) @ phi_state(2).astype(complex) @ np.kron(u, v).conj().T
@@ -233,16 +247,34 @@ class TestDps:
         assert res.status == "optimal"
         assert abs(res.bound - res.value) <= 1e-6
 
-    @pytest.mark.parametrize("case", ["phi3-r2", "phi2-r3", "a22-r1", "phi2c-r2"])
+    @pytest.mark.parametrize("case", ["phi3-r2", "phi2-r3", "a22-r1", "phi2c-r1", "phi2c-r2", "phi2c-r3"])
     def test_linked_blocks_match_the_row_form(self, case):
         m, n, r = {
             "phi3-r2": (phi_state(3), 3, 2),
             "phi2-r3": (phi_state(2), 2, 3),
             "a22-r1": (a22_matrix(OperatorInstance(np.random.default_rng(5).normal(size=(4, 3)))), 3, 1),
+            "phi2c-r1": (phi_complex(2), 2, 1),
             "phi2c-r2": (phi_complex(2), 2, 2),
+            "phi2c-r3": (phi_complex(2), 2, 3),
         }[case]
         linked, rows = dps_value(m, n, r=r), row_form_dps(m, n, r)
         assert abs(linked - rows) <= 1e-7 * max(1.0, abs(rows))
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_complex_input_solves_on_hermitian_blocks(self, r):
+        # the complex program has the real program's block sizes, and its
+        # iterates stay complex Hermitian
+        p = _dps_program(phi_complex(2), 2, r, True)
+        assert p.blocks == _dps_program(phi_state(2), 2, r, True).blocks
+        sol = solve_sdp(p, SolveOptions(tol=1e-8, max_iter=100_000))
+        assert sol.status == "optimal"
+        for x, size in zip(sol.X, p.blocks):
+            assert x.shape == (size, size) and np.iscomplexobj(x)
+            assert np.linalg.norm(x - x.conj().T) <= 1e-12 * np.linalg.norm(x)
+            assert np.linalg.norm(x.imag) >= 1e-3 * np.linalg.norm(x)
+        res = dps_value(phi_complex(2), 2, r=r, return_details=True)
+        assert type(res.value) is float and type(res.bound) is float
+        assert res.value - 1e-6 <= 0.5 <= res.bound + 1e-6
 
     def test_rejects_non_hermitian_and_size(self, rng):
         with pytest.raises(ValueError):

@@ -9,20 +9,25 @@ from hypothesis import strategies as st
 from hypernorm import linalg
 from hypernorm.core import TensorShape
 from hypernorm.linalg import (
-    apply_perm,
     image_basis,
     kron,
     partial_transpose,
     perm_operator,
     psd_project,
-    real_embedding,
     reorder_factors,
     sym_eig,
     sym_isometry,
 )
+from tests.conftest import real_embedding
 
 
 # References for the checks below; the package itself needs none of them.
+
+def apply_perm(pi, v, n):
+    """The factor permutation operator applied to a vector of length n^r:
+    ``x_1 (x) ... (x) x_r`` goes to ``x_pi(1) (x) ... (x) x_pi(r)`` (0-based pi)."""
+    return np.transpose(np.asarray(v).reshape((n,) * len(pi)), axes=pi).reshape(-1)
+
 
 def perm_operator_by_columns(pi, n):
     """perm_operator built one identity column at a time."""

@@ -489,6 +489,9 @@ def oracle_fourth(instance):
 
 
 L4_INSTANCE = random_operator("gaussian", 4, 16, 0)
+# Pauli Y (x) I: top eigenvalue 1 with a purely imaginary matrix, so the
+# slack shift must come from the Hermitian slack, not from its real part
+IMAGINARY_OBJECTIVE = np.kron([[0.0, -1.0j], [1.0j, 0.0]], np.eye(2))
 A22_INSTANCE = random_operator("sign", 4, 32, 1)
 
 # each problem type: one solve, a feasible objective value, and whether every
@@ -507,6 +510,10 @@ EVERY_PROBLEM_TYPE = {
     # h_Sep of the maximally entangled state on C^n (x) C^n is 1/n
     "dps-real-r2": (lambda solve, opts: dps_value(phi_state(3), 3, r=2, opts=opts), 1.0 / 3.0, True),
     "dps-complex-r1": (lambda solve, opts: dps_value(phi_complex(2), 2, r=1, opts=opts), 0.5, True),
+    "dps-complex-r2": (lambda solve, opts: dps_value(phi_complex(2), 2, r=2, opts=opts), 0.5, True),
+    # without PPT blocks the level-1 value is the top eigenvalue
+    "dps-imaginary-noppt-r1": (lambda solve, opts: dps_value(IMAGINARY_OBJECTIVE, 2, r=1, ppt=False, opts=opts),
+                               1.0, True),
 }
 
 
@@ -522,7 +529,7 @@ def test_every_problem_type_bounds_its_feasible_set(case, max_iter, solved):
     assert sol.bound >= feasible - 1e-12
     if max_iter is None:
         assert sol.status == "optimal"
-        trace = sum(float(np.trace(x)) for x in sol.X)
+        trace = sum(float(np.trace(x).real) for x in sol.X)
         assert trace <= problem.trace_bound * (1 + 1e-6)
         if exact:
             assert abs(trace - problem.trace_bound) <= 1e-6 * problem.trace_bound

@@ -183,6 +183,15 @@ class TestSubsetTable:
         with pytest.raises(ValueError, match="nonempty"):
             g.evaluate_subsets(np.array([[1, 0, 0, 0, 0], [0, 0, 0, 0, 0]]))
 
+    @pytest.mark.parametrize("subset", [[-1], [5], [0, 5]], ids=["negative", "n", "mixed"])
+    def test_out_of_range_vertex_rejected(self, subset):
+        # a negative index would otherwise wrap around to vertex n - 1
+        g = cycle_graph(5)
+        with pytest.raises(ValueError, match="outside 0..4"):
+            g.phi(subset)
+        with pytest.raises(ValueError, match="outside 0..4"):
+            g.collision_probability(subset)
+
     @pytest.mark.parametrize("g,delta", [
         (cycle_graph(8), 0.5),
         (petersen_graph(), 0.3),
@@ -320,6 +329,10 @@ class TestExpansionImpliesNorm:
         chk = check_expansion_implies_norm(cycle_graph(12), 0.9, 4, delta=1 / 12, c=0.12)
         if chk.hypothesis_met:
             assert chk.passed
+
+    def test_odd_endpoint_count_rejected(self):
+        with pytest.raises(ValueError, match="n\\*d even"):
+            random_regular_graph(5, 3)
 
     def test_expander_fixture(self):
         g = random_regular_graph(14, 3, seed=5)

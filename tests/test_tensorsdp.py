@@ -57,7 +57,7 @@ class TestTensorSdp:
     def test_scaling_covariance(self):
         inst = sign_instance(5, 3, seed=4)
         v1 = tensor_sdp(inst, 4).value
-        v2 = tensor_sdp(inst.scaled(2.0), 4).value
+        v2 = tensor_sdp(OperatorInstance(2.0 * inst.matrix, inst.convention), 4).value
         assert abs(v2 - 16.0 * v1) <= 1e-8 * max(1.0, 16.0 * v1)
 
     def test_size_limits(self, rng):
