@@ -31,6 +31,12 @@ __all__ = [
     "random_operator",
 ]
 
+# The numerical-rank rule: a singular value counts as nonzero when it exceeds
+# RANK_RTOL times the largest.  OperatorInstance.sigma_min_nonzero and
+# linalg.image_basis both apply it, so on one matrix the smallest nonzero
+# singular value and the image dimension agree (sse.subexp_decide reads both).
+RANK_RTOL = 1e-10
+
 
 @dataclass(frozen=True)
 class TensorShape:
@@ -131,12 +137,13 @@ class OperatorInstance:
         """Largest singular value in the declared convention."""
         return float(np.linalg.norm(self.quadratic_rows(), 2))
 
-    def sigma_min_nonzero(self, rel_tol: float = 1e-10) -> float:
-        """Smallest nonzero singular value in the declared convention."""
+    def sigma_min_nonzero(self) -> float:
+        """Smallest singular value above ``RANK_RTOL`` times the largest, in the
+        declared convention."""
         s = np.linalg.svd(self.quadratic_rows(), compute_uv=False)
         if s.size == 0 or s[0] == 0.0:
             return 0.0
-        s = s[s > rel_tol * s[0]]
+        s = s[s > RANK_RTOL * s[0]]
         return float(s[-1])
 
     def two_to_infty(self) -> float:

@@ -2,8 +2,9 @@
 permutation operators on tensor powers, the symmetric-subspace isometry and
 partial transposes.
 
-All functions are pure; inputs are never mutated.  Tolerances are parameters
-with stated defaults rather than hidden constants.
+All functions are pure; inputs are never mutated.  The fixed thresholds are
+named constants with their reasons stated next to them: ``SELF_ADJOINT_TOL``
+and ``SUBSET_RATIO`` here, and ``core.RANK_RTOL`` for ``image_basis``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import numpy as np
 import scipy.linalg as sla
 
-from .core import TensorShape
+from .core import RANK_RTOL, TensorShape
 
 __all__ = [
     "sym_eig",
@@ -72,9 +73,9 @@ def sym_eig(m: np.ndarray):
 
 def image_basis(a: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning the numerical image of ``a``: its left
-    singular vectors whose singular values exceed 1e-10 times the largest."""
+    singular vectors whose singular values exceed ``RANK_RTOL`` times the largest."""
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return u[:, : int(np.sum(s > 1e-10 * max(s[0], 1e-300)))]
+    return u[:, : int(np.sum(s > RANK_RTOL * max(s[0], 1e-300)))]
 
 
 @functools.cache

@@ -1,8 +1,13 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hypernorm
 from hypernorm.core import OperatorInstance
 from hypernorm.linalg import perm_operator
 from hypernorm.oracles import norm_2_to_q_lower
@@ -20,29 +25,42 @@ from hypernorm.reductions import (
 
 
 class TestDesigns:
-    def test_stabilizer_design_exact(self):
-        ens = design_ensemble(2)
-        assert len(ens.vectors) == 6
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_closed_form_design_exact(self, n):
+        ens = design_ensemble(n)
         assert ens.residual() <= 1e-12
-
-    def test_pruned_design_n3(self):
-        ens = design_ensemble(3, seed=1)
-        assert ens.residual() <= 1e-8
-        # nonnegative pruning keeps the support near the target dimension
-        assert len(ens.vectors) <= 2 * 3**4
+        assert len(ens.vectors) == n + 3 ** (n - 1)
+        assert np.array_equal(ens.vectors, design_ensemble(n).vectors)
 
     def test_rejects_large_n(self):
-        with pytest.raises(ValueError):
-            design_ensemble(5)
+        for n in (0, 5):
+            with pytest.raises(ValueError):
+                design_ensemble(n)
+
+    def test_import_graph_has_no_scipy_optimize(self):
+        # a fresh interpreter: the test process itself may already hold scipy.optimize
+        code = "import sys, hypernorm.cli; print('scipy.optimize' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(hypernorm.__file__).resolve().parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert out.stdout.strip() == "False"
+
+
+def assert_product_test_checks(n):
+    _, checks = product_test_projector(n)
+    assert checks["idempotency"] <= 1e-12
+    assert checks["rank"] == (n * (n + 1) // 2) ** 2 == checks["rank_expected"]
+    assert checks["invariance"] <= 1e-12
+    assert checks["design_sum"] <= 1e-12
 
 
 class TestProductTest:
     def test_projector_checks_n2(self):
-        p, checks = product_test_projector(2)
-        assert checks["idempotency"] <= 1e-12
-        assert checks["rank"] == 9 == checks["rank_expected"]
-        assert checks["invariance"] <= 1e-12
-        assert checks["design_sum"] <= 1e-10
+        assert_product_test_checks(2)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_projector_checks_larger_n(self, n):
+        assert_product_test_checks(n)
 
     def test_projector_structure(self):
         p, _ = product_test_projector(2)
