@@ -19,7 +19,6 @@ from .core import OperatorInstance, load_matrix, matrix_to_json, random_operator
 from .dps import dps_value, h_ext
 from .lasserre import lasserre_roundtrip
 from .oracles import elementary_norms, h_sep_lower, norm_2_to_q_lower
-from .pseudoexp import PreconditionError
 from .reductions import GADGET_KAPPA, build_tensor_forms, complex_to_real, m1_pipeline, pad_and_project
 from .sdp import SolveOptions
 from .sse import expansion_profile, check_norm_implies_expansion, parse_graph_text, sse_decide
@@ -79,7 +78,7 @@ def _cmd_sse_analyze(args):
     out = {"n": g.n, "degree": g.degree, "delta": args.delta,
            "phi": prof.phi, "argmin": list(prof.argmin), "cp_argmin": prof.cp_argmin,
            "exhaustive": prof.exhaustive}
-    if args.lam is not None and g.n <= 12:
+    if args.lam is not None:
         chk = check_norm_implies_expansion(g, args.lam, args.q, restarts=args.restarts, seed=args.seed)
         out["norm_check"] = {"lambda": args.lam, "q": args.q, "norm_lower": chk.norm_lower,
                              "norm_upper_fourth": chk.norm_upper_fourth,
@@ -110,7 +109,8 @@ def _cmd_quantum_dps(args):
     res = dps_value(m, n, r=args.r, ppt=not args.no_ppt, opts=_opts(args), return_details=True)
     return {"value": res.value, "bound": res.bound,
             "bound_kind": "bound is the weak-duality upper bound on the level-r value; "
-                          "value is the primal objective of the solver's point",
+                          "value is <C, X> at the last iterate, which may lie outside the PSD "
+                          "cone, so value can exceed bound",
             "r": args.r, "ppt": not args.no_ppt,
             "status": res.status}, 0 if res.status == "optimal" else 3
 
@@ -309,7 +309,7 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         results, code = args.func(args)
-    except (ValueError, PreconditionError, FileNotFoundError, RuntimeError) as exc:
+    except (ValueError, FileNotFoundError, RuntimeError) as exc:
         # a solver that fails at run time is non-convergence, not bad input
         code = 3 if isinstance(exc, RuntimeError) else 2
         _write_report({"command": args.command, "config": _jsonable(config), "error": str(exc)},

@@ -215,6 +215,8 @@ def random_operator(dist: str, n: int, m: int, seed: int) -> OperatorInstance:
     ``"gaussian"`` (standard normal entries) or ``"unit"`` (Gaussian rows
     rescaled to length sqrt(n)).  The draw is a function of ``seed`` alone.
     """
+    if n < 1 or m < 1:
+        raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     rng = np.random.default_rng(seed)
     if dist == "sign":
         a = rng.choice([-1.0, 1.0], size=(m, n))

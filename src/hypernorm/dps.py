@@ -145,6 +145,8 @@ class DpsResult:
 def _compressed(m: np.ndarray, n: int, r: int):
     """The lift L = I (x) W onto C^n (x) (sym subspace) and the self-adjoint
     part of L^T (M (x) I^(r-1)) L."""
+    if r < 1:
+        raise ValueError(f"extension level r must be >= 1, got {r}")
     lift = np.kron(np.eye(n), sym_isometry(r, n))
     obj = lift.T @ kron(m, *([np.eye(n)] * (r - 1))) @ lift
     return lift, (obj + obj.conj().T) / 2.0

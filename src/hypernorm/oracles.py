@@ -441,9 +441,17 @@ def h_sep_lower(m: np.ndarray, dims: tuple[int, int], restarts: int = 64, seed: 
         raise ValueError(f"dimension {na * nb} exceeds limit {dim_limit}")
     ms, exp = _pow2_scaled(m)
     hs = (ms + ms.conj().T) / 2.0
-    lam_min = float(np.linalg.eigvalsh(hs)[0])
-    if lam_min < -HSEP_PSD_TOL:
-        raise ValueError(f"matrix is not PSD within tolerance (min eig {np.ldexp(lam_min, exp):.3e})")
+    # hs + tol I has a Cholesky factor iff lambda_min(hs) > -tol (LAPACK factors
+    # the Fortran-order copy in place); the spectrum is needed only when it fails
+    shifted = np.array(hs, order="F")
+    shifted.flat[::na * nb + 1] += HSEP_PSD_TOL
+    try:
+        sla.cholesky(shifted, lower=True, overwrite_a=True, check_finite=False)
+    except sla.LinAlgError:
+        lam_min = float(np.linalg.eigvalsh(hs)[0])
+        if lam_min < -HSEP_PSD_TOL:
+            raise ValueError(f"matrix is not PSD within tolerance (min eig {np.ldexp(lam_min, exp):.3e})")
+    del shifted
     cplx = np.iscomplexobj(m)
 
     xs, ys = [], []

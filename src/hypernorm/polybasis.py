@@ -4,12 +4,15 @@ coefficient form.
 
 Monomials are exponent tuples over n variables ordered graded-lexicographically
 (total degree first, then lexicographic with variable 1 heaviest); this fixed
-order indexes every moment matrix in the package.
+order indexes every moment matrix in the package.  ``_exact_degree`` is the
+package's one enumerator of monomials and ``_multinomial`` its one weight
+|alpha|! / alpha!.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +21,6 @@ from .core import OperatorInstance
 
 __all__ = [
     "monomial_basis",
-    "grlex_key",
     "Polynomial",
     "objective_expand",
     "quartic_gram",
@@ -31,27 +33,31 @@ __all__ = [
 ]
 
 
-def grlex_key(alpha):
-    """Sort key for graded-lexicographic monomial order."""
-    return (sum(alpha), tuple(-e for e in alpha))
-
-
 def monomial_basis(n: int, r: int) -> list[tuple[int, ...]]:
     """All exponent tuples over n variables with total degree <= r, graded-lex."""
-    out = []
-    for deg in range(r + 1):
-        out.extend(_exact_degree(n, deg))
-    return out
+    return [tuple(alpha) for deg in range(r + 1) for alpha in _exact_degree(n, deg)[1].tolist()]
 
 
-def _exact_degree(n, deg):
-    combos = []
-    for bars in itertools.combinations_with_replacement(range(n), deg):
-        alpha = [0] * n
-        for b in bars:
-            alpha[b] += 1
-        combos.append(tuple(alpha))
-    return sorted(set(combos), key=grlex_key)
+def _exact_degree(n: int, deg: int):
+    """The degree-``deg`` monomials over n variables as ``(index, exponent)`` arrays.
+
+    Row t of the ``len x deg`` index array is a nondecreasing variable tuple,
+    in ``combinations_with_replacement`` order; row t of the ``len x n``
+    exponent array counts its variables.  Each multiset comes once, and that
+    order is graded-lex on the exponents.
+    """
+    combos = list(itertools.combinations_with_replacement(range(n), deg))
+    index = np.array(combos, dtype=np.intp).reshape(len(combos), deg)
+    return index, (index[:, :, None] == np.arange(n)).sum(axis=1)
+
+
+_FACTORIALS = np.array([math.factorial(k) for k in range(21)])  # 20! is the last one in int64
+
+
+def _multinomial(exps) -> np.ndarray:
+    """|alpha|! / prod_k alpha_k! for each exponent row, in exact integers."""
+    exps = np.asarray(exps)
+    return (_FACTORIALS[exps.sum(axis=-1)] // _FACTORIALS[exps].prod(axis=-1)).astype(float)
 
 
 @dataclass
@@ -160,11 +166,9 @@ def objective_expand(instance: OperatorInstance) -> Polynomial:
         raise ValueError("quartic expansion needs a real operator; realify first")
     n = instance.n
     gram = quartic_gram(instance.quartic_rows())
-    combos = np.array(list(itertools.combinations_with_replacement(range(n), 4)))
+    combos, exps = _exact_degree(n, 4)
     values = gram[combos[:, 0] * n + combos[:, 1], combos[:, 2] * n + combos[:, 3]]
-    exps = (combos[:, :, None] == np.arange(n)).sum(axis=1)
-    fact = np.array([1.0, 1.0, 2.0, 6.0, 24.0])
-    mult = 24.0 / np.prod(fact[exps], axis=1)
+    mult = _multinomial(exps)
     keep = np.flatnonzero(values)
     return Polynomial(n, {tuple(exps[t].tolist()): mult[t] * values[t] for t in keep})
 

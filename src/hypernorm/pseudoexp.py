@@ -82,12 +82,8 @@ def pseudo_expect(pe: PseudoExpectation, p: Polynomial) -> float:
 
 
 def moment_matrix(pe: PseudoExpectation) -> np.ndarray:
-    basis = monomial_basis(pe.n, pe.level // 2)
-    m = np.empty((len(basis), len(basis)))
-    for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            m[i, j] = pe.moments[tuple(x + y for x, y in zip(a, b))]
-    return m
+    """M[a, b] = E[x^(a+b)] over monomials of degree <= r/2."""
+    return localized_moment_matrix(pe, Polynomial.constant(pe.n, 1.0))
 
 
 def localized_moment_matrix(pe: PseudoExpectation, loc: Polynomial) -> np.ndarray:
@@ -97,10 +93,9 @@ def localized_moment_matrix(pe: PseudoExpectation, loc: Polynomial) -> np.ndarra
     m = np.empty((len(basis), len(basis)))
     for i, a in enumerate(basis):
         for j, b in enumerate(basis):
-            total = 0.0
+            total = -0.0  # x + (-0.0) == x bitwise, so the constant localizer 1 gives the moments
             for g, c in loc.terms.items():
-                key = tuple(x + y + z for x, y, z in zip(a, b, g))
-                total += c * pe.moments[key]
+                total += c * pe.moments[tuple(x + y + z for x, y, z in zip(a, b, g))]
             m[i, j] = total
     return m
 
@@ -182,13 +177,8 @@ def adjoin_rounded_variable(pe: PseudoExpectation, i: int, tol: float = 1e-8,
         if k == 0:
             moments[alpha] = pe.moments[base]
         else:
-            lifted = tuple(e + (1 if j == i else 0) for j, e in enumerate(base))
-            if sum(lifted) > pe.level:
-                # reduced monomial x^base * x_i exceeds the table only when the
-                # original alpha had slack absorbed by the reduction; it cannot,
-                # since |base| + 1 <= |base| + k <= level.
-                raise AssertionError("unreachable: reduced degree exceeds level")
-            moments[alpha] = pe.moments[lifted]
+            # v^k reduces to x_i: |base| + 1 <= |base| + k <= level keeps it in the table
+            moments[alpha] = pe.moments[tuple(e + (1 if j == i else 0) for j, e in enumerate(base))]
     out = PseudoExpectation(n + 1, pe.level, moments,
                             [_extend(p, n + 1) for p in pe.constraints])
     m = moment_matrix(out)

@@ -226,12 +226,12 @@ def m1_pipeline(m0: np.ndarray, n: int, k: int = 1, restarts: int = 48, seed: in
     vectors, (n + 3^(n-1))^2 rows: 25 at n = 2, 144 at n = 3.
 
     Cost at the limit, on a 2-core x86-64 host with OpenBLAS on both cores:
-    n = 3, k = 1 takes about 0.03 s.  n = 3, k = 2 takes 76-114 s and peaks
-    at 2.7 GB resident (two runs); 67-107 s of that is the full ``eigvalsh``
-    of the 6561 x 6561 M2 in the PSD check of ``h_sep_lower``.
+    n = 3, k = 1 takes about 0.03 s.  n = 3, k = 2 takes 11 s and peaks at
+    2.8 GB resident (one run); 4.1 s of that is the Cholesky factorization in
+    the PSD check of the 6561 x 6561 M2 in ``h_sep_lower``.
     """
-    if n > 3 or k > 2:
-        raise ValueError("pipeline limited to n <= 3 and k <= 2")
+    if n > 3 or k not in (1, 2):
+        raise ValueError(f"pipeline limited to n <= 3 and k in (1, 2), got n={n}, k={k}")
     m0 = np.asarray(m0, dtype=complex)
     if m0.shape != (n * n, n * n):
         raise ValueError("M0 must act on C^n (x) C^n")
@@ -350,6 +350,8 @@ def pad_and_project(instance: OperatorInstance, eps: float, seed: int = 0,
         raise ValueError("eps must lie in (0, 1/2)")
     if instance.is_complex:
         raise ValueError("pad a real operator (realify first)")
+    if m_pad is not None and m_pad < 1:
+        raise ValueError(f"m_pad must be >= 1, got {m_pad}")
     a = instance.matrix
     m, kdim = a.shape
     delta = eps / 2.0

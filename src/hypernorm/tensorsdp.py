@@ -31,8 +31,8 @@ import numpy as np
 from .core import OperatorInstance
 from .linalg import sym_isometry
 from .oracles import elementary_norms, norm_2_to_q_lower
-from .polybasis import Polynomial, chi_table, moment_classes, monomial_basis
-from .polybasis import objective_expand, quartic_gram, sphere_poly, spread_objective
+from .polybasis import Polynomial, _exact_degree, _multinomial, chi_table, moment_classes
+from .polybasis import monomial_basis, objective_expand, quartic_gram, sphere_poly, spread_objective
 from .pseudoexp import PseudoExpectation
 from .sdp import MomentProgram, SolveOptions, solve_sdp
 
@@ -88,7 +88,7 @@ class MomentRelaxation:
         shift, bound = sol.slack_shift, sol.bound
         slack = self.problem.dual_slack(sol)[0]  # >= -shift, class sums fixed by y
         # diagonal Gram matrix of sum_k |x|^(2k): D[a] = multinomial(|a|; a) >= 1
-        Dd = np.array([_multinomial(a) for a in self.basis])
+        Dd = _multinomial(self.basis)
         w, v = np.linalg.eigh((slack + slack.T) / 2.0 + shift * np.diag(Dd))
         w = np.maximum(w, 0.0)
         keep = w > 1e-14 * max(1.0, w[-1])
@@ -97,9 +97,9 @@ class MomentRelaxation:
         # q(x) = -sum_g y_g x^g - shift * W(x), where
         # (|x|^2 - 1) W(x) = sum_k |x|^(2k) - (d/2 + 1), i.e.
         # W(x) = sum_{j < d/2} (d/2 - j) |x|^(2j), nonzero only at even gamma
-        W = np.array([0.0 if any(e % 2 for e in g)
-                      else float(self.d // 2 - sum(g) // 2) * _multinomial([e // 2 for e in g])
-                      for g in self.sphere_gammas])
+        g = np.array(self.sphere_gammas)
+        W = np.where((g % 2).any(axis=1), 0.0,
+                     (self.d // 2 - g.sum(axis=1) // 2) * _multinomial(g // 2))
         q = -sol.y[1:] - shift * W
 
         # bound - objective - q (|x|^2 - 1) - sum_j R_j^2 in class coordinates:
@@ -110,13 +110,6 @@ class MomentRelaxation:
         return SosCertificate(bound=bound, shift=shift, basis=self.basis, factors=factors,
                               gammas=self.sphere_gammas, multiplier=q, residual=residual,
                               y=sol.y.copy())
-
-
-def _multinomial(alpha):
-    out = math.factorial(sum(alpha))
-    for e in alpha:
-        out //= math.factorial(e)
-    return float(out)
 
 
 @dataclass
@@ -152,7 +145,6 @@ class TensorSdpResult:
     status: str
     iterations: int
     level: int
-    basis_size: int = 0
 
     def record(self, oracle: float | None = None, seed: int = 0) -> dict:
         return {
@@ -185,7 +177,7 @@ def tensor_sdp(instance: OperatorInstance, d: int = 4,
     cert = relax.certificate(sol)
     return TensorSdpResult(value=sol.primal_obj, pe=pe, certificate=cert,
                            status=sol.status, iterations=sol.iterations,
-                           level=d, basis_size=len(relax.basis))
+                           level=d)
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +232,8 @@ def a22_value(instance: OperatorInstance, opts: SolveOptions | None = None,
     if n > 30:
         raise ValueError("two-two formulation limited to 30 variables")
     Q = sym_isometry(2, n)
-    basis = [tuple(pair.count(k) for k in range(n))  # the degree-2 monomials, in Q's column order
-             for pair in itertools.combinations_with_replacement(range(n), 2)]
-    s2 = np.count_nonzero(Q, axis=0).astype(float)  # 2!/beta!, the positions x^beta stands for
+    basis = [tuple(beta) for beta in _exact_degree(n, 2)[1].tolist()]  # in Q's column order
+    s2 = _multinomial(basis)  # 2!/beta!, the positions x^beta stands for
     trace = {tuple(2 * e for e in beta): c for beta, c in zip(basis, s2)}  # tr X = E|x|^4
     problem = MomentProgram(len(basis), moment_classes(basis), Q.T @ a22_matrix(instance) @ Q,
                             [trace], [1.0], trace_bound=1.0, scale=np.sqrt(s2))

@@ -170,6 +170,30 @@ def test_malformed_input_file_exit_code(capsys, tmp_path, command, name, text, w
     assert words in rep["error"]
 
 
+@pytest.mark.parametrize("args,words", [
+    (["random-suite", "--dist", "sign", "--n", "0", "--m", "4", "--seeds", "1"], "n=0"),
+    (["random-suite", "--dist", "sign", "--n", "2", "--m", "0", "--seeds", "1"], "m=0"),
+    (["reduce", "pad", "--in", "I2.json", "--eps", "0.2", "--m-pad", "0"], "m_pad must be >= 1"),
+    (["quantum", "dps", "--in", "phi2.json", "--r", "0"], "level r must be >= 1"),
+    (["quantum", "hext", "--in", "phi2.json", "--r", "0"], "level r must be >= 1"),
+    (["reduce", "m1", "--in", "M0.json", "--k", "0"], "k=0"),
+    (["reduce", "m1", "--in", "M0.json", "--k", "3"], "k=3"),
+])
+def test_bad_size_exit_code(files, capsys, args, words):
+    args = [str(files / a) if a.endswith(".json") else a for a in args]
+    code, rep = run(args, capsys)
+    assert code == 2
+    assert words in rep["error"]
+
+
+def test_sse_analyze_reports_norm_check_limit(capsys, tmp_path):
+    (tmp_path / "c14.txt").write_text(graph_to_text(cycle_graph(14)))
+    code, rep = run(["sse", "analyze", "--graph", str(tmp_path / "c14.txt"), "--delta", "0.3",
+                     "--lambda", "0.4"], capsys)
+    assert code == 2
+    assert "12 vertices" in rep["error"]
+
+
 def test_solver_runtime_error_exit_code(files, capsys, monkeypatch):
     def diverge(*args, **kwargs):
         raise RuntimeError("solver diverged on a feasible-by-construction program")

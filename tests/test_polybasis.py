@@ -7,15 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypernorm.core import OperatorInstance
+from hypernorm.linalg import sym_isometry
 from hypernorm.polybasis import (
     FourierFunction,
     Polynomial,
+    _exact_degree,
+    _multinomial,
     chi_table,
     cube_points,
     low_degree_projector,
     monomial_basis,
     multilinear_reduce,
     objective_expand,
+    quartic_gram,
 )
 from hypernorm.tensorsdp import a22_matrix
 
@@ -27,6 +31,58 @@ def test_monomial_basis_counts_and_order():
     degs = [sum(a) for a in mb]
     assert degs == sorted(degs)
     assert mb.index((1, 0, 0)) < mb.index((0, 1, 0)) < mb.index((0, 0, 1))
+
+
+def _grlex_key(alpha):
+    """Graded-lexicographic order: total degree first, then variable 1 heaviest."""
+    return (sum(alpha), tuple(-e for e in alpha))
+
+
+def _sorted_set_basis(n, r):
+    # monomial_basis before the vectorized enumerator: count, dedupe, sort
+    out = []
+    for deg in range(r + 1):
+        combos = set()
+        for bars in itertools.combinations_with_replacement(range(n), deg):
+            alpha = [0] * n
+            for b in bars:
+                alpha[b] += 1
+            combos.add(tuple(alpha))
+        out.extend(sorted(combos, key=_grlex_key))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_monomial_basis_matches_sorted_set_reference(n):
+    for r in range(7):
+        mb = monomial_basis(n, r)
+        assert mb == _sorted_set_basis(n, r)
+        assert mb == sorted(mb, key=_grlex_key)
+        assert all(type(e) is int for alpha in mb for e in alpha)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("deg", range(4))
+def test_enumerator_follows_sym_isometry_columns(n, deg):
+    # column k of sym_isometry(deg, n) sits on the tensor positions whose
+    # variable counts are exponent row k, and has multinomial(row k) of them
+    index, exps = _exact_degree(n, deg)
+    assert np.array_equal((index[:, :, None] == np.arange(n)).sum(axis=1), exps)
+    w = sym_isometry(deg, n)
+    positions = np.array(list(itertools.product(range(n), repeat=deg))).reshape(n**deg, deg)
+    counts = (positions[:, :, None] == np.arange(n)).sum(axis=1)
+    assert np.array_equal(w != 0, (counts[:, None, :] == exps[None, :, :]).all(axis=2))
+    assert np.array_equal(np.count_nonzero(w, axis=0), _multinomial(exps))
+
+
+def test_multinomial_is_exact():
+    for n in range(1, 5):
+        for deg in range(9):
+            _, exps = _exact_degree(n, deg)
+            ref = [math.factorial(deg) // math.prod(math.factorial(e) for e in alpha)
+                   for alpha in exps.tolist()]
+            assert _multinomial(exps).tolist() == [float(v) for v in ref]
+    assert _multinomial([[20, 0], [10, 10]]).tolist() == [1.0, float(math.comb(20, 10))]
 
 
 def test_polynomial_arithmetic(rng):
@@ -119,6 +175,27 @@ EXPAND_CASES = {
     "row-weights": _weighted_rows,
     "one-variable": lambda: OperatorInstance(np.random.default_rng(7).normal(size=(5, 1))),
 }
+
+
+def _factorial_table_expand(instance):
+    # objective_expand before the shared multinomial helper
+    n = instance.n
+    gram = quartic_gram(instance.quartic_rows())
+    combos = np.array(list(itertools.combinations_with_replacement(range(n), 4)))
+    values = gram[combos[:, 0] * n + combos[:, 1], combos[:, 2] * n + combos[:, 3]]
+    exps = (combos[:, :, None] == np.arange(n)).sum(axis=1)
+    fact = np.array([1.0, 1.0, 2.0, 6.0, 24.0])
+    mult = 24.0 / np.prod(fact[exps], axis=1)
+    keep = np.flatnonzero(values)
+    return Polynomial(n, {tuple(exps[t].tolist()): mult[t] * values[t] for t in keep})
+
+
+@pytest.mark.parametrize("case", sorted(EXPAND_CASES) + ["n12"])
+def test_objective_expand_matches_factorial_table_bitwise(case):
+    inst = (EXPAND_CASES[case]() if case in EXPAND_CASES
+            else OperatorInstance(np.random.default_rng(8).normal(size=(30, 12))))
+    got, ref = objective_expand(inst), _factorial_table_expand(inst)
+    assert [(a, c.hex()) for a, c in got.terms.items()] == [(a, c.hex()) for a, c in ref.terms.items()]
 
 
 @pytest.mark.parametrize("case", sorted(EXPAND_CASES))

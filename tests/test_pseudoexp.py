@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypernorm.polybasis import Polynomial
+from hypernorm.polybasis import Polynomial, monomial_basis
 from hypernorm.pseudoexp import (
     PreconditionError,
     PseudoExpectation,
@@ -147,6 +147,27 @@ class TestRounding:
                                                  constraints=[Polynomial(1, {(2,): 1.0, (1,): -1.0})])
         with pytest.raises(PreconditionError, match="witness"):
             adjoin_rounded_variable(pe, 0, witness=([Polynomial(1, {(1,): 1.0})], [0.0]))
+
+
+def _double_loop_moment_matrix(pe):
+    # moment_matrix before it became the constant-localizer case
+    basis = monomial_basis(pe.n, pe.level // 2)
+    m = np.empty((len(basis), len(basis)))
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            m[i, j] = pe.moments[tuple(x + y for x, y in zip(a, b))]
+    return m
+
+
+@pytest.mark.parametrize("n,level", [(1, 2), (2, 4), (3, 4), (2, 6)])
+def test_moment_matrix_matches_double_loop(rng, n, level):
+    pts = rng.normal(size=(5, n))
+    pts[0] = 0.0
+    pts[1, 0] = -0.0                     # signed zeros must survive bit for bit
+    pe = PseudoExpectation.from_distribution(pts, level)
+    pe.moments[(0,) * (n - 1) + (1,)] = -0.0
+    got, ref = moment_matrix(pe), _double_loop_moment_matrix(pe)
+    assert got.tobytes() == ref.tobytes()
 
 
 def test_boundedness_relation_on_unit_box(rng):
