@@ -95,8 +95,9 @@ def _cmd_sse_decide(args):
 
 def _cmd_quantum_hsep(args):
     m = load_matrix(args.infile)
-    side = int(round(np.sqrt(m.shape[0])))
-    na = args.na or side
+    if args.na is not None and args.na < 1:
+        raise ValueError(f"--na must be >= 1, got {args.na}")
+    na = int(round(np.sqrt(m.shape[0]))) if args.na is None else args.na
     nb = m.shape[0] // na
     res = h_sep_lower(m, (na, nb), restarts=args.restarts, seed=args.seed)
     return {"value": res.value, "dims": [na, nb],
@@ -190,6 +191,8 @@ def _cmd_reduce_pad(args):
 
 
 def _cmd_random_suite(args):
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     rows = []
     for seed in range(args.seed, args.seed + args.seeds):
         inst = random_operator(args.dist, args.n, args.m, seed)

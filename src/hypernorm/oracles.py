@@ -439,8 +439,9 @@ def h_sep_lower(m: np.ndarray, dims: tuple[int, int], restarts: int = 64, seed: 
         raise ValueError("matrix has non-finite entries")
     if na * nb > dim_limit:
         raise ValueError(f"dimension {na * nb} exceeds limit {dim_limit}")
-    ms, exp = _pow2_scaled(m)
-    hs = (ms + ms.conj().T) / 2.0
+    hs, exp = _pow2_scaled(m)  # the Hermitian part, in place: at most two more copies of M live
+    hs += hs.conj().T
+    hs *= 0.5
     # hs + tol I has a Cholesky factor iff lambda_min(hs) > -tol (LAPACK factors
     # the Fortran-order copy in place); the spectrum is needed only when it fails
     shifted = np.array(hs, order="F")
@@ -469,6 +470,7 @@ def h_sep_lower(m: np.ndarray, dims: tuple[int, int], restarts: int = 64, seed: 
         ys = np.concatenate([ys, np.tile(sub, (len(grid), 1))])
 
     pair = hs.reshape(na, nb, na, nb).transpose(0, 2, 1, 3).reshape(na * na, nb * nb)
+    del hs
     xs, ys, vals, steps = _seesaw(pair, xs, ys)
     best_s, improvements = _best_start(vals)
     x, y = xs[best_s], ys[best_s]

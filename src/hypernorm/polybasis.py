@@ -70,8 +70,8 @@ class Polynomial:
     def __post_init__(self):
         clean = {}
         for alpha, c in self.terms.items():
-            alpha = tuple(int(e) for e in alpha)
-            if len(alpha) != self.n or any(e < 0 for e in alpha):
+            alpha = tuple(map(int, alpha))
+            if len(alpha) != self.n or min(alpha, default=0) < 0:
                 raise ValueError(f"bad exponent tuple {alpha} for {self.n} variables")
             c = float(c)
             if c != 0.0:
@@ -131,9 +131,6 @@ class Polynomial:
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
 
-    def coefficient(self, alpha) -> float:
-        return self.terms.get(tuple(alpha), 0.0)
-
 
 def sphere_poly(n: int) -> Polynomial:
     """The polynomial |x|^2 - 1 (counting norm)."""
@@ -170,7 +167,7 @@ def objective_expand(instance: OperatorInstance) -> Polynomial:
     values = gram[combos[:, 0] * n + combos[:, 1], combos[:, 2] * n + combos[:, 3]]
     mult = _multinomial(exps)
     keep = np.flatnonzero(values)
-    return Polynomial(n, {tuple(exps[t].tolist()): mult[t] * values[t] for t in keep})
+    return Polynomial(n, dict(zip(map(tuple, exps[keep].tolist()), (mult * values)[keep].tolist())))
 
 
 def multilinear_reduce(p: Polynomial) -> Polynomial:
@@ -191,11 +188,11 @@ def multilinear_reduce(p: Polynomial) -> Polynomial:
 
 def moment_classes(basis) -> dict:
     """Map each monomial to the upper-triangle positions (i, j) that hold it."""
+    exps = np.array(basis, dtype=np.intp).reshape(len(basis), -1)
     classes: dict = {}
-    for i in range(len(basis)):
-        for j in range(i, len(basis)):
-            mono = tuple(x + y for x, y in zip(basis[i], basis[j]))
-            classes.setdefault(mono, []).append((i, j))
+    for i in range(len(exps)):
+        for j, mono in enumerate((exps[i] + exps[i:]).tolist(), start=i):
+            classes.setdefault(tuple(mono), []).append((i, j))
     return classes
 
 

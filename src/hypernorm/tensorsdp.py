@@ -1,23 +1,22 @@
 """Moment relaxations of the quartic sphere-maximization problem.
 
-``tensor_sdp`` solves the level-d relaxation: maximize the pseudo-expectation
-of sum_i <a_i, x>^4 over level-d functionals satisfying E[(|x|^2 - 1) x^g] = 0
-for every multiplier g of degree <= d - 2 (the linearized form of the sphere
-constraint; pseudo Cauchy-Schwarz recovers the quadratic form exactly).
-
-``a22_value`` solves the equivalent program over PSD, trace-one, fully
-index-permutation-symmetric n^2 x n^2 matrices paired with the quartic form's
-two-two flattening, in the Sym^2 coordinates where both live, and
-``certify_hypercontractivity`` runs the relaxation on the low-degree cube
-projector in Fourier-coefficient coordinates.
+``MomentRelaxation`` states the level-d relaxation in homogeneous form: on the
+unit sphere p = p |x|^(d - deg p) (Reznick's uniform denominators), so it
+maximizes E[p |x|^(d - deg p)] over degree-d moments whose moment matrix over
+the degree-d/2 monomials is PSD, with the one row E |x|^d = 1.  ``tensor_sdp``
+solves it for sum_i <a_i, x>^4 at level 4, 6 or 8; ``a22_value`` is its level-4
+case, the program over PSD, trace-one, fully index-permutation-symmetric
+n^2 x n^2 matrices paired with the two-two flattening; and
+``certify_hypercontractivity`` runs it on the low-degree cube projector in
+Fourier-coefficient coordinates.
 
 Every solve returns a rigorous upper bound extracted from the dual vector: the
 bound holds by weak duality regardless of solver convergence, and for moment
 problems it comes with an explicit polynomial identity
 
-    bound - objective(x) = sum_j R_j(x)^2 + q(x) * (|x|^2 - 1)
+    bound |x|^d - p(x) |x|^(d - 4) = sum_j R_j(x)^2
 
-whose re-substitution residual is reported.
+whose residual is reported; on the unit sphere its left side is bound - p(x).
 """
 
 from __future__ import annotations
@@ -29,10 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OperatorInstance
-from .linalg import sym_isometry
 from .oracles import elementary_norms, norm_2_to_q_lower
 from .polybasis import Polynomial, _exact_degree, _multinomial, chi_table, moment_classes
-from .polybasis import monomial_basis, objective_expand, quartic_gram, sphere_poly, spread_objective
+from .polybasis import monomial_basis, objective_expand, quartic_gram, sphere_poly
 from .pseudoexp import PseudoExpectation
 from .sdp import MomentProgram, SolveOptions, solve_sdp
 
@@ -53,88 +51,96 @@ __all__ = [
 SIZE_LIMITS = {4: 20, 6: 10, 8: 6}
 
 
+def _norm_power(n: int, j: int):
+    """|x|^(2j) = sum_{|delta| = j} (j!/delta!) x^(2 delta): the rows 2 delta and the weights."""
+    deltas = _exact_degree(n, j)[1]
+    return 2 * deltas, _multinomial(deltas)
+
+
 class MomentRelaxation:
-    """Level-d moment SDP for maximizing a polynomial on the unit sphere."""
+    """Level-d moment SDP for maximizing a form of even degree on the unit sphere:
+    X = s s^T o M over the degree-d/2 monomials x^beta, M[i, j] = E x^(beta_i + beta_j)
+    and s_beta = sqrt((d/2)!/beta!), so that tr X = E |x|^d, the one row."""
 
     def __init__(self, objective: Polynomial, n: int, d: int):
         if d % 2 != 0 or d < 4:
             raise ValueError("level must be even and >= 4")
-        if objective.degree() > d:
-            raise ValueError("objective degree exceeds the relaxation level")
+        e = objective.degree()
+        if len({sum(alpha) for alpha in objective.terms}) > 1 or e % 2 or e > d:
+            raise ValueError(f"objective must be a form of even degree at most {d}")
         self.n, self.d = n, d
-        self.basis = monomial_basis(n, d // 2)
-        N = len(self.basis)
+        exps = _exact_degree(n, d // 2)[1]
+        self.basis = [tuple(beta) for beta in exps.tolist()]
+        self._scale = np.sqrt(_multinomial(exps))
         classes = moment_classes(self.basis)
-        # E[1] = 1, then E[x^g (|x|^2 - 1)] = 0 for every multiplier g
-        rows = [{(0,) * n: 1.0}]
-        self.sphere_gammas = monomial_basis(n, d - 2)
-        for gamma in self.sphere_gammas:
-            row = {gamma: -1.0}
-            for k in range(n):
-                row[tuple(g + 2 * (t == k) for t, g in enumerate(gamma))] = 1.0
-            rows.append(row)
-        C = spread_objective(objective, classes, N)
-        # tr X = sum_a E x^(2a) <= sum_k E |x|^(2k) = d/2 + 1 on every feasible (PSD) moment matrix
-        self.problem = MomentProgram(N, classes, C, rows, [1.0] + [0.0] * len(self.sphere_gammas),
-                                     trace_bound=d // 2 + 1)
-        self._objective_vec = np.array([objective.coefficient(key) for key in self.problem.keys])
+        self._col = {key: t for t, key in enumerate(classes)}
+        # the coefficients of p |x|^(d - deg p) over the classes: p on the sphere
+        shifts, w = _norm_power(n, (d - e) // 2)
+        alphas = np.array(list(objective.terms), dtype=np.intp).reshape(-1, n)
+        self._objective_vec = np.zeros(len(classes))
+        np.add.at(self._objective_vec, self._class_of(alphas, shifts),
+                  np.outer(list(objective.terms.values()), w))
+        # C[i, j] = s_i s_j c_g / (d!/g!): sum over beta + beta' = g of
+        # (k!/beta!)(k!/beta'!) is (2k)!/g!, so <C, X> = sum_g c_g E x^g, and
+        # this C is the representative of least norm in X's metric
+        i, j = np.array(list(itertools.chain.from_iterable(classes.values())), dtype=np.intp).T
+        C = np.zeros((len(exps), len(exps)))
+        c = np.repeat(self._objective_vec / _multinomial(list(classes)), list(map(len, classes.values())))
+        C[i, j] = C[j, i] = c * (self._scale[i] * self._scale[j])
+        shifts, w = _norm_power(n, d // 2)  # E |x|^d = 1, which is tr X
+        self.problem = MomentProgram(len(exps), classes, C, [dict(zip(map(tuple, shifts.tolist()), w))],
+                                     [1.0], trace_bound=1.0, scale=self._scale)
+
+    def _class_of(self, a, b):
+        """The class of x^(a_i + b_j) for exponent rows a_i, b_j, as a len(a) x len(b) array."""
+        keys = (a[:, None, :] + b[None, :, :]).reshape(-1, self.n).tolist()
+        return np.array([self._col[tuple(g)] for g in keys], dtype=np.intp).reshape(len(a), len(b))
 
     def extract_pseudoexpectation(self, sol) -> PseudoExpectation:
-        return PseudoExpectation(self.n, self.d, self.problem.values(sol.X[0]),
-                                 [sphere_poly(self.n)])
+        """E x^alpha = E x^alpha |x|^(d - |alpha|) from the degree-d moments, 0 at
+        odd degree: the sphere constraint holds by construction."""
+        top = np.array(list(self.problem.values(sol.X[0]).values()))
+        moments = dict.fromkeys(monomial_basis(self.n, self.d), 0.0)
+        for deg in range(0, self.d + 1, 2):
+            alphas = _exact_degree(self.n, deg)[1]
+            shifts, w = _norm_power(self.n, (self.d - deg) // 2)
+            values = top[self._class_of(alphas, shifts)] @ w
+            moments.update(zip(map(tuple, alphas.tolist()), values.tolist()))
+        return PseudoExpectation(self.n, self.d, moments, [sphere_poly(self.n)])
 
     def certificate(self, sol) -> "SosCertificate":
-        """Rigorous upper bound plus the explicit sum-of-squares identity."""
-        shift, bound = sol.slack_shift, sol.bound
+        """Rigorous upper bound plus the explicit sum-of-squares identity: with
+        z = s o x^beta, z^T z = |x|^d and z^T (C + S) z = y |x|^d, so bound = y + shift
+        has bound |x|^d - p |x|^(d - deg p) = z^T (S + shift I) z = sum_j R_j^2."""
         slack = self.problem.dual_slack(sol)[0]  # >= -shift, class sums fixed by y
-        # diagonal Gram matrix of sum_k |x|^(2k): D[a] = multinomial(|a|; a) >= 1
-        Dd = _multinomial(self.basis)
-        w, v = np.linalg.eigh((slack + slack.T) / 2.0 + shift * np.diag(Dd))
+        w, v = np.linalg.eigh((slack + slack.T) / 2.0 + sol.slack_shift * np.eye(len(self.basis)))
         w = np.maximum(w, 0.0)
         keep = w > 1e-14 * max(1.0, w[-1])
-        factors = (v[:, keep] * np.sqrt(w[keep])).T
-
-        # q(x) = -sum_g y_g x^g - shift * W(x), where
-        # (|x|^2 - 1) W(x) = sum_k |x|^(2k) - (d/2 + 1), i.e.
-        # W(x) = sum_{j < d/2} (d/2 - j) |x|^(2j), nonzero only at even gamma
-        g = np.array(self.sphere_gammas)
-        W = np.where((g % 2).any(axis=1), 0.0,
-                     (self.d // 2 - g.sum(axis=1) // 2) * _multinomial(g // 2))
-        q = -sol.y[1:] - shift * W
-
-        # bound - objective - q (|x|^2 - 1) - sum_j R_j^2 in class coordinates:
-        # the rows map (bound, -q) to bound - q (|x|^2 - 1), and sum_j R_j^2
-        # is the class sums of the squares' Gram matrix G = sum_j c_j c_j^T
-        target = self.problem.R.T @ np.concatenate(([bound], -q)) - self._objective_vec
+        factors = (v[:, keep] * np.sqrt(w[keep])).T * self._scale
+        # the coefficients of bound |x|^d - p |x|^(d - deg p) - sum_j R_j^2, with
+        # sum_j R_j^2 the class sums of the squares' Gram matrix
+        target = sol.bound * self.problem.R[0] - self._objective_vec
         residual = float(np.max(np.abs(target - self.problem.class_sums(factors.T @ factors))))
-        return SosCertificate(bound=bound, shift=shift, basis=self.basis, factors=factors,
-                              gammas=self.sphere_gammas, multiplier=q, residual=residual,
-                              y=sol.y.copy())
+        return SosCertificate(bound=sol.bound, shift=sol.slack_shift, basis=self.basis,
+                              factors=factors, residual=residual)
 
 
 @dataclass
 class SosCertificate:
-    """bound - objective = sum_j R_j^2 + q (|x|^2 - 1) in coefficient arrays:
-    row j of ``factors`` holds R_j over ``basis``, ``multiplier`` holds q over
-    ``gammas``.  ``squares`` and ``ideal_multiplier`` build the polynomials."""
+    """bound |x|^d - objective |x|^(d - 4) = sum_j R_j^2 in coefficient arrays,
+    with bound = y + shift for y the multiplier of E |x|^d = 1: row j of
+    ``factors`` holds R_j over ``basis``, the degree-d/2 monomials."""
 
     bound: float
     shift: float
     basis: list
     factors: np.ndarray
-    gammas: list
-    multiplier: np.ndarray
     residual: float
-    y: np.ndarray
 
     @property
     def squares(self) -> list:
         n = len(self.basis[0])
         return [Polynomial(n, dict(zip(self.basis, row))) for row in self.factors]
-
-    @property
-    def ideal_multiplier(self) -> Polynomial:
-        return Polynomial(len(self.basis[0]), dict(zip(self.gammas, self.multiplier)))
 
 
 @dataclass
@@ -165,19 +171,14 @@ def tensor_sdp(instance: OperatorInstance, d: int = 4,
         raise ValueError(f"level must be one of {sorted(SIZE_LIMITS)}")
     if instance.n > SIZE_LIMITS[d]:
         raise ValueError(f"at level {d} the variable count is limited to {SIZE_LIMITS[d]}")
-    if instance.is_complex:
-        raise ValueError("complex operators must be realified first")
-    objective = objective_expand(instance)
-    relax = MomentRelaxation(objective, instance.n, d)
+    relax = MomentRelaxation(objective_expand(instance), instance.n, d)
     opts = opts or SolveOptions(tol=1e-9 if len(relax.basis) <= 30 else 1e-8)
     sol = solve_sdp(relax.problem, opts)
     if sol.status == "infeasible-suspected":
         raise RuntimeError("solver diverged on a feasible-by-construction program")
-    pe = relax.extract_pseudoexpectation(sol)
-    cert = relax.certificate(sol)
-    return TensorSdpResult(value=sol.primal_obj, pe=pe, certificate=cert,
-                           status=sol.status, iterations=sol.iterations,
-                           level=d)
+    return TensorSdpResult(value=sol.primal_obj, pe=relax.extract_pseudoexpectation(sol),
+                           certificate=relax.certificate(sol), status=sol.status,
+                           iterations=sol.iterations, level=d)
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +221,10 @@ def a22_value(instance: OperatorInstance, opts: SolveOptions | None = None,
 
     Such X, and A22, live on Sym^2 (x) Sym^2, where M = Q^T X Q with
     Q = ``sym_isometry(2, n)`` is an isometry that commutes with the PSD
-    projection: solving for M keeps the n^2 x n^2 program's iterates.  M is
-    the degree-2 moment matrix scaled by s_beta = sqrt(2!/beta!); without
-    the scale the solver's residuals change metric and it stops short.
+    projection.  M is the X of the level-4 :class:`MomentRelaxation`, whose
+    objective block is Q^T A22 Q, so solving it keeps the n^2 x n^2 program's
+    iterates; without its scale the solver's residuals change metric and it
+    stops short.
 
     Returns the optimum; with ``return_details=True`` an :class:`A22Result`
     that also carries the weak-duality bound of the solver's dual point,
@@ -231,12 +233,7 @@ def a22_value(instance: OperatorInstance, opts: SolveOptions | None = None,
     n = instance.n
     if n > 30:
         raise ValueError("two-two formulation limited to 30 variables")
-    Q = sym_isometry(2, n)
-    basis = [tuple(beta) for beta in _exact_degree(n, 2)[1].tolist()]  # in Q's column order
-    s2 = _multinomial(basis)  # 2!/beta!, the positions x^beta stands for
-    trace = {tuple(2 * e for e in beta): c for beta, c in zip(basis, s2)}  # tr X = E|x|^4
-    problem = MomentProgram(len(basis), moment_classes(basis), Q.T @ a22_matrix(instance) @ Q,
-                            [trace], [1.0], trace_bound=1.0, scale=np.sqrt(s2))
+    problem = MomentRelaxation(objective_expand(instance), n, 4).problem
     opts = opts or SolveOptions(tol=1e-9 if n * n <= 16 else 1e-8, max_iter=50_000)
     sol = solve_sdp(problem, opts)
     res = A22Result(sol.primal_obj, sol.bound, sol.status, sol.iterations, sol.residuals)

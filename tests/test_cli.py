@@ -178,6 +178,11 @@ def test_malformed_input_file_exit_code(capsys, tmp_path, command, name, text, w
     (["quantum", "hext", "--in", "phi2.json", "--r", "0"], "level r must be >= 1"),
     (["reduce", "m1", "--in", "M0.json", "--k", "0"], "k=0"),
     (["reduce", "m1", "--in", "M0.json", "--k", "3"], "k=3"),
+    # 0 once read as "not given", and no seeds once reported success with no runs
+    (["quantum", "hsep", "--in", "phi2.json", "--na", "0"], "--na must be >= 1, got 0"),
+    (["quantum", "hsep", "--in", "phi2.json", "--na", "-2"], "--na must be >= 1, got -2"),
+    (["random-suite", "--dist", "sign", "--n", "2", "--m", "8", "--seeds", "0"], "--seeds must be >= 1, got 0"),
+    (["random-suite", "--dist", "sign", "--n", "2", "--m", "8", "--seeds", "-1"], "--seeds must be >= 1, got -1"),
 ])
 def test_bad_size_exit_code(files, capsys, args, words):
     args = [str(files / a) if a.endswith(".json") else a for a in args]

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -325,6 +326,34 @@ HSEP_REF_CASES = {
 
 
 class TestHSep:
+    def test_large_input_holds_at_most_two_more_copies(self, rng, monkeypatch):
+        # a 900 x 900 complex PSD input near a product state (so the seesaw
+        # takes a few steps): the Hermitian part is formed in the scaled copy
+        # and dropped once the pair matrix is built, bit for bit the seesaw
+        # input (M + M^H) / 2 of the scaled M
+        x = rng.normal(size=(30, 1)) + 1j * rng.normal(size=(30, 1))
+        a = np.kron(x, x) + 0.1 * (rng.normal(size=(900, 2)) + 1j * rng.normal(size=(900, 2)))
+        m = a @ a.conj().T
+        tracemalloc.start()
+        try:
+            value = h_sep_lower(m, (30, 30), restarts=1, dim_limit=900).value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * m.nbytes
+        seen = []
+        seesaw = oracles._seesaw
+
+        def record(pair, *rest):
+            seen.append(pair.copy())
+            return seesaw(pair, *rest)
+
+        monkeypatch.setattr(oracles, "_seesaw", record)
+        assert h_sep_lower(m, (30, 30), restarts=1, dim_limit=900).value == value
+        ms = oracles._pow2_scaled(m)[0]
+        ref = ((ms + ms.conj().T) / 2.0).reshape(30, 30, 30, 30).transpose(0, 2, 1, 3).reshape(900, 900)
+        assert np.array_equal(seen[0], ref)
+
     @pytest.mark.parametrize("name", sorted(HSEP_REF_CASES))
     def test_batched_matches_sequential(self, name, rng):
         make, dims = HSEP_REF_CASES[name]

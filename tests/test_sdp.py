@@ -495,14 +495,14 @@ IMAGINARY_OBJECTIVE = np.kron([[0.0, -1.0j], [1.0j, 0.0]], np.eye(2))
 A22_INSTANCE = random_operator("sign", 4, 32, 1)
 
 # each problem type: one solve, a feasible objective value, and whether every
-# feasible X has tr X equal to the trace bound (not so for moment matrices,
-# where the bound counts sum_k E |x|^(2k) with multinomial weights)
+# feasible X has tr X equal to the trace bound (so for the moment relaxation
+# too: its one row E |x|^d = 1 is tr X)
 EVERY_PROBLEM_TYPE = {
     "rows-lambda-max": (lambda solve, opts: solve(lam_max_problem([1.0, 2.0, 3.0]), opts),
                         3.0, True),
     "moment-L4": (lambda solve, opts: solve(MomentRelaxation(objective_expand(L4_INSTANCE), 4, 4).problem,
                                             opts),
-                  oracle_fourth(L4_INSTANCE), False),
+                  oracle_fourth(L4_INSTANCE), True),
     "a22": (lambda solve, opts: a22_value(A22_INSTANCE, opts), oracle_fourth(A22_INSTANCE), True),
     # the best cut of C5 severs 4 of its 5 edges
     "maxcut-gram-C5": (lambda solve, opts: solve_lasserre_maxcut(cycle_graph(5), opts), 0.8, True),

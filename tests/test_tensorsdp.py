@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from hypernorm.core import OperatorInstance, random_operator
+from hypernorm.linalg import sym_isometry
 from hypernorm.oracles import norm_2_to_q_lower
 from hypernorm.polybasis import Polynomial, objective_expand, sphere_poly
-from hypernorm.pseudoexp import validate_pef
+from hypernorm.pseudoexp import pseudo_expect, validate_pef
 from hypernorm.sdp import MomentProgram, SolveOptions, solve_sdp
 from hypernorm.sse import RegularGraph, cycle_graph, subspace_instance, top_projector_norm
 from hypernorm.tensorsdp import (
+    MomentRelaxation,
     a22_matrix,
     a22_value,
     bcy_gap,
@@ -111,12 +113,15 @@ class TestTensorSdp:
         assert tensor_sdp(inst, 4).status == "optimal"
 
 
-def _symbolic_residual(inst, cert):
-    # bound - objective - sum_j R_j^2 - q (|x|^2 - 1), expanded with Polynomial
-    recon = Polynomial.constant(inst.n, cert.bound) - objective_expand(inst)
+def _symbolic_residual(inst, cert, level):
+    # bound |x|^d - objective |x|^(d-4) - sum_j R_j^2, expanded with Polynomial
+    norm2 = sphere_poly(inst.n) + 1.0
+    lift = Polynomial.constant(inst.n, 1.0)
+    for _ in range(level // 2 - 2):
+        lift = lift * norm2
+    recon = cert.bound * (lift * norm2 * norm2) - objective_expand(inst) * lift
     for sq in cert.squares:
         recon = recon - sq * sq
-    recon = recon - cert.ideal_multiplier * sphere_poly(inst.n)
     return recon.max_abs_coeff()
 
 
@@ -136,7 +141,41 @@ def test_certificate_residual_matches_symbolic_expansion(case):
     cert = tensor_sdp(inst, level, opts).certificate
     if case == "L4-underconverged":
         assert cert.shift > 0.0
-    assert abs(_symbolic_residual(inst, cert) - cert.residual) <= 1e-12
+    assert abs(_symbolic_residual(inst, cert, level) - cert.residual) <= 1e-12
+
+
+@pytest.mark.parametrize("terms", [{(2, 0): 1.0, (0, 0): 1.0}, {(3, 0): 1.0}, {(6, 0): 1.0}],
+                         ids=["mixed-degree", "odd-degree", "above-level"])
+def test_relaxation_takes_forms_of_even_degree_only(terms):
+    # only a form of even degree at most d equals a form of degree d on the sphere
+    with pytest.raises(ValueError, match="form of even degree at most 4"):
+        MomentRelaxation(Polynomial(2, terms), 2, 4)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_level_four_objective_is_the_a22_form_in_sym2_coordinates(n):
+    # the closed-form objective block against Q^T A22 Q, the Sym^2 image of
+    # the two-two flattening that a22_value solved before it moved onto the
+    # moment program
+    inst = random_operator("gaussian", n, 5 * n, n)
+    C = MomentRelaxation(objective_expand(inst), n, 4).problem.C[0]
+    Q = sym_isometry(2, n)
+    ref = Q.T @ a22_matrix(inst) @ Q
+    assert np.abs(C - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("level, inst", [(4, sign_instance(6, 3)),
+                                         (6, OperatorInstance(np.random.default_rng(3).normal(size=(4, 2)))),
+                                         (8, OperatorInstance(np.random.default_rng(8).normal(size=(5, 3))))],
+                         ids=["L4", "L6", "L8"])
+def test_extracted_pseudoexpectation_is_valid_and_attains_the_value(level, inst):
+    # the moments below degree d come from E x^alpha |x|^(d - |alpha|), so the
+    # functional meets the sphere constraint exactly and keeps the value
+    res = tensor_sdp(inst, level)
+    assert res.pe.level == level
+    rep = validate_pef(res.pe, 1e-8)
+    assert rep.passed
+    assert abs(pseudo_expect(res.pe, objective_expand(inst)) - res.value) <= 1e-9 * max(1.0, res.value)
 
 
 class TestA22:
