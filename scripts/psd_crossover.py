@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Measure where psd_project's one-sided eigensolves beat its full ``eigh``.
+"""Measure where the PSD step's one-sided eigensolves beat its full ``eigh``.
 
 For each order N and count k, writes one CSV row: the median time of the
 positive-side path (LAPACK ``evr`` on (0, inf)) on a matrix with k positive
 eigenvalues, the full path on the same matrix, and the same pair for the
 negative-side path (``evr`` on (-inf, 0]) on a matrix with k negative
 eigenvalues.  A ratio below 1 means the one-sided path is faster; the gate
-constant ``linalg.SUBSET_RATIO`` is read off this table.  Runs with one BLAS
-thread, as the benchmark does.
+constant ``linalg.SUBSET_RATIO`` is read off this table.  It times
+``linalg._psd_project``, the step the SDP loop calls on exactly symmetric
+blocks, without the public function's check and symmetrization.  Runs with
+one BLAS thread, as the benchmark does.
 
 Usage:
     python scripts/psd_crossover.py [--sizes 12 15 22 ...] [--reps 200] [--out FILE]
@@ -45,7 +47,7 @@ def paired_us(m, hint, reps):
     for _ in range(reps):
         for h in (None, hint):
             t = time.perf_counter()
-            linalg.psd_project(m, h)
+            linalg._psd_project(m, h)
             times[h].append(time.perf_counter() - t)
     return 1e6 * statistics.median(times[None]), 1e6 * statistics.median(times[hint])
 

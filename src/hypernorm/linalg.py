@@ -2,7 +2,10 @@
 permutation operators on tensor powers, the symmetric-subspace isometry and
 partial transposes.
 
-All functions are pure; inputs are never mutated.  The fixed thresholds are
+All functions are pure; inputs are never mutated.  The public functions
+check and symmetrize their input; the private ``_psd_project``, which the SDP
+loop calls once per block and iteration, trusts its caller to pass an exactly
+self-adjoint matrix and reads one triangle of it.  The fixed thresholds are
 named constants with their reasons stated next to them: ``SELF_ADJOINT_TOL``
 and ``SUBSET_RATIO`` here, and ``core.RANK_RTOL`` for ``image_basis``.
 """
@@ -36,15 +39,17 @@ SELF_ADJOINT_TOL = 1e-10
 # ``evr`` on (0, inf) or on (-inf, 0]) when at most N / SUBSET_RATIO
 # eigenpairs are expected on that side; otherwise a full ``eigh`` is faster.
 # Measured by scripts/psd_crossover.py with one BLAS thread, one-sided time
-# over full time, positive side / negative side:
-#   N=12  0.83/0.81 at k=3,   0.89/0.88 at k=4,   1.03/1.03 at k=6
-#   N=22  0.71/0.70 at k=4,   0.92/0.93 at k=7,   1.18/1.19 at k=11
-#   N=36  0.80/0.79 at k=6,   0.95/0.92 at k=9,   1.11/1.10 at k=12
-#   N=45  0.87/0.84 at k=8,   1.00/0.91 at k=9,   1.10/0.98 at k=11
-#   N=70  0.92/0.86 at k=12,  1.03/0.99 at k=14,  1.22/1.17 at k=18
-#   N=84  0.99/0.91 at k=14,  1.14/1.02 at k=17,  1.30/1.17 at k=21
-# At k = N/5 the ratio is about 1 from N=45 up and lower below; at N=4 it is
-# 0.84/0.85 at k=1, so no size floor is set.
+# over full time, positive side / negative side (medians of three runs of the
+# unchecked step; a cell within 0.05 of an earlier run keeps that figure):
+#   N=12  0.78/0.75 at k=3,   0.89/0.88 at k=4,   0.96/1.01 at k=6
+#   N=22  0.65/0.63 at k=4,   0.92/0.93 at k=7,   1.30/1.30 at k=11
+#   N=36  0.80/0.79 at k=6,   0.95/0.92 at k=9,   1.15/1.16 at k=12
+#   N=45  0.80/0.75 at k=8,   0.88/0.80 at k=9,   1.03/0.88 at k=11
+#   N=70  0.92/0.86 at k=12,  1.03/0.99 at k=14,  1.16/1.14 at k=18
+#   N=84  0.89/0.83 at k=14,  0.98/0.91 at k=17,  1.13/1.04 at k=21
+# At k = N/5 the ratio is about 1 from N=70 up and lower below, and at
+# k = N/4 about 1 at N=36 and above 1 from N=45 up; at N=4 it is 0.74/0.76
+# at k=1, so no size floor is set.
 SUBSET_RATIO = 5
 
 
@@ -95,7 +100,7 @@ def _evr_driver(n: int, complex_: bool):
 def _eig_interval(h: np.ndarray, lo: float, hi: float):
     """The eigenpairs of the self-adjoint h whose eigenvalues lie in (lo, hi],
     ascending.  The driver works on a copy, so h is left unchanged."""
-    drv, sizes = _evr_driver(h.shape[0], np.iscomplexobj(h))
+    drv, sizes = _evr_driver(h.shape[0], h.dtype.kind == "c")
     w, v, m, _, info = drv(h, compute_v=1, range="V", lower=1, vl=lo, vu=hi, **sizes)
     if info:
         raise np.linalg.LinAlgError(f"LAPACK evr failed (info={info})")
@@ -115,19 +120,23 @@ def psd_project(m: np.ndarray, rank_hint: int | None = None) -> tuple[np.ndarray
     """
     m = np.asarray(m)
     _check_self_adjoint(m, SELF_ADJOINT_TOL)
-    return _psd_project(m, rank_hint)
+    return _psd_project((m + m.conj().T) / 2.0, rank_hint)
+
+
+def _transpose(a: np.ndarray) -> np.ndarray:
+    return a.T
 
 
 def _conj_transpose(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-def _psd_project(m: np.ndarray, rank_hint: int | None = None) -> tuple[np.ndarray, int]:
-    """:func:`psd_project` of a square m that the caller has checked to be
-    finite and self-adjoint within tolerance.  The input and the output are
-    still symmetrized, so rounding in m does not reach the result."""
-    adj = _conj_transpose if np.iscomplexobj(m) else np.transpose
-    h = (m + adj(m)) / 2.0
+def _psd_project(h: np.ndarray, rank_hint: int | None = None) -> tuple[np.ndarray, int]:
+    """:func:`psd_project` of a square, finite h that the caller has made
+    exactly self-adjoint: the eigensolvers read only one triangle of it, and
+    the negative-side path subtracts from h itself.  h is left unchanged, and
+    the output is symmetrized in place, so it is exactly self-adjoint."""
+    adj = _conj_transpose if h.dtype.kind == "c" else _transpose
     n = h.shape[0]
     subset = rank_hint is not None and n > 0   # the evr wrappers reject order 0
     if subset and SUBSET_RATIO * rank_hint <= n:
@@ -142,7 +151,10 @@ def _psd_project(m: np.ndarray, rank_hint: int | None = None) -> tuple[np.ndarra
         first = np.searchsorted(w, 0.0, side="right")
         w, v = w[first:], v[:, first:]
         out, k = (v * w) @ adj(v), w.size
-    return (out + adj(out)) / 2.0, k
+    # the same bits as (out + adj(out)) / 2: halving is exact
+    out += adj(out)
+    out *= 0.5
+    return out, k
 
 
 def _check_perm(pi):

@@ -24,8 +24,11 @@ feasible set, stated where the program is built).  It runs one
 Douglas-Rachford (ADMM) loop on any of them, alternating the projection with
 a rank-aware projection onto the PSD cone under an adaptive penalty: near an
 optimum a tight moment relaxation is close to rank one, while the blocks of a
-DPS program are often of full rank.  The loop is fully deterministic: the
-same problem and options produce bitwise-identical iterates.
+DPS program are often of full rank.  ``project`` returns self-adjoint
+blocks (a :class:`MomentProgram` exactly so), which the PSD step takes as
+they are; the loop updates its iterates in place in buffers allocated once
+per solve.  It is fully deterministic: the same problem and options produce
+bitwise-identical iterates.
 """
 
 from __future__ import annotations
@@ -159,13 +162,19 @@ class MomentProgram:
     def project(self, V):
         """Orthogonal projection of V onto the blocks ``ss * m[labels]`` whose
         class values m satisfy ``R m = b``, as ``(X, w)``: the least-squares
-        class values minus the correction ``R^T w``."""
-        mean = self._sums(self._ss * _ravel(V)) / self._weights
-        w, info = self._potrs(self._chol, self.R @ mean - self.b, overwrite_b=True)
+        class values minus the correction ``R^T w``.  The blocks are exactly
+        symmetric, since the labels and ss are."""
+        m = self._sums(self._ss * _ravel(V))
+        m /= self._weights
+        w, info = self._potrs(self._chol, self.R @ m - self.b, overwrite_b=True)
         if info:
             raise ValueError(f"illegal value in argument {-info} of potrs")
-        m = mean - (self.R.T @ w) / self._weights
-        return self._split(self._ss * m[self._labels]), w
+        fix = self.R.T @ w
+        fix /= self._weights
+        m -= fix
+        x = m.take(self._labels)
+        x *= self._ss
+        return self._split(x), w
 
     def dual_slack(self, sol):
         """The solver's slack S moved onto the dual affine set: dual
@@ -261,69 +270,87 @@ def solve_sdp(problem, opts: SolveOptions | None = None) -> SdpSolution:
     X + U.  While the last iteration's positive count of a block is small,
     only its positive eigenpairs are computed; while that count is close to
     the block size, only its negative ones.
-    The blocks of the first projection must be self-adjoint (ValueError
-    otherwise); the PSD steps then skip that check.
+    ``project`` must return self-adjoint blocks of C's dtype; the blocks of
+    the first projection are checked (ValueError otherwise), and the PSD
+    steps then take them as they are, so only a block that is exactly
+    self-adjoint gives the iterates of a symmetrized one bit for bit.  The
+    loop keeps its iterates in flat buffers allocated once and updated in
+    place; ``project`` is handed views of one of them, which the next
+    iteration overwrites, so it must not keep them.
     Residuals in the result are recomputed from the returned point, and the
     result carries ``bound`` and ``slack_shift`` (see :class:`SdpSolution`),
     an upper bound on every feasible objective value whatever the status.
+    The status is ``"optimal"`` when the loop met ``tol`` and the recomputed
+    residuals are within 10 * tol, ``"inaccurate"`` when the loop met ``tol``
+    but they are not, ``"max-iter"`` when ``max_iter`` iterations ran out
+    and ``"infeasible-suspected"`` when an iterate's norm passed 1e12.
     """
     opts = opts or SolveOptions()
     P = problem
-    # Z, U and C/rho live on the blocks raveled end to end; a block is a view
+    # every iterate lives on the blocks raveled end to end; a block is a view
     ends = list(itertools.accumulate(n * n for n in P.blocks))
     spans = [(e - n * n, e, (n, n)) for e, n in zip(ends, P.blocks)]
 
     def split(flat: np.ndarray) -> list:
         return [flat[a:e].reshape(shape) for a, e, shape in spans]
 
-    c_in = _ravel(P.C)
+    c_in = _ravel(P.C)   # a view of the caller's C when there is one block
     norm_c = math.sqrt(_dot(c_in, c_in))
     scale = max(1.0, norm_c)
     c = c_in / scale
+    # on real vectors np.dot equals _dot bit for bit, without the conversions
+    dot = _dot if np.iscomplexobj(c) else np.dot
     rho = 1.0
     c_rho = c   # C / rho, rebuilt only when rho changes
     z = np.zeros_like(c)
     u = np.zeros_like(c)
+    # buffers updated in place: t = Z - U + C/rho enters the projection,
+    # v = X + U the PSD step, and r holds X - Z and then Z - Z_old
+    t, v, r = np.empty_like(c), np.empty_like(c), np.empty_like(c)
+    t_blocks, v_blocks = split(t), split(v)
     ranks = [None] * len(P.blocks)   # each block's positive count at the last PSD step
     status = "max-iter"
     it = 0
     for it in range(1, opts.max_iter + 1):
-        X, w = P.project(split(z - u + c_rho))
+        np.subtract(z, u, out=t)
+        np.add(t, c_rho, out=t)
+        X, w = P.project(t_blocks)
         y = rho * w
         x = _ravel(X)
-        nx = math.sqrt(_dot(x, x))
+        nx = math.sqrt(dot(x, x))
         if not nx <= 1e12:
             status = "infeasible-suspected"
             break
         if it == 1:
             # a problem's projection returns self-adjoint blocks; the PSD
-            # step takes that on trust after this check and symmetrizes away
-            # the rounding
+            # step takes that on trust after this check and reads one
+            # triangle, so the rounding of a block that is self-adjoint only
+            # within tolerance changes the iterates by as much
             for xb in X:
                 _check_self_adjoint(xb, SELF_ADJOINT_TOL)
         z_old = z
-        v = x + u
-        Zb, ranks = zip(*[_psd_project(vb, k) for vb, k in zip(split(v), ranks)])
+        np.add(x, u, out=v)
+        Zb, ranks = zip(*[_psd_project(vb, k) for vb, k in zip(v_blocks, ranks)])
         z = _ravel(Zb)
-        u = v - z
-        if not rho * math.sqrt(_dot(u, u)) <= 1e12:
+        np.subtract(v, z, out=u)
+        if not rho * math.sqrt(dot(u, u)) <= 1e12:
             status = "infeasible-suspected"
             break
         # S - dual_slack = rho * scale * (Z - Z_old) when every position is its
         # own class (coarser classes move S less), so rd bounds the dual
         # infeasibility the result reports
-        d = x - z
-        rp = math.sqrt(_dot(d, d)) / (1.0 + nx)
-        d = z - z_old
-        rd = rho * scale * math.sqrt(_dot(d, d)) / (1.0 + norm_c)
-        pobj, dobj = scale * _dot(c, x), scale * float(P.b @ y)
+        np.subtract(x, z, out=r)
+        rp = math.sqrt(dot(r, r)) / (1.0 + nx)
+        np.subtract(z, z_old, out=r)
+        rd = rho * scale * math.sqrt(dot(r, r)) / (1.0 + norm_c)
+        pobj, dobj = scale * dot(c, x), scale * float(P.b @ y)
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         if max(rp, rd, gap) <= opts.tol:
             status = "optimal"
             break
         if it % ADAPT_EVERY == 0 and (rp > 10.0 * rd or rd > 10.0 * rp):
             new = min(rho * 2.0, 1e6) if rp > rd else max(rho / 2.0, 1e-6)
-            u = u * (rho / new)
+            u *= rho / new
             rho = new
             c_rho = c / rho
 
@@ -347,5 +374,5 @@ def solve_sdp(problem, opts: SolveOptions | None = None) -> SdpSolution:
     sol.residuals = {"primal_infeas": rp, "dual_infeas": rd, "gap": gap,
                      "min_eig": min(float(e[0]) for e in eigs)}
     if status == "optimal" and max(rp, rd, gap) > 10 * opts.tol:
-        sol.status = "max-iter"
+        sol.status = "inaccurate"
     return sol

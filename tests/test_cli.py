@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hypernorm import dps, sdp
 from hypernorm.cli import main
 from hypernorm.core import save_matrix
 from hypernorm.reductions import GADGET_KAPPA
@@ -207,6 +208,20 @@ def test_solver_runtime_error_exit_code(files, capsys, monkeypatch):
     code, rep = run(["tensorsdp", "--in", str(files / "I2.json")], capsys)
     assert code == 3
     assert "diverged" in rep["error"]
+
+
+def test_inaccurate_stop_exit_code(files, capsys, monkeypatch):
+    # a stop on the loop's own residuals whose recomputed residuals miss
+    # 10 * tol is not convergence
+    def inaccurate(problem, opts=None):
+        sol = sdp.solve_sdp(problem, opts)
+        sol.status = "inaccurate"
+        return sol
+
+    monkeypatch.setattr(dps, "solve_sdp", inaccurate)
+    code, rep = run(["quantum", "dps", "--in", str(files / "phi2.json"), "--r", "1"], capsys)
+    assert code == 3
+    assert rep["results"]["status"] == "inaccurate"
 
 
 @pytest.mark.parametrize("flag", [["--tol", "0"], ["--max-iter", "0"]])

@@ -1,3 +1,5 @@
+import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -533,3 +535,211 @@ def test_every_problem_type_bounds_its_feasible_set(case, max_iter, solved):
         assert trace <= problem.trace_bound * (1 + 1e-6)
         if exact:
             assert abs(trace - problem.trace_bound) <= 1e-6 * problem.trace_bound
+
+
+# ---------------------------------------------------------------------------
+# the loop against a reference: the same loop on fresh temporaries, with a PSD
+# step that symmetrizes its input first
+# ---------------------------------------------------------------------------
+def _ref_psd_project(m, rank_hint=None):
+    """The PSD step that symmetrizes its input and then its output."""
+    adj = (lambda a: a.conj().T) if np.iscomplexobj(m) else np.transpose
+    h = (m + adj(m)) / 2.0
+    n = h.shape[0]
+    subset = rank_hint is not None and n > 0
+    if subset and linalg.SUBSET_RATIO * rank_hint <= n:
+        w, v = linalg._eig_interval(h, 0.0, np.inf)
+        out, k = (v * w) @ adj(v), w.size
+    elif subset and linalg.SUBSET_RATIO * (n - rank_hint) <= n:
+        w, v = linalg._eig_interval(h, -np.inf, 0.0)
+        k = n - w.size
+        out = h - (v * w) @ adj(v) if k else np.zeros_like(h)
+    else:
+        w, v = np.linalg.eigh(h)
+        first = np.searchsorted(w, 0.0, side="right")
+        w, v = w[first:], v[:, first:]
+        out, k = (v * w) @ adj(v), w.size
+    return (out + adj(out)) / 2.0, k
+
+
+def _ref_solve_sdp(problem, opts=None):
+    """``solve_sdp`` as one expression per step: every iterate a fresh array,
+    split and raveled anew each iteration, and the PSD step
+    :func:`_ref_psd_project`."""
+    opts = opts or SolveOptions()
+    P = problem
+    ravel, dot = sdp._ravel, sdp._dot
+    ends = list(itertools.accumulate(n * n for n in P.blocks))
+    spans = [(e - n * n, e, (n, n)) for e, n in zip(ends, P.blocks)]
+
+    def split(flat):
+        return [flat[a:e].reshape(shape) for a, e, shape in spans]
+
+    c_in = ravel(P.C)
+    norm_c = math.sqrt(dot(c_in, c_in))
+    scale = max(1.0, norm_c)
+    c = c_in / scale
+    rho = 1.0
+    c_rho = c
+    z = np.zeros_like(c)
+    u = np.zeros_like(c)
+    ranks = [None] * len(P.blocks)
+    status = "max-iter"
+    it = 0
+    for it in range(1, opts.max_iter + 1):
+        X, w = P.project(split(z - u + c_rho))
+        y = rho * w
+        x = ravel(X)
+        nx = math.sqrt(dot(x, x))
+        if not nx <= 1e12:
+            status = "infeasible-suspected"
+            break
+        if it == 1:
+            for xb in X:
+                linalg._check_self_adjoint(xb, linalg.SELF_ADJOINT_TOL)
+        z_old = z
+        v = x + u
+        Zb, ranks = zip(*[_ref_psd_project(vb, k) for vb, k in zip(split(v), ranks)])
+        z = ravel(Zb)
+        u = v - z
+        if not rho * math.sqrt(dot(u, u)) <= 1e12:
+            status = "infeasible-suspected"
+            break
+        d = x - z
+        rp = math.sqrt(dot(d, d)) / (1.0 + nx)
+        d = z - z_old
+        rd = rho * scale * math.sqrt(dot(d, d)) / (1.0 + norm_c)
+        pobj, dobj = scale * dot(c, x), scale * float(P.b @ y)
+        gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+        if max(rp, rd, gap) <= opts.tol:
+            status = "optimal"
+            break
+        if it % sdp.ADAPT_EVERY == 0 and (rp > 10.0 * rd or rd > 10.0 * rp):
+            new = min(rho * 2.0, 1e6) if rp > rd else max(rho / 2.0, 1e-6)
+            u = u * (rho / new)
+            rho = new
+            c_rho = c / rho
+
+    y = y * scale
+    sol = sdp.SdpSolution(X, y, split(-(rho * scale) * u), dot(c_in, x), float(P.b @ y),
+                          {}, status, it, math.nan, math.nan)
+    slack = P.dual_slack(sol)
+    lam = min(float(np.linalg.eigvalsh((s + s.conj().T) / 2.0)[0]) for s in slack)
+    sol.slack_shift = max(0.0, -lam)
+    sol.bound = sol.dual_obj + P.trace_bound * sol.slack_shift
+    eigs = [np.linalg.eigvalsh(xb) if np.isfinite(xb).all() else np.full(len(xb), math.nan)
+            for xb in X]
+    rp = math.sqrt(sum(float(np.sum(np.minimum(e, 0.0) ** 2)) for e in eigs)) / (1.0 + nx)
+    d = ravel(sol.S) - ravel(slack)
+    rd = math.sqrt(dot(d, d)) / (1.0 + norm_c)
+    gap = abs(sol.primal_obj - sol.dual_obj) / (1.0 + abs(sol.primal_obj) + abs(sol.dual_obj))
+    sol.residuals = {"primal_infeas": rp, "dual_infeas": rd, "gap": gap,
+                     "min_eig": min(float(e[0]) for e in eigs)}
+    if status == "optimal" and max(rp, rd, gap) > 10 * opts.tol:
+        sol.status = "inaccurate"
+    return sol
+
+
+def solutions(run, solver, opts, monkeypatch):
+    """The solutions of every solve that ``run`` makes with ``solver``."""
+    seen = []
+
+    def solve(problem, opts=None):
+        seen.append(solver(problem, opts))
+        return seen[-1]
+
+    with monkeypatch.context() as patch:
+        for mod in (tensorsdp, lasserre, dps):
+            patch.setattr(mod, "solve_sdp", solve)
+        run(solve, opts)
+    return seen
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_solution(sol, ref, close=None):
+    """Bitwise equal, or with ``close`` equal within that relative tolerance
+    (of max(1, |value|)), in every field; status and iterations always equal."""
+    assert (sol.status, sol.iterations) == (ref.status, ref.iterations)
+    assert sol.residuals.keys() == ref.residuals.keys()
+    pairs = ([(a, b) for name in ("X", "S") for a, b in zip(getattr(sol, name), getattr(ref, name), strict=True)]
+             + [(sol.y, ref.y)]
+             + [(getattr(sol, f), getattr(ref, f)) for f in ("primal_obj", "dual_obj", "slack_shift", "bound")]
+             + [(sol.residuals[k], ref.residuals[k]) for k in ref.residuals])
+    for a, b in pairs:
+        if close is None:
+            assert same_bits(a, b)
+        else:
+            assert np.abs(np.subtract(a, b)).max() <= close * max(1.0, np.abs(b).max())
+
+
+DPS_CASES = [case for case in EVERY_PROBLEM_TYPE if case.startswith("dps-")]
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 10, None], ids=["iter1", "iter2", "iter10", "converged"])
+@pytest.mark.parametrize("case", list(EVERY_PROBLEM_TYPE))
+def test_the_loop_keeps_the_reference_iterates(case, max_iter, monkeypatch):
+    # a moment program's projection is exactly symmetric, so skipping the
+    # PSD step's symmetrization changes no bit; a DPS block
+    # W^T PT(L X L^T) W is self-adjoint only up to rounding
+    run = EVERY_PROBLEM_TYPE[case][0]
+    opts = None if max_iter is None else SolveOptions(max_iter=max_iter)
+    got = solutions(run, solve_sdp, opts, monkeypatch)
+    want = solutions(run, _ref_solve_sdp, opts, monkeypatch)
+    assert len(got) == len(want) == 1
+    assert_same_solution(got[0], want[0], close=1e-12 if case in DPS_CASES else None)
+
+
+def test_a22_keeps_the_reference_iterates(monkeypatch):
+    inst = random_operator("sign", 8, 3200, 0)
+    run = lambda solve, opts: a22_value(inst)
+    (got,), (want,) = (solutions(run, s, None, monkeypatch) for s in (solve_sdp, _ref_solve_sdp))
+    assert got.iterations > 100
+    assert_same_solution(got, want)
+
+
+def test_two_solves_of_one_problem_agree_and_leave_it_alone():
+    # with one block the loop's C is a view of the problem's, so an in-place
+    # update of it would corrupt the problem and the second solve
+    problem = random_bounded(3)[0]
+    C, b = problem.C[0].copy(), problem.b.copy()
+    first = solve_sdp(problem, SolveOptions(max_iter=300))
+    kept = [x.copy() for x in first.X + first.S]
+    second = solve_sdp(problem, SolveOptions(max_iter=300))
+    assert_same_solution(second, first)
+    assert same_bits(problem.C[0], C) and same_bits(problem.b, b)
+    assert all(same_bits(a, k) for a, k in zip(first.X + first.S, kept, strict=True))
+
+
+def self_adjoint(rng, n, complex_):
+    a = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if complex_ else 0.0)
+    return a + a.conj().T   # exactly self-adjoint
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("hint, side", [(1, "pos"), (10, "neg"), (None, None)], ids=["pos", "neg", "full"])
+def test_psd_step_paths(hint, side, complex_, evr_calls):
+    m = self_adjoint(np.random.default_rng(5), 10, complex_)
+    kept = m.copy()
+    p, k = linalg._psd_project(m, hint)
+    assert evr_calls == ([side] if side else [])
+    assert same_bits(m, kept)
+    assert np.array_equal(p, p.conj().T)
+    want, k_want = _ref_psd_project(m, hint)
+    assert k == k_want and same_bits(p, want)
+
+
+def test_the_loop_reports_an_inaccurate_stop():
+    # the loop stops on its own residuals, but a dual slack moved by 1e-3 off
+    # the solver's S puts the recomputed dual residual above 10 * tol
+    problem = lam_max_problem([1.0, 2.0, 3.0])
+    moved = SimpleNamespace(blocks=problem.blocks, C=problem.C, b=problem.b, project=problem.project,
+                            trace_bound=problem.trace_bound,
+                            dual_slack=lambda sol: [s + 1e-3 for s in problem.dual_slack(sol)])
+    sol, plain = solve_sdp(moved), solve_sdp(problem)
+    assert plain.status == "optimal" and sol.iterations == plain.iterations
+    assert sol.status == "inaccurate"
+    assert sol.residuals["dual_infeas"] > 10 * SolveOptions().tol
