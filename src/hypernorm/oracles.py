@@ -8,6 +8,14 @@ own seeds from the caller's seed plus the restart index, which makes results
 reproducible and monotone in the restart budget up to rounding: the batched
 loops use matrix products whose rounding may change with the batch size, so a
 larger budget can report a value a few ulps lower.
+
+Every oracle runs all its starts at once, as the columns or rows of stacked
+arrays, and a start leaves the active set when it meets its own stop rule.
+The 2->q and symmetric 4-tensor oracles share one power ascent, on the rows
+or on a PSD Gram matrix of tensor powers (see :class:`_PowerObjective`); this
+is the power step of Kolda and Mayo's shifted power method on the PSD
+flattening.  ``inj3_lower`` alternates over stacked factors with one product
+per update, and ``h_sep_lower`` runs a stacked seesaw.
 """
 
 from __future__ import annotations
@@ -47,17 +55,17 @@ def _unit(x):
     return x / nrm if nrm > 0 else x
 
 
-# A lifted factor is built from row blocks of at most this many entries of K,
-# so a tall input never holds K whole.
+# The lifted form's Gram matrix is accumulated over row blocks of at most this
+# many entries of K, so a tall input never holds K whole.
 _LIFT_BLOCK_ENTRIES = 1 << 22
 
 
 def _tensor_power(x, k):
-    """Column-wise Kronecker power: column s of the result is x[:, s]^(x)k,
-    first factor slowest; k = 0 gives a row of ones."""
+    """Column-wise Kronecker power, k >= 1: column s of the result is
+    x[:, s]^(x)k, first factor slowest."""
     x = np.ascontiguousarray(x)      # keeps each product C-ordered, so the reshape is a view
-    out = np.ones((1, x.shape[1]), dtype=x.dtype)
-    for _ in range(k):
+    out = x
+    for _ in range(k - 1):
         out = (out[:, None, :] * x[None, :, :]).reshape(-1, x.shape[1])
     return out
 
@@ -77,50 +85,55 @@ class _PowerObjective:
     """sum_i |<r_i, x>|^q and its power-step direction R^H(|u|^(q-2) u), u = Rx,
     on the columns of an n x S array of points.
 
-    Both forms evaluate sum_j |(F x^(x)lift)_j|^power with power * lift = q:
-    the rows themselves (F = R, lift 1, power q), or the lifted form
-    (lift q/2, power 2) with F^H F = K^H K for K the rows r_i^(x)(q/2), whose
-    direction is F^H F x^(x)(q/2) contracted with conj(x)^(x)(q/2 - 1).
+    The rows form (lift 1) evaluates both on R itself, two products per
+    evaluation.  The lifted form (lift p = q/2) works on the n^p x n^p Gram
+    matrix G = K^H K of K, the rows r_i^(x)p, since |<r_i, x>|^q =
+    |<r_i^(x)p, x^(x)p>|^2: the direction is G x^(x)p contracted with
+    conj(x)^(x)(p-1), and the value Re <x^(x)p, G x^(x)p> is its inner
+    product with x, so one product per evaluation.  For q = 4 on real rows G
+    is ``polybasis.quartic_gram``.  Any PSD G invariant under permutations of
+    the p tensor factors makes the power step monotone; ``inj_sym4_lower``
+    passes its own.
     """
 
-    def __init__(self, factor, lift, power):
-        self.factor, self.lift, self.power = factor, lift, power
-        self.adjoint = factor.conj().T
+    def __init__(self, matrix, lift, q):
+        self.matrix, self.lift, self.q = matrix, lift, q
         self.form = "lifted" if lift > 1 else "rows"
+        if lift == 1:
+            self.adjoint = matrix.conj().T
 
     @classmethod
     def for_rows(cls, rows, q):
-        """The lifted form where its factor, n^(q/2) square, costs no more per
-        point than the rows (n^q <= m n, which makes m >= n^(q/2)); else the rows."""
+        """The lifted form where G, n^(q/2) square, costs no more per point
+        than the rows (n^q <= m n, which makes m >= n^(q/2)); else the rows."""
         m, n = rows.shape
         if n**q > m * n:
             return cls(rows, 1, q)
         p = q // 2
         width = n**p
         block = max(width, _LIFT_BLOCK_ENTRIES // width)
-        f = np.zeros((0, width), dtype=rows.dtype)
+        gram = np.zeros((width, width), dtype=rows.dtype)
         for s in range(0, m, block):
-            # [f; next rows of K], built transposed in C order so that LAPACK
-            # factors it in place, and freed before the next block is built
-            stacked = np.hstack([f.T, _tensor_power(rows[s:s + block].T, p)]).T
-            f = sla.qr(stacked, mode="raw", overwrite_a=True, check_finite=False)[1]
-            del stacked
-        return cls(f, p, 2)
+            # column i of k is r_i^(x)p; it is freed before the next block is built
+            k = _tensor_power(rows[s:s + block].T, p)
+            gram += k.conj() @ k.T
+            del k
+        return cls(gram, p, q)
 
     def __call__(self, x):
         """Values and directions at the columns of x."""
-        w = self.factor @ _tensor_power(x, self.lift)
-        a = _abs2(w)
-        if self.power > 2:
+        if self.lift == 1:
+            w = self.matrix @ x
+            a = _abs2(w)
             b = a
-            for _ in range(self.power // 2 - 2):
+            for _ in range(self.q // 2 - 2):
                 b = b * a
-            w, a = b * w, b * a          # |w|^(power-2) w and |w|^power
-        h = self.adjoint @ w
-        if self.lift > 1:
-            z = _tensor_power(x.conj(), self.lift - 1)
-            h = np.einsum("ijs,js->is", h.reshape(x.shape[0], -1, x.shape[1]), z)
-        return np.sum(a, axis=0), h
+            w, a = b * w, b * a          # |w|^(q-2) w and |w|^q
+            return np.sum(a, axis=0), self.adjoint @ w
+        n, s = x.shape
+        h = (self.matrix @ _tensor_power(x, self.lift)).reshape(n, -1, s)
+        d = np.einsum("ijs,js->is", h, _tensor_power(x.conj(), self.lift - 1))
+        return np.einsum("is,is->s", x.conj(), d).real, d
 
 
 def _power_ascent(objective, x, iters=300, rtol=1e-14):
@@ -129,24 +142,32 @@ def _power_ascent(objective, x, iters=300, rtol=1e-14):
 
     A column stops when a step gains no more than rtol relative (keeping the
     step only if it is strictly better), on a zero direction, or after iters
-    steps; stopped columns leave the active set.  Returns the final points,
-    their values and the steps each column took.
+    steps; stopped columns leave the active set.  While every column is live
+    and improving, the step replaces the points whole, with no gather or
+    scatter.  Returns the final points, their values and the steps each
+    column took.
     """
     x = x.copy()
     val, g = objective(x)
     steps = np.zeros(x.shape[1], dtype=int)
     active = np.arange(x.shape[1])
     for _ in range(iters):
-        gn = np.linalg.norm(g, axis=0)
-        live = gn > 0
-        active, g, gn = active[live], g[:, live], gn[live]
+        gn = np.sqrt(np.einsum("is,is->s", g.conj(), g).real)
+        if not gn.all():
+            live = gn > 0
+            active, g, gn = active[live], g[:, live], gn[live]
         if active.size == 0:
             break
         x_new = g / gn
         val_new, g = objective(x_new)
         steps[active] += 1
-        better = val_new > val[active]
-        go_on = val_new > val[active] * (1 + rtol)
+        full = active.size == x.shape[1]
+        old = val if full else val[active]
+        better = val_new > old
+        go_on = val_new > old * (1 + rtol)
+        if full and better.all() and go_on.all():
+            x, val = x_new, val_new
+            continue
         x[:, active[better]] = x_new[:, better]
         val[active[better]] = val_new[better]
         active, g = active[go_on], g[:, go_on]
@@ -283,6 +304,7 @@ def inj_sym4_lower(t: np.ndarray, restarts: int = 64, seed: int = 0) -> OracleRe
     """Lower bound on the injective norm max |<T, x^(x)4>| of a symmetric 4-tensor.
 
     Per sign s, all starts run as one batched power ascent on the lifted form
+    with P itself as its Gram matrix:
     <x(x)x, P x(x)x> = s <T, x^(x)4> + sigma (unit x), P = s T22 + sigma S4,
     with S4 = (vec I vec I^T + I + swap)/3 the matrix of ||x||^4.  S4 >= 2/3
     on Sym^2 and both vanish on Alt^2, so sigma = 1.5 max(0, -lambda_min(s T22))
@@ -307,8 +329,7 @@ def inj_sym4_lower(t: np.ndarray, restarts: int = 64, seed: int = 0) -> OracleRe
     best, n_starts, n_steps = -np.inf, 0, 0
     for sign in (1.0, -1.0):
         sigma = 1.5 * max(0.0, -float(np.linalg.eigvalsh(sign * t22)[0]))
-        w, v = np.linalg.eigh(sign * t22 + sigma * s4)
-        objective = _PowerObjective(np.sqrt(np.clip(w, 0.0, None))[:, None] * v.T, 2, 2)
+        objective = _PowerObjective(sign * t22 + sigma * s4, 2, 4)
         starts = []
         if grid is not None:
             vals, _ = objective(grid.T)
@@ -338,33 +359,54 @@ def inj_sym4_lower(t: np.ndarray, restarts: int = 64, seed: int = 0) -> OracleRe
                         trace={"starts": n_starts, "steps": n_steps})
 
 
+def _unit_rows(w):
+    """w with each nonzero row scaled to unit norm, in place, and the row norms."""
+    nrm = np.linalg.norm(w, axis=1)
+    np.divide(w, nrm[:, None], out=w, where=nrm[:, None] > 0)
+    return w, nrm
+
+
 def inj3_lower(t: np.ndarray, restarts: int = 64, seed: int = 0) -> OracleResult:
-    """Lower bound on the injective norm of a 3-tensor by alternating maximization."""
+    """Lower bound on the injective norm max <T, x (x) y (x) z> of a 3-tensor
+    over unit x, y, z, by alternating maximization.
+
+    All restarts run at once on stacked S x d arrays: each update sets one
+    factor of every active start to the normalized contraction of T with the
+    other two, one product of their outer-product rows with T flattened to
+    put that factor's index last.  After the z update the value is the norm
+    of that contraction, so no separate value is computed.  A start stops
+    when a sweep moves its value by at most 1e-14 relative, or after 200
+    sweeps, and leaves the active set.  The best witness is re-evaluated on T.
+    """
     if restarts < 1:
         raise ValueError("need at least one restart")
     t = np.asarray(t, dtype=float)
     if t.ndim != 3:
         raise ValueError("expected a 3-tensor")
-    dims = t.shape
-    ts, exp = _pow2_scaled(t)
-    best, best_w = -np.inf, None
+    d0, d1, d2 = t.shape
+    ts, _ = _pow2_scaled(t)
+    starts = []
     for r in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
-        x, y, z = (_unit(rng.normal(size=d)) for d in dims)
-        val = 0.0
-        for _ in range(200):
-            x = _unit(np.einsum("ijk,j,k->i", ts, y, z))
-            y = _unit(np.einsum("ijk,i,k->j", ts, x, z))
-            z = _unit(np.einsum("ijk,i,j->k", ts, x, y))
-            new = float(np.einsum("ijk,i,j,k->", ts, x, y, z))
-            if abs(new - val) <= 1e-14 * max(1.0, abs(new)):
-                val = new
-                break
-            val = new
-        if abs(val) > best:
-            best, best_w = abs(val), (x, y, z)
-    x, y, z = best_w
-    value = abs(float(np.einsum("ijk,i,j,k->", t, x, y, z)))
+        starts.append([_unit(rng.normal(size=d)) for d in t.shape])
+    x, y, z = (np.array(f) for f in zip(*starts))
+    tx = ts.transpose(1, 2, 0).reshape(d1 * d2, d0)
+    ty = ts.transpose(0, 2, 1).reshape(d0 * d2, d1)
+    tz = ts.reshape(d0 * d1, d2)
+    val = np.zeros(restarts)
+    active, ya, za = np.arange(restarts), y, z
+    for _ in range(200):
+        xa = _unit_rows(_outer_rows(ya, za) @ tx)[0]
+        ya = _unit_rows(_outer_rows(xa, za) @ ty)[0]
+        za, new = _unit_rows(_outer_rows(xa, ya) @ tz)
+        go_on = np.abs(new - val[active]) > 1e-14 * np.maximum(1.0, new)
+        x[active], y[active], z[active], val[active] = xa, ya, za, new
+        active, ya, za = active[go_on], ya[go_on], za[go_on]
+        if active.size == 0:
+            break
+    s = int(np.argmax(val))
+    best_w = (x[s], y[s], z[s])
+    value = abs(float(np.einsum("ijk,i,j,k->", t, *best_w)))
     return OracleResult(value, best_w, restarts)
 
 
@@ -377,9 +419,9 @@ def _bloch_grid(cplx, k=8):
     return np.stack([np.cos(theta / 2), phase * np.sin(theta / 2)], axis=1)
 
 
-def _outer_rows(z):
-    """Row s is conj(z_s) (x) z_s, so that <z, A z> = outer . vec(A)."""
-    return (z.conj()[:, :, None] * z[:, None, :]).reshape(z.shape[0], z.shape[1] ** 2)
+def _outer_rows(a, b):
+    """Row s is a_s (x) b_s; with a = conj(z), <z, A z> = outer . vec(A)."""
+    return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], a.shape[1] * b.shape[1])
 
 
 def _seesaw(pair, x, y, iters=300, rtol=1e-14):
@@ -397,20 +439,21 @@ def _seesaw(pair, x, y, iters=300, rtol=1e-14):
     """
     x, y = x.copy(), y.copy()
     na, nb = x.shape[1], y.shape[1]
-    oy = _outer_rows(y)
-    val = np.real(np.sum((_outer_rows(x) @ pair) * oy, axis=1))
+    oy = _outer_rows(y.conj(), y)
+    val = np.real(np.sum((_outer_rows(x.conj(), x) @ pair) * oy, axis=1))
     steps = np.zeros(x.shape[0], dtype=int)
     active = np.arange(x.shape[0])
     for _ in range(iters):
         if active.size == 0:
             break
         x_new = np.linalg.eigh((oy @ pair.T).reshape(-1, na, na))[1][:, :, -1]
-        w, v = np.linalg.eigh((_outer_rows(x_new) @ pair).reshape(-1, nb, nb))
+        w, v = np.linalg.eigh((_outer_rows(x_new.conj(), x_new) @ pair).reshape(-1, nb, nb))
         y_new, new = v[:, :, -1], w[:, -1]
         go_on = new - val[active] > rtol * np.maximum(1.0, np.abs(new))
         x[active], y[active], val[active] = x_new, y_new, new
         steps[active] += 1
-        active, oy = active[go_on], _outer_rows(y_new[go_on])
+        active = active[go_on]
+        oy = _outer_rows(y_new[go_on].conj(), y_new[go_on])
     return x, y, val, steps
 
 

@@ -160,6 +160,7 @@ class TensorSdpResult:
             "oracle": oracle,
             "formulation": "moment",
             "level": self.level,
+            "status": self.status,
             "seed": seed,
         }
 
@@ -289,6 +290,7 @@ class HyperCertificate:
             "bound_claimed": self.bound_claimed,
             "cube_dim": self.cube_dim,
             "degree": self.degree,
+            "status": self.status,
             "seed": seed,
         }
 

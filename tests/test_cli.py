@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hypernorm import dps, sdp
+from hypernorm import dps, sdp, tensorsdp
 from hypernorm.cli import main
 from hypernorm.core import save_matrix
 from hypernorm.reductions import GADGET_KAPPA
@@ -222,6 +222,25 @@ def test_inaccurate_stop_exit_code(files, capsys, monkeypatch):
     code, rep = run(["quantum", "dps", "--in", str(files / "phi2.json"), "--r", "1"], capsys)
     assert code == 3
     assert rep["results"]["status"] == "inaccurate"
+
+
+@pytest.mark.parametrize("argv", [["tensorsdp", "--in", "I2.json"], ["certify-hyper", "--l", "3", "--d", "1"]])
+def test_moment_reports_say_why_they_exit_3(files, capsys, monkeypatch, argv):
+    # both reports carry the solver's status, so a non-optimal stop says why
+    def inaccurate(problem, opts=None):
+        sol = sdp.solve_sdp(problem, opts)
+        sol.status = "inaccurate"
+        return sol
+
+    monkeypatch.setattr(tensorsdp, "solve_sdp", inaccurate)
+    argv = [str(files / a) if a.endswith(".json") else a for a in argv]
+    code, rep = run(argv, capsys)
+    assert code == 3
+    assert rep["results"]["status"] == "inaccurate"
+    monkeypatch.undo()
+    code, rep = run(argv, capsys)
+    assert code == 0
+    assert rep["results"]["status"] == "optimal"
 
 
 @pytest.mark.parametrize("flag", [["--tol", "0"], ["--max-iter", "0"]])

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 from hypernorm import oracles
@@ -16,6 +17,7 @@ from hypernorm.oracles import (
     norm_2_to_q_lower,
 )
 from hypernorm.oracles import _PowerObjective, _power_ascent, _starts
+from hypernorm.polybasis import quartic_gram
 from tests.conftest import phi_complex, phi_state
 
 
@@ -52,6 +54,9 @@ PARITY_CASES = {
     "rows": (lambda rng: rng.normal(size=(12, 6)), 4, "rows"),
     "complex-lifted": (lambda rng: rng.normal(size=(300, 3)) + 1j * rng.normal(size=(300, 3)), 4, "lifted"),
     "q6-lifted": (lambda rng: rng.normal(size=(300, 3)), 6, "lifted"),
+    "q8-lifted": (lambda rng: rng.normal(size=(300, 2)), 8, "lifted"),
+    "complex-rows": (lambda rng: rng.normal(size=(12, 6)) + 1j * rng.normal(size=(12, 6)), 4, "rows"),
+    "complex-q6-rows": (lambda rng: rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3)), 6, "rows"),
 }
 
 
@@ -105,17 +110,136 @@ def test_batched_ascent_keeps_the_sequential_stop_rule(name, rng):
         assert abs(_ref_quartic_value(rows, xs[:, s], q) - vals[s]) <= 1e-12 * vals[s]
 
 
-@pytest.mark.parametrize("cplx", [False, True])
-def test_lifted_factor_over_row_blocks(monkeypatch, rng, cplx):
-    # blocks of 16 rows of K (width 16) make 25 chained QR steps
-    a = rng.normal(size=(400, 4)) + (1j * rng.normal(size=(400, 4)) if cplx else 0.0)
-    k = np.stack([np.kron(r, r) for r in a])
-    whole = _PowerObjective.for_rows(a, 4)
-    monkeypatch.setattr(oracles, "_LIFT_BLOCK_ENTRIES", 16 * 16)
-    blocked = _PowerObjective.for_rows(a, 4)
-    for f in (whole.factor, blocked.factor):
-        assert f.shape == (16, 16)
-        assert np.linalg.norm(f.conj().T @ f - k.conj().T @ k) <= 1e-12 * np.linalg.norm(k) ** 2
+class _RefQrObjective:
+    """The QR-factor form that the Gram form replaced, kept as the reference:
+    sum_j |(F x^(x)lift)_j|^power with power * lift = q, on the rows (F = R,
+    lift 1) or on F, the R factor of a chained qr(K) over the row blocks of K
+    (F^H F = K^H K), lift q/2 and power 2."""
+
+    def __init__(self, factor, lift, power):
+        self.factor, self.lift, self.power = factor, lift, power
+        self.adjoint = factor.conj().T
+
+    @classmethod
+    def for_rows(cls, rows, q):
+        m, n = rows.shape
+        if n**q > m * n:
+            return cls(rows, 1, q)
+        p = q // 2
+        width = n**p
+        block = max(width, oracles._LIFT_BLOCK_ENTRIES // width)
+        f = np.zeros((0, width), dtype=rows.dtype)
+        for s in range(0, m, block):
+            k = np.stack([_kron_power(r, p) for r in rows[s:s + block]])
+            f = scipy.linalg.qr(np.vstack([f, k]), mode="r")[0][:width]
+        return cls(f, p, 2)
+
+    def __call__(self, x):
+        w = self.factor @ np.stack([_kron_power(c, self.lift) for c in x.T], axis=1)
+        a = np.abs(w) ** self.power
+        h = self.adjoint @ (np.abs(w) ** (self.power - 2) * w)
+        if self.lift > 1:
+            z = np.stack([_kron_power(c.conj(), self.lift - 1) for c in x.T], axis=1)
+            h = np.einsum("ijs,js->is", h.reshape(x.shape[0], -1, x.shape[1]), z)
+        return np.sum(a, axis=0), h
+
+
+def _kron_power(v, k):
+    out = np.ones(1, dtype=v.dtype)
+    for _ in range(k):
+        out = np.kron(out, v)
+    return out
+
+
+def _ref_batched_ascent(objective, x, iters=300, rtol=1e-14):
+    """The batched ascent as it ran on the QR-factor form, kept as the
+    reference: it gathers and scatters the active columns on every step."""
+    x = x.copy()
+    val, g = objective(x)
+    steps = np.zeros(x.shape[1], dtype=int)
+    active = np.arange(x.shape[1])
+    for _ in range(iters):
+        gn = np.linalg.norm(g, axis=0)
+        live = gn > 0
+        active, g, gn = active[live], g[:, live], gn[live]
+        if active.size == 0:
+            break
+        x_new = g / gn
+        val_new, g = objective(x_new)
+        steps[active] += 1
+        better = val_new > val[active]
+        go_on = val_new > val[active] * (1 + rtol)
+        x[:, active[better]] = x_new[:, better]
+        val[active[better]] = val_new[better]
+        active, g = active[go_on], g[:, go_on]
+    return x, val, steps
+
+
+@pytest.mark.parametrize("blocked", [False, True])
+@pytest.mark.parametrize("name", sorted(PARITY_CASES))
+def test_gram_form_matches_the_qr_factor_form(name, blocked, rng, monkeypatch):
+    # blocked: one block per n^(q/2) rows of K, so every lifted case chains
+    # at least 18 blocks
+    rows, q, form, starts = _parity_case(name, rng)
+    if blocked:
+        monkeypatch.setattr(oracles, "_LIFT_BLOCK_ENTRIES", 1)
+    x0 = np.stack(starts, axis=1)
+    objective, ref = _PowerObjective.for_rows(rows, q), _RefQrObjective.for_rows(rows, q)
+    assert objective.form == form and (ref.lift > 1) == (form == "lifted")
+    vals, dirs = objective(x0)
+    ref_vals, ref_dirs = ref(x0)
+    assert np.all(np.abs(vals - ref_vals) <= 1e-12 * ref_vals)
+    assert np.all(np.linalg.norm(dirs - ref_dirs, axis=0) <= 1e-12 * np.linalg.norm(ref_dirs, axis=0))
+    # near the 1e-14 stop the two forms' rounding can move a stop by a step
+    # or two, so only the values are compared
+    xs, vals, _ = _power_ascent(objective, x0)
+    _, ref_vals, _ = _ref_batched_ascent(ref, x0)
+    assert np.all(np.abs(vals - ref_vals) <= 1e-12 * ref_vals)
+    assert np.all(np.abs(ref(xs)[0] - vals) <= 1e-12 * vals)
+
+
+@pytest.mark.parametrize("q, cplx", [(4, False), (4, True), (6, False), (6, True)])
+def test_lifted_gram_over_row_blocks(monkeypatch, rng, q, cplx):
+    # one block per n^(q/2) rows of K chains 25 blocks at q = 4 and 12 at q = 6
+    shape = (400, 4) if q == 4 else (300, 3)
+    a = rng.normal(size=shape) + (1j * rng.normal(size=shape) if cplx else 0.0)
+    k = np.stack([_kron_power(r, q // 2) for r in a])
+    gram = k.conj().T @ k
+    whole = _PowerObjective.for_rows(a, q)
+    monkeypatch.setattr(oracles, "_LIFT_BLOCK_ENTRIES", 1)
+    blocked = _PowerObjective.for_rows(a, q)
+    for g in (whole.matrix, blocked.matrix):
+        assert g.shape == gram.shape and g.dtype == a.dtype
+        assert np.linalg.norm(g - gram) <= 1e-12 * np.linalg.norm(gram)
+
+
+def test_lifted_gram_is_the_quartic_gram(rng):
+    a = rng.normal(size=(300, 4))
+    g = _PowerObjective.for_rows(a, 4).matrix
+    assert np.array_equal(g, g.T)
+    assert np.linalg.norm(g - quartic_gram(a)) <= 1e-12 * np.linalg.norm(g)
+
+
+@pytest.mark.parametrize("n,seed", [(2, 8), (3, 8), (4, 3)])
+def test_sym4_gram_matches_its_square_root_factor(n, seed):
+    # the ascent on P itself against the ascent on the eigh square root of P
+    # (clipped at 0), for both signs of an indefinite tensor
+    g = np.random.default_rng(seed)
+    a = g.normal(size=(n + 2, n))
+    c = g.choice([-1.0, 1.0], n + 2) * g.uniform(0.5, 2.0, n + 2)
+    t22 = np.einsum("i,ia,ib,ic,id->abcd", c, a, a, a, a).reshape(n * n, n * n)
+    ii = np.einsum("ij,kl->ijkl", np.eye(n), np.eye(n))
+    s4 = (ii + ii.transpose(0, 2, 1, 3) + ii.transpose(0, 3, 2, 1)).reshape(n * n, n * n) / 3.0
+    x0 = g.normal(size=(n, 16))
+    x0 /= np.linalg.norm(x0, axis=0)
+    for sign in (1.0, -1.0):
+        sigma = 1.5 * max(0.0, -float(np.linalg.eigvalsh(sign * t22)[0]))
+        p = sign * t22 + sigma * s4
+        w, v = np.linalg.eigh(p)
+        ref = _RefQrObjective(np.sqrt(np.clip(w, 0.0, None))[:, None] * v.T, 2, 2)
+        _, vals, _ = _power_ascent(_PowerObjective(p, 2, 4), x0)
+        _, ref_vals, _ = _ref_batched_ascent(ref, x0)
+        assert np.all(np.abs(vals - ref_vals) <= 1e-12 * ref_vals.max())
 
 
 @pytest.mark.parametrize("m", [2, 8])
@@ -260,7 +384,58 @@ class TestInjSym4:
         assert res.trace["starts"] <= res.trace["steps"] <= 300 * res.trace["starts"]
 
 
+def _ref_inj3(t, restarts, seed):
+    """The sequential one-restart alternation that the batched one replaced,
+    over the same starts, kept as the reference."""
+    ts = oracles._pow2_scaled(t)[0]
+    unit = oracles._unit
+    best, best_w = -np.inf, None
+    for r in range(restarts):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
+        x, y, z = (unit(rng.normal(size=d)) for d in t.shape)
+        val = 0.0
+        for _ in range(200):
+            x = unit(np.einsum("ijk,j,k->i", ts, y, z))
+            y = unit(np.einsum("ijk,i,k->j", ts, x, z))
+            z = unit(np.einsum("ijk,i,j->k", ts, x, y))
+            new = float(np.einsum("ijk,i,j,k->", ts, x, y, z))
+            if abs(new - val) <= 1e-14 * max(1.0, abs(new)):
+                val = new
+                break
+            val = new
+        if abs(val) > best:
+            best, best_w = abs(val), (x, y, z)
+    return abs(float(np.einsum("ijk,i,j,k->", t, *best_w)))
+
+
+def _rank_one3(rng):
+    return np.einsum("i,j,k->ijk", *(rng.normal(size=d) for d in (3, 2, 4)))
+
+
+INJ3_REF_CASES = {
+    "gauss-3x4x5": lambda rng: rng.normal(size=(3, 4, 5)),
+    "flattening-4x4x5": lambda rng: (lambda a: np.einsum("ia,ib->abi", a, a))(rng.normal(size=(5, 4))),
+    "rank-one": _rank_one3,
+    "ones-2x2x2": lambda rng: np.ones((2, 2, 2)),
+    "thin-1x3x2": lambda rng: rng.normal(size=(1, 3, 2)),
+    "sparse": lambda rng: np.where(rng.random((3, 3, 3)) < 0.2, rng.normal(size=(3, 3, 3)), 0.0),
+    "zero": lambda rng: np.zeros((2, 3, 2)),
+}
+
+
 class TestInj3:
+    @pytest.mark.parametrize("name", sorted(INJ3_REF_CASES))
+    def test_batched_matches_sequential(self, name, rng):
+        t = INJ3_REF_CASES[name](rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = inj3_lower(t, restarts=12, seed=3)
+        ref = _ref_inj3(t, 12, 3)
+        assert res.value >= ref * (1 - 1e-12)
+        x, y, z = res.witness
+        assert res.value == abs(float(np.einsum("ijk,i,j,k->", t, x, y, z)))
+        assert all(v.shape == (d,) for v, d in zip(res.witness, t.shape))
+
     def test_cross_oracle(self, rng):
         a = rng.normal(size=(5, 3))
         t3 = np.einsum("ia,ib->abi", a, a)
