@@ -51,10 +51,11 @@ def _cmd_norm24(args):
     inst = _load_instance(args.infile, args.convention)
     ora = norm_2_to_q_lower(inst, args.q, restarts=args.restarts, seed=args.seed)
     en = elementary_norms(inst)
+    search = {key: ora.trace[key] for key in ("form", "starts", "steps", "newton_steps", "improving_starts")}
     return {"norm_lower": ora.value, "norm_lower_fourth": ora.value**4,
             "witness": list(map(float, np.real(ora.witness[0])))
             if not inst.is_complex else None,
-            "elementary": en}, 0
+            "elementary": en, "search": search}, 0
 
 
 def _cmd_tensorsdp(args):

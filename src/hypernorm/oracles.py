@@ -14,8 +14,12 @@ arrays, and a start leaves the active set when it meets its own stop rule.
 The 2->q and symmetric 4-tensor oracles share one power ascent, on the rows
 or on a PSD Gram matrix of tensor powers (see :class:`_PowerObjective`); this
 is the power step of Kolda and Mayo's shifted power method on the PSD
-flattening.  ``inj3_lower`` alternates over stacked factors with one product
-per update, and ``h_sep_lower`` runs a stacked seesaw.
+flattening.  It converges only linearly, so they finish the best start with
+Riemannian Newton steps on the sphere (:func:`_newton_finish`), taken only
+where the tangent Hessian is negative definite and the step short, and
+quadratically convergent there; a degenerate or complex best point gets the
+line search polish instead.  ``inj3_lower`` alternates over stacked factors
+with one product per update, and ``h_sep_lower`` runs a stacked seesaw.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ __all__ = [
 GRID_POINTS = 10_000
 # h_sep_lower rejects an M with an eigenvalue below -HSEP_PSD_TOL times its largest entry.
 HSEP_PSD_TOL = 1e-9
+# A start counts as improving when it beats every earlier one by more than this, relative.
+IMPROVING_RTOL = 1e-12
 
 
 @dataclass
@@ -120,20 +126,39 @@ class _PowerObjective:
             del k
         return cls(gram, p, q)
 
-    def __call__(self, x):
-        """Values and directions at the columns of x."""
+    def evaluate(self, x):
+        """Values and directions at the columns of x, and the product that
+        :meth:`curvature` reads: |Rx|^(q-2) on the rows, G x^(x)p on the
+        lifted form."""
         if self.lift == 1:
             w = self.matrix @ x
             a = _abs2(w)
             b = a
             for _ in range(self.q // 2 - 2):
                 b = b * a
-            w, a = b * w, b * a          # |w|^(q-2) w and |w|^q
-            return np.sum(a, axis=0), self.adjoint @ w
+            return np.sum(b * a, axis=0), self.adjoint @ (b * w), b
         n, s = x.shape
         h = (self.matrix @ _tensor_power(x, self.lift)).reshape(n, -1, s)
         d = np.einsum("ijs,js->is", h, _tensor_power(x.conj(), self.lift - 1))
-        return np.einsum("is,is->s", x.conj(), d).real, d
+        return np.einsum("is,is->s", x.conj(), d).real, d, h
+
+    def __call__(self, x):
+        """Values and directions at the columns of x."""
+        return self.evaluate(x)[:2]
+
+    def curvature(self, x, product):
+        """M = T(., ., x, ..., x), q - 2 slots filled, at the real columns of x
+        (an S x n x n stack), from :meth:`evaluate`'s product at x; the
+        Hessian of the value is q (q - 1) M.  On the rows it is
+        R^T diag(|Rx|^(q-2)) R; on the lifted form it is G x^(x)p with p - 2
+        more factors contracted, so at q = 4 it is that product itself."""
+        if self.lift == 1:
+            return (self.matrix.T[None, :, :] * product.T[:, None, :]) @ self.matrix
+        n, s = x.shape
+        m = product.reshape(n, n, -1, s)
+        if self.lift > 2:
+            m = np.einsum("ijks,ks->ijs", m, _tensor_power(x, self.lift - 2))[:, :, None]
+        return m[:, :, 0].transpose(2, 0, 1)
 
 
 def _power_ascent(objective, x, iters=300, rtol=1e-14):
@@ -142,43 +167,118 @@ def _power_ascent(objective, x, iters=300, rtol=1e-14):
 
     A column stops when a step gains no more than rtol relative (keeping the
     step only if it is strictly better), on a zero direction, or after iters
-    steps; stopped columns leave the active set.  While every column is live
-    and improving, the step replaces the points whole, with no gather or
-    scatter.  Returns the final points, their values and the steps each
-    column took.
+    steps.  The live columns are kept as their own compact arrays, and a
+    column is written back, with its step count, only when it stops; while
+    every live column improves, a step just replaces them.  Returns the final
+    points, their values and the steps each column took.
     """
     x = x.copy()
-    val, g = objective(x)
-    steps = np.zeros(x.shape[1], dtype=int)
-    active = np.arange(x.shape[1])
-    for _ in range(iters):
+    val, g, _ = objective.evaluate(x)
+    steps = np.full(x.shape[1], iters)
+    active, xa, va = np.arange(x.shape[1]), x, val
+    for it in range(iters):
+        if active.size == 0:
+            break
         gn = np.sqrt(np.einsum("is,is->s", g.conj(), g).real)
         if not gn.all():
             live = gn > 0
-            active, g, gn = active[live], g[:, live], gn[live]
-        if active.size == 0:
-            break
+            out = active[~live]
+            x[:, out], val[out], steps[out] = xa[:, ~live], va[~live], it
+            active, xa, va, g, gn = active[live], xa[:, live], va[live], g[:, live], gn[live]
+            if active.size == 0:
+                break
         x_new = g / gn
-        val_new, g = objective(x_new)
-        steps[active] += 1
-        full = active.size == x.shape[1]
-        old = val if full else val[active]
-        better = val_new > old
-        go_on = val_new > old * (1 + rtol)
-        if full and better.all() and go_on.all():
-            x, val = x_new, val_new
+        val_new, g, _ = objective.evaluate(x_new)
+        go_on = val_new > va * (1 + rtol)
+        if go_on.all():
+            xa, va = x_new, val_new
             continue
-        x[:, active[better]] = x_new[:, better]
-        val[active[better]] = val_new[better]
-        active, g = active[go_on], g[:, go_on]
+        better = val_new > va
+        xb, vb = np.where(better, x_new, xa), np.where(better, val_new, va)
+        stop = ~go_on
+        out = active[stop]
+        x[:, out], val[out], steps[out] = xb[:, stop], vb[stop], it + 1
+        active, xa, va, g = active[go_on], xb[:, go_on], vb[go_on], g[:, go_on]
+    x[:, active], val[active] = xa, va
     return x, val, steps
 
 
 def _best_start(vals):
     """The first start of the largest value, and how many starts beat every
-    earlier one."""
+    earlier one by more than IMPROVING_RTOL relative (so starts that reach
+    the same optimum a few ulps apart count once)."""
     running = np.maximum.accumulate(vals)
-    return int(np.argmax(vals)), 1 + int(np.count_nonzero(running[1:] > running[:-1]))
+    gain = vals[1:] - running[:-1]
+    return int(np.argmax(vals)), 1 + int(np.count_nonzero(gain > IMPROVING_RTOL * np.abs(running[:-1])))
+
+
+# The Newton finish takes at most _NEWTON_STEPS steps, each only where the
+# tangent Hessian is below -_NEWTON_MARGIN times the value and the step is at
+# most _NEWTON_RADIUS long.
+_NEWTON_STEPS = 8
+_NEWTON_MARGIN = 1e-6
+_NEWTON_RADIUS = 0.1
+
+
+def _newton_finish(objective, x, rtol=1e-14):
+    """Riemannian Newton steps on the unit sphere from the real unit point x
+    (Absil, Mahony and Sepulchre 2008, ch. 6): the final point, the steps
+    taken, and whether a step met the stop rule.
+
+    With M = T(., ., x, ..., x) from :meth:`_PowerObjective.curvature` and d
+    the power direction (M x = d, <x, d> = f), the gradient is q (d - f x)
+    and the tangent Hessian q (B - f P), with P = I - x x^T and
+    B = (q - 1) P M P, whose kernel holds x.  The Hessian is negative
+    definite on the tangent space exactly when B's largest eigenvalue is
+    below f, and the step then solves (f I - B) xi = d - f x, which is
+    tangent since f I - B maps x to f x.  A step is taken only where that
+    eigenvalue is below (1 - _NEWTON_MARGIN) f and |xi| <= _NEWTON_RADIUS,
+    and kept if the value rises.  The finish stops at the first step that
+    is declined, and at the first that moves the value by no more than rtol
+    relative either way: that meets the stop rule, and the step is kept even
+    if the value fell by that much, since the value can no longer resolve
+    the distance to the maximum and Newton's point is the nearer one.  Near
+    a strict local maximum it converges quadratically; at a degenerate one
+    the Hessian test declines and x is returned unchanged.  A point whose
+    tangent gradient is exactly zero (every point at n = 1) meets the stop
+    rule with no step.
+    """
+    q = objective.q
+    val, d, product = objective.evaluate(x[:, None])
+    if not np.any(d[:, 0] - val[0] * x):
+        return x, 0, True
+    for k in range(_NEWTON_STEPS):
+        f, dx = val[0], d[:, 0]
+        xd = np.outer(x, dx)
+        b = (q - 1) * (objective.curvature(x[:, None], product)[0] - xd - xd.T + f * np.outer(x, x))
+        w, u = np.linalg.eigh(b)
+        if not w[-1] < (1 - _NEWTON_MARGIN) * f:
+            return x, k, False
+        xi = u @ ((u.T @ (dx - f * x)) / (f - w))
+        if xi @ xi > _NEWTON_RADIUS**2:
+            return x, k, False
+        y = _unit(x + xi)
+        new, d_new, p_new = objective.evaluate(y[:, None])
+        if new[0] <= f * (1 + rtol):
+            # no gain beyond rtol: converged, unless the value fell by more
+            done = new[0] >= f * (1 - rtol)
+            return (y if done else x), k + 1, done
+        x, val, d, product = y, new, d_new, p_new
+    return x, _NEWTON_STEPS, False
+
+
+def _polish(objective, x, fun, grad):
+    """The best start refined, and the Newton steps that took: the Newton
+    finish on ``objective`` (the ascent's) where it meets its stop rule,
+    else the line search of :func:`_linesearch_polish` from where the finish
+    stopped.  A complex point, or one where the Hessian test declines at
+    once, gets the line search alone, as before the finish existed."""
+    taken = 0
+    if not np.iscomplexobj(x):
+        x, taken, done = _newton_finish(objective, x)
+        if done:
+            return x, taken
+    return _unit(_linesearch_polish(fun, grad, x)[0]), taken
 
 
 def _linesearch_polish(fun, grad, x, iters=60):
@@ -226,7 +326,6 @@ def _grid_starts(n):
 
 
 def _starts(rows, n, restarts, seed, complex_field):
-    rng = np.random.default_rng(seed)
     starts = []
     # largest rows and the top right-singular vector are good deterministic seeds
     norms = np.linalg.norm(rows, axis=1)
@@ -251,8 +350,12 @@ def norm_2_to_q_lower(instance: OperatorInstance, q: int = 4, restarts: int = 64
     """Lower bound on the 2->q norm (declared convention) by multistart ascent.
 
     Every start runs in one batched power ascent (see :class:`_PowerObjective`
-    for the lifted form it uses on tall inputs); the best is polished by line
-    search on the rows.  For real inputs with at most 3 columns a
+    for the lifted form it uses on tall inputs); the best is finished by
+    Newton steps on the same form (:func:`_polish`), or polished by line
+    search on the rows where those decline.  The trace gives the ``form``,
+    ``starts``, ``improving_starts`` (starts that beat every earlier one by
+    more than ``IMPROVING_RTOL``), power ``steps`` over all starts and the
+    finish's ``newton_steps``.  For real inputs with at most 3 columns a
     deterministic coarse grid is run first, which makes those cases
     effectively exhaustive.  The rows are scaled by a power of two near their
     largest entry, which is exact and keeps the q-th powers in range.
@@ -285,11 +388,11 @@ def norm_2_to_q_lower(instance: OperatorInstance, q: int = 4, restarts: int = 64
     def grad(x):
         return q * on_rows(x[:, None])[1][:, 0]
 
-    best_x, _ = _linesearch_polish(fun, grad, xs[:, best_s])
-    best_x = _unit(best_x)
+    best_x, newton_steps = _polish(objective, xs[:, best_s], fun, grad)
     value = np.ldexp(fun(best_x) ** (1.0 / q), exp)
     trace = {"objective_power": q, "form": objective.form, "starts": len(starts),
-             "improving_starts": improvements, "steps": int(steps.sum()), "grid_pass": grid is not None}
+             "improving_starts": improvements, "steps": int(steps.sum()),
+             "newton_steps": newton_steps, "grid_pass": grid is not None}
     return OracleResult(float(value), (best_x,), restarts, trace=trace)
 
 
@@ -309,7 +412,9 @@ def inj_sym4_lower(t: np.ndarray, restarts: int = 64, seed: int = 0) -> OracleRe
     with S4 = (vec I vec I^T + I + swap)/3 the matrix of ||x||^4.  S4 >= 2/3
     on Sym^2 and both vanish on Alt^2, so sigma = 1.5 max(0, -lambda_min(s T22))
     makes P PSD; being index-symmetric too, P makes each step monotone (the
-    fixed-shift power method of Kolda and Mayo).  The best point is polished.
+    fixed-shift power method of Kolda and Mayo).  The best point is finished
+    by Newton steps on its sign's P, or polished by line search where they
+    decline; the trace gives ``starts``, power ``steps`` and ``newton_steps``.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -341,7 +446,7 @@ def inj_sym4_lower(t: np.ndarray, restarts: int = 64, seed: int = 0) -> OracleRe
         n_starts, n_steps = n_starts + len(starts), n_steps + int(steps.sum())
         s = int(np.argmax(vals))
         if vals[s] - sigma > best:
-            best, best_sign, best_x = vals[s] - sigma, sign, xs[:, s]
+            best, best_sign, best_x, best_objective = vals[s] - sigma, sign, xs[:, s], objective
 
     signed = best_sign * t22
 
@@ -352,11 +457,10 @@ def inj_sym4_lower(t: np.ndarray, restarts: int = 64, seed: int = 0) -> OracleRe
     def grad(x):
         return 4.0 * (signed @ np.kron(x, x)).reshape(n, n) @ x
 
-    best_x, _ = _linesearch_polish(fun, grad, best_x)
-    best_x = _unit(best_x)
+    best_x, newton_steps = _polish(best_objective, best_x, fun, grad)
     value = np.ldexp(abs(fun(best_x)), exp)
     return OracleResult(float(value), (best_x,), restarts,
-                        trace={"starts": n_starts, "steps": n_steps})
+                        trace={"starts": n_starts, "steps": n_steps, "newton_steps": newton_steps})
 
 
 def _unit_rows(w):

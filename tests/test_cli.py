@@ -115,6 +115,13 @@ def test_reduce_family(files, capsys):
 def test_norm24_and_lasserre(files, capsys):
     code, rep = run(["norm24", "--in", str(files / "I2.json")], capsys)
     assert code == 0 and abs(rep["results"]["norm_lower"] - 1.0) <= 1e-9
+    search = rep["results"]["search"]
+    assert set(search) == {"form", "starts", "steps", "newton_steps", "improving_starts"}
+    # I2 has 2 columns: the 8 best points of the start grid plus 2 rows, the
+    # top singular vector and 64 random starts
+    assert search["form"] == "rows" and search["starts"] == 8 + 2 + 1 + 64
+    assert search["starts"] <= search["steps"] <= 300 * search["starts"]
+    assert search["newton_steps"] >= 0 and 1 <= search["improving_starts"] <= search["starts"]
     code, rep = run(["lasserre", "--graph", str(files / "c5.txt")], capsys)
     assert code == 0
     assert abs(rep["results"]["lasserre_value"] - rep["results"]["sos_value"]) <= 1e-5

@@ -7,7 +7,7 @@ import scipy.linalg
 import scipy.optimize
 
 from hypernorm import oracles
-from hypernorm.core import OperatorInstance
+from hypernorm.core import OperatorInstance, random_operator
 from hypernorm.dps import dps_value, h_ext
 from hypernorm.oracles import (
     elementary_norms,
@@ -16,7 +16,7 @@ from hypernorm.oracles import (
     inj_sym4_lower,
     norm_2_to_q_lower,
 )
-from hypernorm.oracles import _PowerObjective, _power_ascent, _starts
+from hypernorm.oracles import _PowerObjective, _best_start, _newton_finish, _power_ascent, _starts
 from hypernorm.polybasis import quartic_gram
 from tests.conftest import phi_complex, phi_state
 
@@ -255,6 +255,203 @@ def test_zero_direction_stops_in_place(m):
     assert abs(vals[1] - np.sum(rows[:, 0] ** 4)) <= 1e-12 * vals[1]
 
 
+def _ref_power_ascent_loop(objective, x, iters=300, rtol=1e-14):
+    """The batched power ascent as it ran before the live columns got their
+    own compact arrays, kept as the reference for complex inputs."""
+    x = x.copy()
+    val, g = objective(x)
+    steps = np.zeros(x.shape[1], dtype=int)
+    active = np.arange(x.shape[1])
+    for _ in range(iters):
+        gn = np.sqrt(np.einsum("is,is->s", g.conj(), g).real)
+        if not gn.all():
+            live = gn > 0
+            active, g, gn = active[live], g[:, live], gn[live]
+        if active.size == 0:
+            break
+        x_new = g / gn
+        val_new, g = objective(x_new)
+        steps[active] += 1
+        full = active.size == x.shape[1]
+        old = val if full else val[active]
+        better = val_new > old
+        go_on = val_new > old * (1 + rtol)
+        if full and better.all() and go_on.all():
+            x, val = x_new, val_new
+            continue
+        x[:, active[better]] = x_new[:, better]
+        val[active[better]] = val_new[better]
+        active, g = active[go_on], g[:, go_on]
+    return x, val, steps
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(PARITY_CASES) if n.startswith("complex")])
+def test_complex_ascent_is_unchanged_bit_for_bit(name, rng):
+    rows, q, _, starts = _parity_case(name, rng)
+    x0 = np.stack(starts, axis=1)
+    for rtol in (1e-14, 1e-3):
+        got = _power_ascent(_PowerObjective.for_rows(rows, q), x0, rtol=rtol)
+        ref = _ref_power_ascent_loop(_PowerObjective.for_rows(rows, q), x0, rtol=rtol)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+def test_best_start_counts_ulp_ties_once():
+    one = 3.0
+    ulp = np.nextafter(one, 4.0)
+    assert _best_start(np.array([one, ulp])) == (1, 1)
+    assert _best_start(np.array([one, one * (1 + 1e-9)])) == (1, 2)
+    # the running best is the one to beat, not the previous start
+    assert _best_start(np.array([one, 2.0, ulp, 4.0])) == (3, 2)
+
+
+def _riemannian_gradient(rows, x, q):
+    """grad f on the sphere at the real unit x, f = sum_i <r_i, x>^q."""
+    u = rows @ x
+    g = q * rows.T @ u ** (q - 1)
+    return g - (x @ g) * x
+
+
+def _power_only_best(instance, q, restarts, seed):
+    """The largest value over the oracle's own starts of the power ascent run
+    to convergence (no step cap in practice), on the oracle's scaled rows."""
+    rows, exp = oracles._pow2_scaled(instance.quartic_rows(q))
+    objective = _PowerObjective.for_rows(rows, q)
+    starts = _starts(rows, instance.n, restarts, seed, instance.is_complex)
+    grid = oracles._grid_starts(instance.n)
+    if grid is not None:
+        vals, _ = objective(grid.T)
+        starts = [grid[i] for i in np.argsort(vals)[::-1][:8]] + starts
+    _, vals, _ = _power_ascent(objective, np.stack(starts, axis=1), iters=100_000)
+    return np.ldexp(vals.max() ** (1.0 / q), exp)
+
+
+# (dist, n, m, q, form the oracle works on)
+FINISH_CASES = {
+    "sign-lifted-q4": ("sign", 4, 80, 4, "lifted"),
+    "gaussian-rows-q4": ("gaussian", 5, 20, 4, "rows"),
+    "unit-lifted-q4": ("unit", 4, 100, 4, "lifted"),
+    "gaussian-lifted-q6": ("gaussian", 3, 300, 6, "lifted"),
+    "sign-rows-q6": ("sign", 4, 40, 6, "rows"),
+    "unit-rows-q6": ("unit", 5, 30, 6, "rows"),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(FINISH_CASES))
+def test_newton_finish_reaches_the_converged_power_optimum(name, seed):
+    dist, n, m, q, form = FINISH_CASES[name]
+    inst = random_operator(dist, n, m, seed)
+    res = norm_2_to_q_lower(inst, q, restarts=16, seed=seed)
+    assert res.trace["form"] == form and res.trace["newton_steps"] >= 1
+    assert res.value >= _power_only_best(inst, q, 16, seed) * (1 - 1e-12)
+    rows, x = inst.quartic_rows(q), res.witness[0]
+    f = np.sum((rows @ x) ** q)
+    assert abs(f ** (1.0 / q) - res.value) <= 1e-12 * res.value
+    assert np.linalg.norm(_riemannian_gradient(rows, x, q)) <= 1e-9 * f
+
+
+def _sym4_instance(seed, sign):
+    """sum_i c_i a_i^(x)4 over unit a_i with mixed-sign c: sign * 3 on a_0
+    and +-0.3 on the 4 others, so the largest |<T, x^4>| (at least
+    3 - 4 * 0.3) is reached where sign * <T, x^4> > 0."""
+    g = np.random.default_rng(seed)
+    a = g.normal(size=(5, 4))
+    a /= np.linalg.norm(a, axis=1)[:, None]
+    c = np.array([3.0 * sign, 0.3, -0.3, 0.3, -0.3])
+    return np.einsum("i,ia,ib,ic,id->abcd", c, a, a, a, a)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_newton_finish_on_inj_sym4_for_both_signs(seed, sign):
+    t = _sym4_instance(seed, sign)
+    res = inj_sym4_lower(t, restarts=16, seed=seed)
+    x = res.witness[0]
+    signed = np.einsum("abcd,a,b,c,d->", t, x, x, x, x)
+    assert np.sign(signed) == sign and abs(abs(signed) - res.value) <= 1e-12 * res.value
+    assert set(res.trace) == {"starts", "steps", "newton_steps"} and res.trace["newton_steps"] >= 1
+    grad = 4.0 * np.einsum("abcd,b,c,d->a", t, x, x, x)
+    assert np.linalg.norm(grad - (x @ grad) * x) <= 1e-9 * res.value
+    # against the power ascent run to convergence on the same starts and
+    # shifted forms, for both signs
+    n = t.shape[0]
+    ts, exp = oracles._pow2_scaled(t)
+    t22 = ts.reshape(n * n, n * n)
+    ii = np.einsum("ij,kl->ijkl", np.eye(n), np.eye(n))
+    s4 = (ii + ii.transpose(0, 2, 1, 3) + ii.transpose(0, 3, 2, 1)).reshape(n * n, n * n) / 3.0
+    ref = 0.0
+    for sg in (1.0, -1.0):
+        sigma = 1.5 * max(0.0, -float(np.linalg.eigvalsh(sg * t22)[0]))
+        starts = [oracles._unit(np.random.default_rng(np.random.SeedSequence([seed, r, int(sg > 0)]))
+                                .normal(size=n)) for r in range(16)]
+        _, vals, _ = _power_ascent(_PowerObjective(sg * t22 + sigma * s4, 2, 4), np.stack(starts, axis=1),
+                                   iters=100_000)
+        ref = max(ref, vals.max() - sigma)
+    assert res.value >= np.ldexp(ref, exp) * (1 - 1e-12)
+
+
+def _c12_instance():
+    from hypernorm.linalg import sym_eig
+    from hypernorm.sse import cycle_graph, subspace_instance
+
+    w, v = sym_eig(cycle_graph(12).normalized_adjacency())
+    return subspace_instance(v[:, w >= 0.5 - 1e-12], 4)
+
+
+def _circle_plateau():
+    # sum_k <(cos t_k, sin t_k, 0), x>^4 over 6 equally spaced t_k is
+    # (9 / 4) (x_1^2 + x_2^2)^2, so every unit vector of the first two
+    # coordinates is a maximum, with a flat direction along the circle
+    t = np.pi * np.arange(6) / 6
+    rows = np.stack([np.cos(t), np.sin(t), np.zeros(6)], axis=1)
+    return OperatorInstance(np.vstack([rows, [[0.0, 0.0, 1.0]]]))
+
+
+@pytest.mark.parametrize("make", [_c12_instance, _circle_plateau], ids=["C12", "circle"])
+def test_degenerate_maximum_declines_newton(make, monkeypatch):
+    # the tangent Hessian at the best point is singular: the finish takes no
+    # step and the result is the line-search polish's, bit for bit
+    inst = make()
+    res = norm_2_to_q_lower(inst, 4, restarts=16, seed=3)
+    assert res.trace["newton_steps"] == 0
+    monkeypatch.setattr(oracles, "_newton_finish", lambda objective, x: (x, 0, False))
+    ref = norm_2_to_q_lower(inst, 4, restarts=16, seed=3)
+    assert res.value == ref.value and np.array_equal(res.witness[0], ref.witness[0])
+
+
+def test_newton_finish_declines_on_the_plateau_itself():
+    rows = _circle_plateau().quartic_rows(4)
+    x = np.array([0.6, 0.8, 0.0])
+    for form in (_PowerObjective(rows, 1, 4), _PowerObjective.for_rows(np.vstack([rows] * 20), 4)):
+        y, taken, done = _newton_finish(form, x)
+        assert y is x and taken == 0 and not done
+
+
+def test_one_column_finishes_with_no_step(monkeypatch):
+    # the sphere of R^1 is {-1, 1}: no tangent direction, so no Newton step,
+    # and the result is the one with the finish removed
+    inst = OperatorInstance(np.arange(1.0, 11.0)[:, None])
+    res = norm_2_to_q_lower(inst, 4, restarts=8)
+    assert res.trace["newton_steps"] == 0
+    assert abs(res.value ** 4 - np.sum(np.arange(1.0, 11.0) ** 4)) <= 1e-12 * res.value ** 4
+    monkeypatch.setattr(oracles, "_newton_finish", lambda objective, x: (x, 0, False))
+    ref = norm_2_to_q_lower(inst, 4, restarts=8)
+    assert res.value == ref.value and np.array_equal(res.witness[0], ref.witness[0])
+
+
+def test_complex_inputs_skip_the_finish(rng, monkeypatch):
+    a = rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3))
+    res = norm_2_to_q_lower(OperatorInstance(a), 4, restarts=8, seed=2)
+    assert res.trace["newton_steps"] == 0
+
+    def fail(*args):
+        raise AssertionError("the Newton finish ran on a complex point")
+
+    monkeypatch.setattr(oracles, "_newton_finish", fail)
+    ref = norm_2_to_q_lower(OperatorInstance(a), 4, restarts=8, seed=2)
+    assert res.value == ref.value and np.array_equal(res.witness[0], ref.witness[0])
+
+
 class TestNorm2ToQ:
     def test_identity_counting(self):
         res = norm_2_to_q_lower(OperatorInstance(np.eye(5)), 4, restarts=8)
@@ -312,6 +509,7 @@ class TestNorm2ToQ:
             assert res.trace["starts"] == 8 + 5
             assert res.trace["starts"] <= res.trace["steps"] <= 300 * res.trace["starts"]
             assert 1 <= res.trace["improving_starts"] <= res.trace["starts"]
+            assert 0 <= res.trace["newton_steps"] <= oracles._NEWTON_STEPS
 
     def test_bad_q(self):
         with pytest.raises(ValueError):
