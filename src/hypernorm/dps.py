@@ -18,6 +18,13 @@ isometries and a partial transpose permutes entries, so T_k^T T_k = I, and
 the affine set {(X, T_1 X, ..., T_K X) : tr X = 1} has a closed-form
 projection: average block 0 with the pulled-back PPT blocks, shift the
 trace, push the result forward.  The dual slack is repaired the same way.
+Every row of L and of W_k has one nonzero, so each entry of a PPT block is
+one entry of X times a positive weight; the program holds these sources and
+weights for all K blocks, built once from the partial transposes' gather
+indices by merging the K * n^(2r+2) terms of PT_k(L X L^T) (Phi_3 at r=3:
+19 683 terms, 6732 entries), and applies the T_k as one gather and one
+product and their adjoints as one ``bincount``, never forming an
+n^(r+1)-sized matrix.
 
 ``h_ext(M, n, r)`` is the eigenvalue relaxation without PPT: the top
 eigenvalue of M (x) I^(r-1) restricted to the extension subspace.
@@ -64,6 +71,27 @@ def _ppt_subsets(r: int):
     return out
 
 
+def _one_per_row(m: np.ndarray):
+    """The column and the value of the one nonzero in each row of m."""
+    cols = np.argmax(m != 0, axis=1)
+    if np.count_nonzero(m) != len(m) or not m[np.arange(len(m)), cols].all():
+        raise ValueError("expected exactly one nonzero in each row")
+    return cols, m[np.arange(len(m)), cols]
+
+
+def _gather(shape: TensorShape, sub) -> np.ndarray:
+    """The index that gathers PT_sub(m) from a raveled d x d matrix m."""
+    d = shape.total
+    return partial_transpose(np.arange(d * d).reshape(d, d), shape, sub).ravel()
+
+
+def _scatter_add(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """``np.bincount`` of real or complex weights."""
+    if np.iscomplexobj(weights):
+        return np.bincount(index, weights.real, size) + 1j * np.bincount(index, weights.imag, size)
+    return np.bincount(index, weights, size)
+
+
 class _LinkedBlocks:
     """The DPS program over blocks (X, T_1 X, ..., T_K X), all PSD and of
     the input's dtype.
@@ -71,48 +99,77 @@ class _LinkedBlocks:
     Maximize Re <C_0, X> subject to tr X = 1, with
     T_k(X) = W_k^T PT_k(L X L^T) W_k.  Each T_k is a Frobenius isometry, so
     each block has trace 1 and the trace bound of the whole program is 1 + K.
+
+    With i(p), l(p) the column and value of row p's nonzero in L, and
+    a(p), w_k(p) those in W_k, T_k adds l(p') l(q') w_k(p) w_k(q) X[i(p'), i(q')]
+    to entry (a(p), a(q)) of block k for each (p, q), (p', q') = PT_k(p, q).
+    Merged by target, every entry of every block has exactly one source, so
+    the map is held as one source index and one weight per entry of the PPT
+    blocks raveled end to end.
     """
 
     def __init__(self, obj: np.ndarray, lift: np.ndarray, n: int, r: int, subsets):
-        self.lift, self.subsets = lift, subsets
+        self.subsets = subsets
         shape = TensorShape((n,) * (r + 1))
-        d = shape.total
-        # PT_k permutes the entries of a d x d matrix and is an involution, so
-        # one gather index serves it and its inverse
-        entries = np.arange(d * d).reshape(d, d)
-        self.gather = [partial_transpose(entries, shape, sub).ravel() for sub in subsets]
-        # sub is the first factor or not, then extension factors 1..t, so
-        # PT_k(L X L^T) lives on C^n (x) Sym^t (x) Sym^(r-t)
-        self.support = [kron(np.eye(n), sym_isometry(t, n), sym_isometry(r - t, n))
-                        for t in (len(sub) - (0 in sub) for sub in subsets)]
-        self.blocks = [lift.shape[1]] + [w.shape[1] for w in self.support]
+        size = lift.shape[1]
+        row, l = _one_per_row(lift)
+        # entry (p', q') of L X L^T is l(p') l(q') X[i(p'), i(q')]
+        source, weight = (row[:, None] * size + row).ravel(), np.outer(l, l).ravel()
+        src, coef, self.blocks = [np.zeros(0, dtype=np.intp)], [np.zeros(0)], [size]
+        for sub in subsets:
+            # sub is the first factor or not, then extension factors 1..t, so
+            # PT_k(L X L^T) lives on C^n (x) Sym^t (x) Sym^(r-t)
+            t = len(sub) - (0 in sub)
+            col, w = _one_per_row(kron(np.eye(n), sym_isometry(t, n), sym_isometry(r - t, n)))
+            s = int(col.max()) + 1
+            g = _gather(shape, sub)
+            target = (col[:, None] * s + col).ravel()
+            src_k = np.empty(s * s, dtype=np.intp)
+            src_k[target] = source[g]
+            if not np.array_equal(src_k[target], source[g]):
+                raise AssertionError("a PPT block entry with more than one source")
+            src.append(src_k)
+            coef.append(np.bincount(target, np.outer(w, w).ravel() * weight[g], s * s))
+            self.blocks.append(s)
+        self._src, self._coef = np.concatenate(src), np.concatenate(coef)
+        self._ends = np.cumsum([0] + [s * s for s in self.blocks[1:]])
         self.C = [obj] + [np.zeros((s, s), dtype=obj.dtype) for s in self.blocks[1:]]
         self.b = np.array([1.0])
         self.trace_bound = float(len(self.blocks))
 
-    def _transpose(self, m: np.ndarray, k: int) -> np.ndarray:
-        """PT_k(m) for a full-size m, by the gather index."""
-        return m.ravel()[self.gather[k]].reshape(m.shape)
+    def _part(self, k: int) -> slice:
+        """Block k's entries in the map."""
+        return slice(self._ends[k], self._ends[k + 1])
+
+    def _forward(self, x: np.ndarray, part=slice(None)) -> np.ndarray:
+        """The PPT entries of the map's ``part`` that block 0 equal to x fixes."""
+        out = x.ravel()[self._src[part]]
+        out *= self._coef[part]
+        return out
+
+    def _adjoint(self, flat: np.ndarray, part=slice(None)) -> np.ndarray:
+        """The block-0 matrix that the PPT entries ``flat`` of the map's
+        ``part`` pull back to."""
+        size = self.blocks[0]
+        return _scatter_add(self._src[part], flat * self._coef[part], size * size).reshape(size, size)
 
     def image(self, x: np.ndarray, k: int) -> np.ndarray:
         """T_k(x), the PPT block k that block 0 fixes."""
-        w = self.support[k]
-        return w.T @ self._transpose(self.lift @ x @ self.lift.T, k) @ w
+        return self._forward(x, self._part(k)).reshape(self.blocks[k + 1], -1)
 
     def coimage(self, v: np.ndarray, k: int) -> np.ndarray:
         """T_k^T(v), the adjoint of :meth:`image`."""
-        w = self.support[k]
-        return self.lift.T @ self._transpose(w @ v @ w.T, k) @ self.lift
+        return self._adjoint(v.ravel(), self._part(k))
 
     def pull_back(self, mats) -> np.ndarray:
         """M_0 + sum_k T_k^T(M_k): the adjoint of X -> (X, T_1 X, ..., T_K X)."""
-        out = mats[0]
-        for k, m in enumerate(mats[1:]):
-            out = out + self.coimage(m, k)
-        return out
+        if len(mats) == 1:
+            return mats[0]
+        return mats[0] + self._adjoint(np.concatenate([m.ravel() for m in mats[1:]]))
 
     def push(self, x: np.ndarray) -> list:
-        return [x] + [self.image(x, k) for k in range(len(self.subsets))]
+        tail = self._forward(x)
+        return [x] + [tail[self._part(k)].reshape(s, s) for k, s in enumerate(self.blocks[1:])]
 
     def project(self, V):
         """Orthogonal projection onto the linked blocks with tr X = 1, as
@@ -133,6 +190,11 @@ class _LinkedBlocks:
 
 @dataclass
 class DpsResult:
+    """A level-r solve.  ``value`` is <C, X> at the solver's last affine
+    iterate, which need not be PSD, so it is not a lower bound on the
+    level-r value and can exceed ``bound`` (Phi_2 at r=2: 0.5000000105
+    against 0.5000000062); ``bound`` is the weak-duality upper bound."""
+
     value: float
     bound: float
     status: str
@@ -166,9 +228,11 @@ def dps_value(m: np.ndarray, n: int, r: int = 1, ppt: bool = True,
               opts: SolveOptions | None = None, return_details: bool = False):
     """Level-r symmetric-extension value for a self-adjoint M on C^n (x) C^n.
 
-    With ``return_details`` the result also carries ``bound``, a weak-duality
-    upper bound on the level-r value that holds whether or not the solver
-    converged.
+    The value is <C, X> at the solver's last affine iterate, which need not
+    be PSD: it is not a lower bound on the level-r value, and it can exceed
+    the bound.  With ``return_details`` the result (a :class:`DpsResult`)
+    also carries ``bound``, a weak-duality upper bound on the level-r value
+    that holds whether or not the solver converged.
     """
     problem = _dps_program(m, n, r, ppt)
     sol = solve_sdp(problem, opts or SolveOptions(tol=1e-8, max_iter=100_000))

@@ -131,26 +131,33 @@ def _conj_transpose(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-def _psd_project(h: np.ndarray, rank_hint: int | None = None) -> tuple[np.ndarray, int]:
+def _psd_project(h: np.ndarray, rank_hint: int | None = None,
+                 out: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """:func:`psd_project` of a square, finite h that the caller has made
     exactly self-adjoint: the eigensolvers read only one triangle of it, and
     the negative-side path subtracts from h itself.  h is left unchanged, and
-    the output is symmetrized in place, so it is exactly self-adjoint."""
+    the output is symmetrized in place, so it is exactly self-adjoint.  With
+    ``out``, an array of h's shape and dtype that does not overlap h, the
+    result is written there and ``out`` is returned, with the same bits."""
     adj = _conj_transpose if h.dtype.kind == "c" else _transpose
     n = h.shape[0]
     subset = rank_hint is not None and n > 0   # the evr wrappers reject order 0
     if subset and SUBSET_RATIO * rank_hint <= n:
         w, v = _eig_interval(h, 0.0, np.inf)
-        out, k = (v * w) @ adj(v), w.size
+        out, k = np.matmul(v * w, adj(v), out=out), w.size
     elif subset and SUBSET_RATIO * (n - rank_hint) <= n:
         w, v = _eig_interval(h, -np.inf, 0.0)
         k = n - w.size
-        out = h - (v * w) @ adj(v) if k else np.zeros_like(h)
+        out = np.matmul(v * w, adj(v), out=out)
+        if k:
+            np.subtract(h, out, out=out)
+        else:
+            out.fill(0.0)
     else:
         w, v = np.linalg.eigh(h)
         first = np.searchsorted(w, 0.0, side="right")
         w, v = w[first:], v[:, first:]
-        out, k = (v * w) @ adj(v), w.size
+        out, k = np.matmul(v * w, adj(v), out=out), w.size
     # the same bits as (out + adj(out)) / 2: halving is exact
     out += adj(out)
     out *= 0.5

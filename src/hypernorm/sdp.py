@@ -302,12 +302,14 @@ def solve_sdp(problem, opts: SolveOptions | None = None) -> SdpSolution:
     dot = _dot if np.iscomplexobj(c) else np.dot
     rho = 1.0
     c_rho = c   # C / rho, rebuilt only when rho changes
-    z = np.zeros_like(c)
+    z, z_old = np.zeros_like(c), np.empty_like(c)
     u = np.zeros_like(c)
     # buffers updated in place: t = Z - U + C/rho enters the projection,
-    # v = X + U the PSD step, and r holds X - Z and then Z - Z_old
+    # v = X + U the PSD step, z and z_old swap at each PSD step, which writes
+    # each block of Z into its view, and r holds X - Z and then Z - Z_old
     t, v, r = np.empty_like(c), np.empty_like(c), np.empty_like(c)
     t_blocks, v_blocks = split(t), split(v)
+    z_blocks, z_old_blocks = split(z), split(z_old)
     ranks = [None] * len(P.blocks)   # each block's positive count at the last PSD step
     status = "max-iter"
     it = 0
@@ -328,10 +330,9 @@ def solve_sdp(problem, opts: SolveOptions | None = None) -> SdpSolution:
             # within tolerance changes the iterates by as much
             for xb in X:
                 _check_self_adjoint(xb, SELF_ADJOINT_TOL)
-        z_old = z
+        z, z_old, z_blocks, z_old_blocks = z_old, z, z_old_blocks, z_blocks
         np.add(x, u, out=v)
-        Zb, ranks = zip(*[_psd_project(vb, k) for vb, k in zip(v_blocks, ranks)])
-        z = _ravel(Zb)
+        ranks = [_psd_project(vb, k, out=zb)[1] for vb, k, zb in zip(v_blocks, ranks, z_blocks)]
         np.subtract(v, z, out=u)
         if not rho * math.sqrt(dot(u, u)) <= 1e12:
             status = "infeasible-suspected"

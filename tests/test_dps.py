@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from hypernorm.core import OperatorInstance, TensorShape
-from hypernorm.dps import _dps_program, _ppt_subsets, dps_value, h_ext
-from hypernorm.linalg import partial_transpose
+from hypernorm.dps import _dps_program, _gather, _ppt_subsets, dps_value, h_ext
+from hypernorm.linalg import kron, partial_transpose, sym_isometry
 from hypernorm.sdp import SdpProblem, SolveOptions, solve_sdp
 from hypernorm.tensorsdp import a22_matrix, tensor_sdp
 from tests.conftest import phi_complex, phi_state, real_embedding
@@ -54,16 +54,54 @@ def _linking_rows(images, blocks, size):
     return cons
 
 
+class DenseLinks:
+    """The linking isometries T_k(X) = W_k^T PT_k(L X L^T) W_k of a DPS
+    program and their adjoints as dense products through the n^(r+1)-space,
+    with the projection and the dual slack built from them: the reference
+    for the program's precomputed map."""
+
+    def __init__(self, n, r, subsets):
+        self.lift, self.shape = np.kron(np.eye(n), sym_isometry(r, n)), TensorShape((n,) * (r + 1))
+        self.subsets = subsets
+        self.support = [kron(np.eye(n), sym_isometry(t, n), sym_isometry(r - t, n))
+                        for t in (len(sub) - (0 in sub) for sub in subsets)]
+
+    def full_image(self, x, k):
+        """PT_k(L X L^T) at the full size n^(r+1)."""
+        return partial_transpose(self.lift @ x @ self.lift.T, self.shape, self.subsets[k])
+
+    def image(self, x, k):
+        w = self.support[k]
+        return w.T @ self.full_image(x, k) @ w
+
+    def coimage(self, v, k):
+        w = self.support[k]
+        return self.lift.T @ partial_transpose(w @ v @ w.T, self.shape, self.subsets[k]) @ self.lift
+
+    def pull_back(self, mats):
+        return mats[0] + sum(self.coimage(m, k) for k, m in enumerate(mats[1:]))
+
+    def push(self, x):
+        return [x] + [self.image(x, k) for k in range(len(self.subsets))]
+
+    def project(self, V):
+        links, size = len(V), V[0].shape[0]
+        xbar = self.pull_back(V) / links
+        w = (np.trace(xbar).real - 1.0) * links / size
+        return self.push(xbar - (w / links) * np.eye(size)), w
+
+    def dual_slack(self, C, sol):
+        size = C[0].shape[0]
+        fix = sol.y[0] * np.eye(size) - self.pull_back([c + s for c, s in zip(C, sol.S)])
+        return [s + f for s, f in zip(sol.S, self.push(fix / len(C)))]
+
+
 def full_images(m, n, r):
     """The program of ``dps_value`` and, for each PPT block, the map
     X -> PT_k(L X L^T) at the full size n^(r+1)."""
     linked = _dps_program(m, n, r, True)
-    lift, shape = linked.lift, TensorShape((n,) * (r + 1))
-
-    def image(x, sub):
-        return partial_transpose(lift @ x @ lift.T, shape, sub)
-
-    return linked, [functools.partial(image, sub=sub) for sub in _ppt_subsets(r)]
+    dense = DenseLinks(n, r, linked.subsets)
+    return linked, [functools.partial(dense.full_image, k=k) for k in range(len(linked.subsets))]
 
 
 def row_form_dps(m, n, r):
@@ -80,7 +118,7 @@ def row_form_dps(m, n, r):
     if embed:
         images = [lambda x, image=image: real_embedding(image(_unembed(x))) for image in images]
     D = factor * linked.blocks[0]
-    DF = factor * linked.lift.shape[0]
+    DF = factor * n ** (r + 1)
     blocks = [D] + [DF] * len(images)
     cons = [[(0, i, i, 1.0) for i in range(D)]]
     if embed:
@@ -127,11 +165,12 @@ class TestLinkedBlocks:
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     def test_gather_index_is_the_partial_transpose(self, m, n, r, rng):
-        p = _dps_program(m, n, r, True)
-        d = n ** (r + 1)
-        for k, sub in enumerate(p.subsets):
+        shape = TensorShape((n,) * (r + 1))
+        d = shape.total
+        for sub in _ppt_subsets(r):
             for g in (rng.normal(size=(d, d)), rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))):
-                assert np.array_equal(p._transpose(g, k), partial_transpose(g, TensorShape((n,) * (r + 1)), sub))
+                assert np.array_equal(g.ravel()[_gather(shape, sub)].reshape(d, d),
+                                      partial_transpose(g, shape, sub))
 
     def test_compressed_blocks_keep_the_full_spectrum(self, m, n, r, rng):
         # T_k(X) is PT_k(L X L^T) restricted to its support, so it has the
@@ -177,6 +216,52 @@ class TestLinkedBlocks:
         for k, s in enumerate(S[1:]):
             total = total + p.coimage(s, k)
         assert np.linalg.norm(total - sol.y[0] * np.eye(p.blocks[0])) <= 1e-12 * len(p.blocks)
+
+
+# (n, r) for the map against the dense formula, every PPT subset of each
+MAP_SIZES = [(2, 1), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)]
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("n, r", MAP_SIZES, ids=[f"n{n}-r{r}" for n, r in MAP_SIZES])
+class TestLinkingMap:
+    def _program(self, n, r, complex_, ppt=True):
+        p = _dps_program(phi_complex(n) if complex_ else phi_state(n), n, r, ppt)
+        return p, DenseLinks(n, r, p.subsets), np.complex128 if complex_ else float
+
+    def test_images_match_the_dense_formula(self, n, r, complex_, rng):
+        p, dense, dtype = self._program(n, r, complex_)
+        assert p.subsets == _ppt_subsets(r) and len(p.blocks) == len(p.subsets) + 1
+        for k in range(len(p.subsets)):
+            x, v = _sym(rng, p.blocks[0], dtype), _sym(rng, p.blocks[k + 1], dtype)
+            x, v = x / np.linalg.norm(x), v / np.linalg.norm(v)
+            tx, tv = p.image(x, k), p.coimage(v, k)
+            assert tx.dtype == tv.dtype == dtype
+            assert np.abs(tx - dense.image(x, k)).max() <= 1e-13
+            assert np.abs(tv - dense.coimage(v, k)).max() <= 1e-13
+            # the map's own adjoint identity <T_k X, V> = <X, T_k^T V>
+            assert abs(np.vdot(tx, v) - np.vdot(x, tv)) <= 1e-13
+
+    def test_project_and_dual_slack_match_the_dense_versions(self, n, r, complex_, rng):
+        p, dense, dtype = self._program(n, r, complex_)
+        V = [_sym(rng, s, dtype) for s in p.blocks]
+        X, w = p.project(V)
+        X_ref, w_ref = dense.project(V)
+        assert abs(w[0] - w_ref) <= 1e-13 * max(1.0, abs(w_ref))
+        assert max(np.abs(a - b).max() for a, b in zip(X, X_ref, strict=True)) <= 1e-13
+        sol = SimpleNamespace(y=np.array([rng.normal()]), S=[_sym(rng, s, dtype) for s in p.blocks])
+        S, S_ref = p.dual_slack(sol), dense.dual_slack(p.C, sol)
+        assert max(np.abs(a - b).max() for a, b in zip(S, S_ref, strict=True)) <= 1e-13
+
+    def test_no_ppt_program_has_an_empty_map(self, n, r, complex_, rng):
+        p, dense, dtype = self._program(n, r, complex_, ppt=False)
+        assert p.blocks == [p.C[0].shape[0]] and p.subsets == [] and p.trace_bound == 1.0
+        V = [_sym(rng, p.blocks[0], dtype)]
+        (X,), w = p.project(V)
+        (X_ref,), w_ref = dense.project(V)
+        assert np.array_equal(X, X_ref) and w[0] == w_ref
+        sol = SimpleNamespace(y=np.array([rng.normal()]), S=[_sym(rng, p.blocks[0], dtype)])
+        assert np.array_equal(p.dual_slack(sol)[0], dense.dual_slack(p.C, sol)[0])
 
 
 class TestDps:

@@ -156,6 +156,9 @@ class TestPsdProject:
         m = with_spectrum(-rng.uniform(0.1, 2.0, 30), rng)
         p, k = psd_project(m, hint)
         assert k == 0 and p.shape == (30, 30) and not p.any()
+        buf = np.full((30, 30), np.nan)
+        out, k = linalg._psd_project((m + m.T) / 2.0, hint, out=buf)
+        assert out is buf and k == 0 and not buf.any()
 
     @pytest.mark.parametrize("hint", [None, 0])
     def test_empty_matrix(self, hint):

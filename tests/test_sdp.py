@@ -424,7 +424,7 @@ def dps_program():
 def test_rank_hint_keeps_the_iterates(program, side, monkeypatch, evr_calls):
     value, bound, status, iterations = program()
     assert side in evr_calls  # the one-sided path ran
-    monkeypatch.setattr(sdp, "_psd_project", lambda m, rank_hint=None: linalg._psd_project(m))
+    monkeypatch.setattr(sdp, "_psd_project", lambda m, rank_hint=None, out=None: linalg._psd_project(m, out=out))
     evr_calls.clear()
     value_full, bound_full, status_full, iterations_full = program()
     assert not evr_calls
@@ -461,7 +461,7 @@ def test_rejects_a_projection_that_is_not_self_adjoint():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_iterate_stops_before_the_psd_step(bad, monkeypatch, evr_calls):
     steps = []
-    monkeypatch.setattr(sdp, "_psd_project", lambda m, rank_hint=None: steps.append(m))
+    monkeypatch.setattr(sdp, "_psd_project", lambda m, rank_hint=None, out=None: steps.append(m))
     broken = np.eye(3)
     broken[1, 1] = bad
     sol = solve_sdp(FixedProjection([np.eye(2), broken]))
@@ -730,6 +730,10 @@ def test_psd_step_paths(hint, side, complex_, evr_calls):
     assert np.array_equal(p, p.conj().T)
     want, k_want = _ref_psd_project(m, hint)
     assert k == k_want and same_bits(p, want)
+    # written into a buffer: the loop's view of its Z, with the same bits
+    buf = np.full(2 * m.size, np.nan, dtype=m.dtype)[m.size:].reshape(m.shape)
+    out, k_out = linalg._psd_project(m, hint, out=buf)
+    assert out is buf and k_out == k and same_bits(buf, p) and same_bits(m, kept)
 
 
 def test_the_loop_reports_an_inaccurate_stop():
