@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Sweep the symmetrized quartic relaxation over random operator ensembles.
 
-Writes a flat CSV of (dist, n, m, seed, a22, upper, oracle, oracle_floor,
-oracle_steps, oracle_newton_steps) to stdout or --out.  The `upper` column is
-the weak-duality bound of the solver's dual point, valid for every feasible
-point whether or not the solver converged.  The last two columns are the
-oracle's power steps over all starts and the Newton steps of its finish.
+Writes a flat CSV of (dist, n, m, seed, a22, upper, iterations, witnesses,
+oracle, oracle_floor, oracle_steps, oracle_newton_steps) to stdout or --out.
+The `upper` column is the weak-duality bound of the solver's dual point, valid
+for every feasible point whether or not the solver converged; `iterations`
+counts the solver's loop iterations and `witnesses` the witnesses of a
+certified stop (0 where the loop's own point is returned).  The last two
+columns are the oracle's power steps over all starts and the Newton steps of
+its finish.
 
 Usage:
     python scripts/random_operator_sweep.py [--n 4 8] [--seeds 5] [--ratio 50]
@@ -32,8 +35,8 @@ def main():
 
     fh = open(args.out, "w", newline="") if args.out else sys.stdout
     w = csv.writer(fh)
-    w.writerow(["dist", "n", "m", "seed", "a22", "upper", "oracle", "oracle_floor",
-                "oracle_steps", "oracle_newton_steps"])
+    w.writerow(["dist", "n", "m", "seed", "a22", "upper", "iterations", "witnesses", "oracle",
+                "oracle_floor", "oracle_steps", "oracle_newton_steps"])
     for dist in ("sign", "gaussian", "unit"):
         for n in args.n:
             m = args.ratio * n * n
@@ -44,7 +47,7 @@ def main():
                 ora = norm_2_to_q_lower(inst, 4, restarts=args.restarts, seed=seed)
                 floor = (3.0 / (1.0 + 2.0 / n)) ** 0.25
                 w.writerow([dist, n, m, seed, f"{res.value:.6f}", f"{res.bound:.6f}",
-                            f"{ora.value:.6f}", f"{floor:.6f}",
+                            res.iterations, res.witnesses, f"{ora.value:.6f}", f"{floor:.6f}",
                             ora.trace["steps"], ora.trace["newton_steps"]])
                 fh.flush()
     if args.out:

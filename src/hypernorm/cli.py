@@ -200,7 +200,7 @@ def _cmd_random_suite(args):
         res = a22_value(inst, _opts(args), return_details=True)
         ora = norm_2_to_q_lower(inst, 4, restarts=args.restarts, seed=seed)
         rows.append({"seed": seed, "a22": res.value, "upper": res.bound, "status": res.status,
-                     "oracle": ora.value,
+                     "iterations": res.iterations, "witnesses": res.witnesses, "oracle": ora.value,
                      "oracle_floor": (3.0 / (1.0 + 2.0 / args.n)) ** 0.25})
     ok = all(r["status"] == "optimal" for r in rows)
     return {"dist": args.dist, "n": args.n, "m": args.m, "threshold": 3.5,

@@ -29,6 +29,12 @@ blocks (a :class:`MomentProgram` exactly so), which the PSD step takes as
 they are; the loop updates its iterates in place in buffers allocated once
 per solve.  It is fully deterministic: the same problem and options produce
 bitwise-identical iterates.
+
+A caller may pass an anchor hook, which proposes a primal-dual pair built
+from the loop's point at iterations ``ANCHOR_AT`` without changing the loop;
+the solver judges the pair with the same weak-duality bound and residuals as
+its own point, and stops on it only if it passes the same test.  Without a
+hook the loop is unchanged.
 """
 
 from __future__ import annotations
@@ -48,6 +54,11 @@ __all__ = ["SdpProblem", "MomentProgram", "SdpSolution", "SolveOptions", "solve_
 
 ADAPT_EVERY = 100      # iterations between penalty updates
 DEPENDENT = 1e-12      # squared pivot over squared norm of a dependent row
+# iterations at which an anchor hook is tried: 10, 30, 100, 300, ..., so that
+# its attempts cost a small share of the loop's iterations
+ANCHOR_AT = frozenset(k * 10**e for e in range(1, 8) for k in (1, 3))
+# the residuals that decide whether a stop is optimal
+GATED = ("primal_infeas", "dual_infeas", "gap")
 
 
 @dataclass
@@ -176,6 +187,28 @@ class MomentProgram:
         x *= self._ss
         return self._split(x), w
 
+    def null_part(self, v: np.ndarray) -> np.ndarray:
+        """v (blocks raveled end to end) minus its orthogonal projection onto
+        the scaled class directions E_c: the part whose scaled class sums
+        vanish, so adding it to a dual slack keeps it on the dual affine set."""
+        return v - self._ss * (self._sums(self._ss * v) / self._weights)[self._labels]
+
+    def class_projector(self):
+        """The orthogonal projection onto the span of the scaled class
+        directions E_c, which :meth:`null_part` subtracts, as a sparse matrix
+        over the positions of the blocks raveled end to end: the entries
+        ``(p, q, ss_p ss_q / <E_c, E_c>)`` for every ordered pair of positions
+        p, q of one class c."""
+        order = np.argsort(self._labels, kind="stable")
+        sizes = np.bincount(self._labels)
+        label = self._labels[order]
+        reps = sizes[label]
+        p = np.repeat(order, reps)
+        # the k-th partner of a position is the k-th position of its class
+        k = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        q = order[np.repeat(np.cumsum(sizes)[label] - sizes[label], reps) + k]
+        return p, q, self._ss[p] * self._ss[q] / self._weights[self._labels[p]]
+
     def dual_slack(self, sol):
         """The solver's slack S moved onto the dual affine set: dual
         feasibility asks only that ``<C + S, E_c>`` equal ``(R^T y)_c`` for
@@ -242,9 +275,10 @@ class SdpProblem(MomentProgram):
 
 @dataclass
 class SdpSolution:
-    """The solver's last iterate and its dual point.  ``bound`` is
-    ``b^T y + trace_bound * slack_shift`` with ``slack_shift`` =
-    ``max(0, -lambda_min(dual_slack))``: every feasible X has
+    """The solver's primal point and dual point: its last iterate, or an
+    anchor hook's pair (``witnesses`` > 0, the number of witnesses the hook
+    used).  ``bound`` is ``b^T y + trace_bound * slack_shift`` with
+    ``slack_shift`` = ``max(0, -lambda_min(dual_slack))``: every feasible X has
     ``<C, X> = b^T y - <S, X> <= bound`` whether or not the solver converged."""
 
     X: list
@@ -257,9 +291,10 @@ class SdpSolution:
     iterations: int
     slack_shift: float
     bound: float
+    witnesses: int = 0
 
 
-def solve_sdp(problem, opts: SolveOptions | None = None) -> SdpSolution:
+def solve_sdp(problem, opts: SolveOptions | None = None, anchor=None) -> SdpSolution:
     """Douglas-Rachford splitting between ``problem.project`` and the PSD
     cone, for a :class:`MomentProgram` (an :class:`SdpProblem` included) or any
     problem with the attributes that the module docstring lists.
@@ -280,10 +315,24 @@ def solve_sdp(problem, opts: SolveOptions | None = None) -> SdpSolution:
     Residuals in the result are recomputed from the returned point, and the
     result carries ``bound`` and ``slack_shift`` (see :class:`SdpSolution`),
     an upper bound on every feasible objective value whatever the status.
-    The status is ``"optimal"`` when the loop met ``tol`` and the recomputed
-    residuals are within 10 * tol, ``"inaccurate"`` when the loop met ``tol``
-    but they are not, ``"max-iter"`` when ``max_iter`` iterations ran out
-    and ``"infeasible-suspected"`` when an iterate's norm passed 1e12.
+
+    ``anchor``, optional, is called at the iterations in ``ANCHOR_AT`` with an
+    :class:`SdpSolution` holding the loop's X, y and S (S as in the result;
+    its objective values, residuals and bound are not set).  It returns None
+    or ``(X, y, S, count)``: primal blocks in the affine set, a dual point
+    and the count to report as ``witnesses``.  The loop's own state is not
+    touched.  That pair's bound and residuals are computed as for the loop's
+    point, and the solve stops on it when the primal and dual infeasibility
+    and the gap are all within ``tol``; otherwise the attempt is dropped and
+    the loop goes on.
+
+    The status is ``"optimal"`` when the returned pair is primal- and
+    dual-feasible with a gap within tol, from either source: an anchored
+    pair whose recomputed residuals are within ``tol``, or the loop's point
+    when the loop met ``tol`` and its recomputed residuals are within
+    10 * tol.  It is ``"inaccurate"`` when the loop met ``tol`` but those
+    are not, ``"max-iter"`` when ``max_iter`` iterations ran out and
+    ``"infeasible-suspected"`` when an iterate's norm passed 1e12.
     """
     opts = opts or SolveOptions()
     P = problem
@@ -349,6 +398,14 @@ def solve_sdp(problem, opts: SolveOptions | None = None) -> SdpSolution:
         if max(rp, rd, gap) <= opts.tol:
             status = "optimal"
             break
+        if anchor is not None and it in ANCHOR_AT:
+            point = anchor(SdpSolution(X, y * scale, split(-(rho * scale) * u), math.nan, math.nan,
+                                       {}, status, it, math.nan, math.nan))
+            if point is not None:
+                sol = _solution(P, *point[:3], "optimal", it)
+                if max(sol.residuals[k] for k in GATED) <= opts.tol:
+                    sol.witnesses = point[3]
+                    return sol
         if it % ADAPT_EVERY == 0 and (rp > 10.0 * rd or rd > 10.0 * rp):
             new = min(rho * 2.0, 1e6) if rp > rd else max(rho / 2.0, 1e-6)
             u *= rho / new
@@ -356,9 +413,18 @@ def solve_sdp(problem, opts: SolveOptions | None = None) -> SdpSolution:
             c_rho = c / rho
 
     # the multiplier of X = Z is rho * U; C was divided by scale
-    y = y * scale
-    sol = SdpSolution(X, y, split(-(rho * scale) * u), _dot(c_in, x), float(P.b @ y),
-                      {}, status, it, math.nan, math.nan)
+    sol = _solution(P, X, y * scale, split(-(rho * scale) * u), status, it)
+    if status == "optimal" and max(sol.residuals[k] for k in GATED) > 10 * opts.tol:
+        sol.status = "inaccurate"
+    return sol
+
+
+def _solution(P, X, y, S, status, it) -> SdpSolution:
+    """The result for the primal blocks X and the dual point (y, S): the
+    weak-duality bound of (y, S) and the residuals of the pair."""
+    c_in, x = _ravel(P.C), _ravel(X)
+    nx, norm_c = math.sqrt(_dot(x, x)), math.sqrt(_dot(c_in, c_in))
+    sol = SdpSolution(X, y, S, _dot(c_in, x), float(P.b @ y), {}, status, it, math.nan, math.nan)
     slack = P.dual_slack(sol)
     lam = min(float(np.linalg.eigvalsh((s + s.conj().T) / 2.0)[0]) for s in slack)
     sol.slack_shift = max(0.0, -lam)
@@ -369,11 +435,9 @@ def solve_sdp(problem, opts: SolveOptions | None = None) -> SdpSolution:
     eigs = [np.linalg.eigvalsh(xb) if np.isfinite(xb).all() else np.full(len(xb), math.nan)
             for xb in X]
     rp = math.sqrt(sum(float(np.sum(np.minimum(e, 0.0) ** 2)) for e in eigs)) / (1.0 + nx)
-    d = _ravel(sol.S) - _ravel(slack)
+    d = _ravel(S) - _ravel(slack)
     rd = math.sqrt(_dot(d, d)) / (1.0 + norm_c)
     gap = abs(sol.primal_obj - sol.dual_obj) / (1.0 + abs(sol.primal_obj) + abs(sol.dual_obj))
     sol.residuals = {"primal_infeas": rp, "dual_infeas": rd, "gap": gap,
                      "min_eig": min(float(e[0]) for e in eigs)}
-    if status == "optimal" and max(rp, rd, gap) > 10 * opts.tol:
-        sol.status = "inaccurate"
     return sol

@@ -10,13 +10,20 @@ n^2 x n^2 matrices paired with the two-two flattening; and
 ``certify_hypercontractivity`` runs it on the low-degree cube projector in
 Fourier-coefficient coordinates.
 
-Every solve returns a rigorous upper bound extracted from the dual vector: the
-bound holds by weak duality regardless of solver convergence, and for moment
-problems it comes with an explicit polynomial identity
+Every solve returns a rigorous upper bound from a dual point (y, S): the bound
+holds by weak duality whatever the dual point, and for moment problems it comes
+with an explicit polynomial identity
 
     bound |x|^d - p(x) |x|^(d - 4) = sum_j R_j(x)^2
 
 whose residual is reported; on the unit sphere its left side is bound - p(x).
+The dual point is the solver loop's own, or, where ``MomentRelaxation.solve``
+certifies an early stop, one anchored on witnesses x^ of the maximum: the
+loop's dual slack with z(x^) forced into its kernel (see :class:`_Anchor`).
+The value is then p at the best witness, the value of a feasible point (its
+rank-one moment matrix), and the certified stop needs the bound within the
+solver's tol of it.  Otherwise the value is <C, X> at the loop's last iterate,
+which need not be PSD.
 """
 
 from __future__ import annotations
@@ -28,11 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OperatorInstance
+from .oracles import _newton_finish, _pow2_scaled, _power_ascent, _PowerObjective
 from .oracles import elementary_norms, norm_2_to_q_lower
 from .polybasis import Polynomial, _exact_degree, _multinomial, chi_table, moment_classes
 from .polybasis import monomial_basis, objective_expand, quartic_gram, sphere_poly
 from .pseudoexp import PseudoExpectation
-from .sdp import MomentProgram, SolveOptions, solve_sdp
+from .sdp import MomentProgram, SolveOptions, _dot, solve_sdp
 
 __all__ = [
     "MomentRelaxation",
@@ -50,6 +58,16 @@ __all__ = [
 
 SIZE_LIMITS = {4: 20, 6: 10, 8: 6}
 
+# An anchored attempt runs up to ANCHOR_STEPS power steps from the top
+# ANCHOR_STARTS eigenvectors of the degree-2 pseudo-moments, and the points
+# within WITNESS_RTOL of the best value are the witnesses; two whose inner
+# product is within WITNESS_RTOL of +-1 count once.  After 50 steps the
+# best point was still up to 5e-3 below the optimum on early random-a22
+# iterates, too far for the Newton finish; 150 closed as early as 300 did.
+ANCHOR_STARTS = 4
+ANCHOR_STEPS = 150
+WITNESS_RTOL = 1e-6
+
 
 def _norm_power(n: int, j: int):
     """|x|^(2j) = sum_{|delta| = j} (j!/delta!) x^(2 delta): the rows 2 delta and the weights."""
@@ -60,16 +78,19 @@ def _norm_power(n: int, j: int):
 class MomentRelaxation:
     """Level-d moment SDP for maximizing a form of even degree on the unit sphere:
     X = s s^T o M over the degree-d/2 monomials x^beta, M[i, j] = E x^(beta_i + beta_j)
-    and s_beta = sqrt((d/2)!/beta!), so that tr X = E |x|^d, the one row."""
+    and s_beta = sqrt((d/2)!/beta!), so that tr X = E |x|^d, the one row.
 
-    def __init__(self, objective: Polynomial, n: int, d: int):
+    ``rows``, when given, are real rows r_i with objective sum_i <r_i, x>^4;
+    :meth:`solve` then looks for a witness-anchored certificate."""
+
+    def __init__(self, objective: Polynomial, n: int, d: int, rows: np.ndarray | None = None):
         if d % 2 != 0 or d < 4:
             raise ValueError("level must be even and >= 4")
         e = objective.degree()
         if len({sum(alpha) for alpha in objective.terms}) > 1 or e % 2 or e > d:
             raise ValueError(f"objective must be a form of even degree at most {d}")
-        self.n, self.d = n, d
-        exps = _exact_degree(n, d // 2)[1]
+        self.n, self.d, self.rows = n, d, rows
+        self._exps = exps = _exact_degree(n, d // 2)[1]
         self.basis = [tuple(beta) for beta in exps.tolist()]
         self._scale = np.sqrt(_multinomial(exps))
         classes = moment_classes(self.basis)
@@ -90,6 +111,11 @@ class MomentRelaxation:
         shifts, w = _norm_power(n, d // 2)  # E |x|^d = 1, which is tr X
         self.problem = MomentProgram(len(exps), classes, C, [dict(zip(map(tuple, shifts.tolist()), w))],
                                      [1.0], trace_bound=1.0, scale=self._scale)
+
+    def solve(self, opts: SolveOptions):
+        """``solve_sdp`` on the program, anchored on witnesses (see
+        :class:`_Anchor`) when the relaxation has ``rows``."""
+        return solve_sdp(self.problem, opts, anchor=None if self.rows is None else _Anchor(self))
 
     def _class_of(self, a, b):
         """The class of x^(a_i + b_j) for exponent rows a_i, b_j, as a len(a) x len(b) array."""
@@ -125,6 +151,90 @@ class MomentRelaxation:
                               factors=factors, residual=residual)
 
 
+class _Anchor:
+    """The anchor hook of one solve of a :class:`MomentRelaxation` with rows:
+    called with the loop's point, it returns a primal-dual pair anchored on
+    witnesses read off that point, for ``solve_sdp`` to test (Kaltofen, Li,
+    Yang and Zhi 2008; Henrion and Lasserre 2005).
+
+    ANCHOR_STEPS power steps on sum_i <r_i, x>^4 from the top ANCHOR_STARTS
+    eigenvectors of the degree-2 pseudo-moments E x_i x_j |x|^(d-2) of the
+    loop's X, and the Newton finish of every point within WITNESS_RTOL of the
+    best value, give the unit witnesses x_k, distinct up to sign, best first.
+    The primal point is X = z z^T with z = s o x_1^beta, the rank-one moment
+    matrix of the best witness, of value lam = <C, X>.  The dual point: with
+    (y', S') the loop's multiplier and dual slack, G1 = S' + (lam - y') I has
+    the class sums of lam |x|^d - p |x|^(d - deg p); N is the least-norm
+    matrix with zero scaled class sums such that (G1 + N) z_k = 0 for every
+    witness; and S = G1 + N + mu I, y = lam + mu with
+    mu = max(0, -lambda_min(G1 + N)).  The hook returns
+    ``(X, y, S, witnesses)``.
+    """
+
+    def __init__(self, relax: MomentRelaxation):
+        self.relax = relax
+        n, d = relax.n, relax.d
+        self.objective = _PowerObjective.for_rows(_pow2_scaled(relax.rows)[0], 4)
+        # E x_i x_j |x|^(d-2) = sum_delta w_delta E x^(e_i + delta) x^(e_j + delta)
+        deltas, self.w = _norm_power(n, (d - 2) // 2)
+        index = {beta: k for k, beta in enumerate(relax.basis)}
+        self.near = np.array([[index[tuple(beta)] for beta in (deltas // 2 + e).tolist()]
+                              for e in np.eye(n, dtype=np.intp)], dtype=np.intp)
+        self.pairs = relax.problem.class_projector()
+
+    def __call__(self, sol):
+        return self.pair(sol, self.witnesses(sol.X[0]))
+
+    def witnesses(self, X):
+        """The unit witnesses read off the moment matrix X, distinct up to
+        sign, best first, as the columns of an array."""
+        objective, s = self.objective, self.relax._scale
+        pm = (X / np.outer(s, s))[self.near[:, None, :], self.near[None, :, :]] @ self.w
+        xs, vals, _ = _power_ascent(objective, np.linalg.eigh(pm)[1][:, -ANCHOR_STARTS:],
+                                    iters=ANCHOR_STEPS)
+        keep = np.flatnonzero(vals >= vals.max() * (1.0 - WITNESS_RTOL))
+        xs = np.stack([_newton_finish(objective, xs[:, k])[0] for k in keep], axis=1)
+        found = []
+        for k in np.argsort(-objective(xs)[0], kind="stable"):
+            if all(abs(xs[:, k] @ x) < 1.0 - WITNESS_RTOL for x in found):
+                found.append(xs[:, k])
+        return np.stack(found, axis=1)
+
+    def pair(self, sol, witnesses):
+        """The anchored ``(X, y, S, count)`` for the loop's point ``sol`` and
+        the unit witnesses in the columns of ``witnesses``, X from the first."""
+        problem, s = self.relax.problem, self.relax._scale
+        Z = s[:, None] * np.prod(witnesses.T[:, None, :] ** self.relax._exps, axis=2).T
+        X = np.outer(Z[:, 0], Z[:, 0])
+        lam = _dot(problem.C[0].ravel(), X.ravel())
+        G = problem.dual_slack(sol)[0] + (lam - sol.y[0]) * np.eye(len(s))
+        G += self._kernel_fix(G, Z)
+        G = (G + G.T) / 2.0
+        mu = max(0.0, -float(np.linalg.eigvalsh(G)[0]))
+        G.flat[::len(s) + 1] += mu
+        return [X], np.array([lam + mu]), [G], Z.shape[1]
+
+    def _kernel_fix(self, G, Z):
+        """The least-norm N with zero scaled class sums and N Z = -G Z, in the
+        least-squares sense.  N = P_K(sym(L Z^T)), P_K = I - D the projection
+        ``null_part``, for the multipliers L that solve the normal equations
+        T(L) = P_K(sym(L Z^T)) Z = (L Z^T Z + Z L^T Z) / 2 - D(L Z^T) Z = -G Z;
+        T's matrix over the entries of L has D's part from the class pairs."""
+        size, k = Z.shape
+        p, q, coef = self.pairs
+        (a, b), (a2, b2) = np.divmod(p, size), np.divmod(q, size)
+        i = np.arange(k)
+        rows = (a[:, None, None] * k + i[:, None]) * (size * k) + a2[:, None, None] * k + i
+        entries = coef[:, None, None] * Z[b][:, :, None] * Z[b2][:, None, :]
+        T = -np.bincount(rows.ravel(), entries.ravel(), minlength=(size * k) ** 2).reshape(size * k, size * k)
+        T += np.kron(np.eye(size), Z.T @ Z) / 2.0
+        T += np.einsum("ai,bj->ajbi", Z, Z).reshape(size * k, size * k) / 2.0
+        w, v = np.linalg.eigh(T)
+        kept = w > np.finfo(float).eps * len(w) * w[-1]
+        L = (v[:, kept] @ ((v[:, kept].T @ -(G @ Z).ravel()) / w[kept])).reshape(size, k) @ Z.T
+        return self.relax.problem.null_part(((L + L.T) / 2.0).ravel()).reshape(size, size)
+
+
 @dataclass
 class SosCertificate:
     """bound |x|^d - objective |x|^(d - 4) = sum_j R_j^2 in coefficient arrays,
@@ -151,6 +261,7 @@ class TensorSdpResult:
     status: str
     iterations: int
     level: int
+    witnesses: int = 0
 
     def record(self, oracle: float | None = None, seed: int = 0) -> dict:
         return {
@@ -161,25 +272,29 @@ class TensorSdpResult:
             "formulation": "moment",
             "level": self.level,
             "status": self.status,
+            "iterations": self.iterations,
+            "witnesses": self.witnesses,
             "seed": seed,
         }
 
 
 def tensor_sdp(instance: OperatorInstance, d: int = 4,
                opts: SolveOptions | None = None) -> TensorSdpResult:
-    """Solve the level-d relaxation of max |A x|_4^4 over the unit sphere."""
+    """Solve the level-d relaxation of max |A x|_4^4 over the unit sphere,
+    anchored (:meth:`MomentRelaxation.solve`); ``witnesses`` in the result
+    counts the witnesses of a certified stop, 0 for the loop's own point."""
     if d not in SIZE_LIMITS:
         raise ValueError(f"level must be one of {sorted(SIZE_LIMITS)}")
     if instance.n > SIZE_LIMITS[d]:
         raise ValueError(f"at level {d} the variable count is limited to {SIZE_LIMITS[d]}")
-    relax = MomentRelaxation(objective_expand(instance), instance.n, d)
+    relax = MomentRelaxation(objective_expand(instance), instance.n, d, rows=instance.quartic_rows())
     opts = opts or SolveOptions(tol=1e-9 if len(relax.basis) <= 30 else 1e-8)
-    sol = solve_sdp(relax.problem, opts)
+    sol = relax.solve(opts)
     if sol.status == "infeasible-suspected":
         raise RuntimeError("solver diverged on a feasible-by-construction program")
     return TensorSdpResult(value=sol.primal_obj, pe=relax.extract_pseudoexpectation(sol),
                            certificate=relax.certificate(sol), status=sol.status,
-                           iterations=sol.iterations, level=d)
+                           iterations=sol.iterations, level=d, witnesses=sol.witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +329,7 @@ class A22Result:
     status: str
     iterations: int
     residuals: dict
+    witnesses: int = 0
 
 
 def a22_value(instance: OperatorInstance, opts: SolveOptions | None = None,
@@ -223,21 +339,24 @@ def a22_value(instance: OperatorInstance, opts: SolveOptions | None = None,
     Such X, and A22, live on Sym^2 (x) Sym^2, where M = Q^T X Q with
     Q = ``sym_isometry(2, n)`` is an isometry that commutes with the PSD
     projection.  M is the X of the level-4 :class:`MomentRelaxation`, whose
-    objective block is Q^T A22 Q, so solving it keeps the n^2 x n^2 program's
-    iterates; without its scale the solver's residuals change metric and it
-    stops short.
+    objective block is Q^T A22 Q, so its solver loop keeps the n^2 x n^2
+    program's iterates until it stops; without its scale the solver's
+    residuals change metric and it stops short.  The solve is anchored
+    (:meth:`MomentRelaxation.solve`): a certified stop returns the rank-one
+    moment matrix of a witness instead of the loop's iterate.
 
     Returns the optimum; with ``return_details=True`` an :class:`A22Result`
-    that also carries the weak-duality bound of the solver's dual point,
-    valid for every feasible X whether or not the solver converged.
+    that also carries the weak-duality bound of the returned dual point,
+    valid for every feasible X whether or not the solver converged, and the
+    number of witnesses a certified stop used (0 for the loop's own point).
     """
     n = instance.n
     if n > 30:
         raise ValueError("two-two formulation limited to 30 variables")
-    problem = MomentRelaxation(objective_expand(instance), n, 4).problem
+    relax = MomentRelaxation(objective_expand(instance), n, 4, rows=instance.quartic_rows())
     opts = opts or SolveOptions(tol=1e-9 if n * n <= 16 else 1e-8, max_iter=50_000)
-    sol = solve_sdp(problem, opts)
-    res = A22Result(sol.primal_obj, sol.bound, sol.status, sol.iterations, sol.residuals)
+    sol = relax.solve(opts)
+    res = A22Result(sol.primal_obj, sol.bound, sol.status, sol.iterations, sol.residuals, sol.witnesses)
     return res if return_details else res.value
 
 

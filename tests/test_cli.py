@@ -36,6 +36,8 @@ def test_tensorsdp_identity(files, capsys):
     assert abs(rep["results"]["value"] - 1.0) <= 1e-6
     assert rep["config"]["level"] == 4
     assert rep["results"]["certificate"]["residual"] <= 1e-6
+    # a certified stop names its witnesses (e_1 and e_2 here); 0 means the loop's own point
+    assert rep["results"]["iterations"] >= 1 and rep["results"]["witnesses"] >= 0
 
 
 def test_certify_hyper(files, capsys):
@@ -152,6 +154,7 @@ def test_random_suite_small(files, capsys):
     for r in runs:
         assert r["oracle"] >= r["oracle_floor"] - 0.05
         assert r["a22"] <= r["upper"] + 1e-6
+        assert r["witnesses"] == 0 or r["iterations"] in sdp.ANCHOR_AT
 
 
 def test_validation_failure_exit_code(files, capsys, tmp_path):
@@ -234,8 +237,8 @@ def test_inaccurate_stop_exit_code(files, capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [["tensorsdp", "--in", "I2.json"], ["certify-hyper", "--l", "3", "--d", "1"]])
 def test_moment_reports_say_why_they_exit_3(files, capsys, monkeypatch, argv):
     # both reports carry the solver's status, so a non-optimal stop says why
-    def inaccurate(problem, opts=None):
-        sol = sdp.solve_sdp(problem, opts)
+    def inaccurate(problem, opts=None, **kwargs):
+        sol = sdp.solve_sdp(problem, opts, **kwargs)
         sol.status = "inaccurate"
         return sol
 

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hypernorm.sdp import ANCHOR_AT
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -31,17 +33,22 @@ def test_hyper_certificate_table():
 
 def test_random_operator_sweep():
     rows = run_script("random_operator_sweep.py", "--n", "4", "--seeds", "1", "--ratio", "5")
-    assert rows[0] == ["dist", "n", "m", "seed", "a22", "upper", "oracle", "oracle_floor",
-                       "oracle_steps", "oracle_newton_steps"]
+    assert rows[0] == ["dist", "n", "m", "seed", "a22", "upper", "iterations", "witnesses",
+                       "oracle", "oracle_floor", "oracle_steps", "oracle_newton_steps"]
     body = rows[1:]
     assert [r[0] for r in body] == ["sign", "gaussian", "unit"]
     for r in body:
         assert (r[1], r[2], r[3]) == ("4", "80", "0")
         assert float(r[4]) <= float(r[5]) + 1e-6
         assert float(r[5]) - float(r[4]) <= 1e-4 * max(1.0, float(r[4]))
+        # a certified stop happens at an anchor iteration and names at least
+        # one witness; the loop's own stop names none
+        iterations, witnesses = int(r[6]), int(r[7])
+        assert 1 <= iterations <= 20_000 and witnesses >= 0
+        assert witnesses == 0 or iterations in ANCHOR_AT
         # 64 restarts, the top singular vector and the 4 largest rows, each
         # taking between 1 and 300 power steps; the finish takes at most 8
-        steps, newton = int(r[8]), int(r[9])
+        steps, newton = int(r[10]), int(r[11])
         assert 69 <= steps <= 300 * 69 and 0 <= newton <= 8
 
 

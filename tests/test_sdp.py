@@ -475,8 +475,8 @@ def solved(monkeypatch):
     ``solve`` it is handed or the package's own entry points."""
     seen = []
 
-    def solve(problem, opts=None):
-        sol = sdp.solve_sdp(problem, opts)
+    def solve(problem, opts=None, **kwargs):
+        sol = sdp.solve_sdp(problem, opts, **kwargs)
         seen.append((problem, sol))
         return sol
 
@@ -641,10 +641,11 @@ def _ref_solve_sdp(problem, opts=None):
 
 
 def solutions(run, solver, opts, monkeypatch):
-    """The solutions of every solve that ``run`` makes with ``solver``."""
+    """The solutions of every solve that ``run`` makes with ``solver``,
+    which runs the plain loop: an anchor hook is dropped."""
     seen = []
 
-    def solve(problem, opts=None):
+    def solve(problem, opts=None, anchor=None):
         seen.append(solver(problem, opts))
         return seen[-1]
 

@@ -6,10 +6,12 @@ from hypernorm.linalg import sym_isometry
 from hypernorm.oracles import norm_2_to_q_lower
 from hypernorm.polybasis import Polynomial, objective_expand, sphere_poly
 from hypernorm.pseudoexp import pseudo_expect, validate_pef
-from hypernorm.sdp import MomentProgram, SolveOptions, solve_sdp
+from hypernorm import sdp
+from hypernorm.sdp import ANCHOR_AT, MomentProgram, SolveOptions, solve_sdp
 from hypernorm.sse import RegularGraph, cycle_graph, subspace_instance, top_projector_norm
 from hypernorm.tensorsdp import (
     MomentRelaxation,
+    _Anchor,
     a22_matrix,
     a22_value,
     bcy_gap,
@@ -18,6 +20,7 @@ from hypernorm.tensorsdp import (
     low_degree_instance,
     tensor_sdp,
 )
+from tests.test_sdp import _ref_solve_sdp, assert_same_solution
 
 
 def sign_instance(m, n, seed=0):
@@ -235,15 +238,131 @@ def index_class_a22(instance, opts):
                                   random_operator("gaussian", 5, 50, 1)],
                          ids=["sign-6x3", "gaussian-4x800", "gaussian-5x50"])
 def test_sym2_form_keeps_the_index_class_iterates(inst):
-    # the isometry maps one program's iterates onto the other's, so both stop
-    # at the same iteration with the same value and bound up to rounding
+    # the isometry maps one program's iterates onto the other's, so both plain
+    # loops stop at the same iteration with the same value and bound up to
+    # rounding.  a22_value may stop earlier on an anchored pair: its value, of
+    # a feasible point, lies below the loop's bound up to rounding and within
+    # the loop's own accuracy (an optimal stop's residuals are within
+    # 10 * tol) of its value
     opts = SolveOptions(tol=1e-9 if inst.n ** 2 <= 16 else 1e-8, max_iter=50_000)
-    res = a22_value(inst, opts, return_details=True)
+    sol = solve_sdp(MomentRelaxation(objective_expand(inst), inst.n, 4).problem, opts)
     ref, ref_bound = index_class_a22(inst, opts)
-    assert res.status == ref.status == "optimal"
-    assert res.iterations == ref.iterations
-    assert abs(res.value - ref.primal_obj) <= 1e-12 * abs(ref.primal_obj)
-    assert abs(res.bound - ref_bound) <= 1e-12 * abs(ref_bound)
+    assert sol.status == ref.status == "optimal"
+    assert sol.iterations == ref.iterations
+    assert abs(sol.primal_obj - ref.primal_obj) <= 1e-12 * abs(ref.primal_obj)
+    assert abs(sol.bound - ref_bound) <= 1e-12 * abs(ref_bound)
+    res = a22_value(inst, opts, return_details=True)
+    assert res.status == "optimal"
+    assert res.value <= sol.bound * (1 + 1e-14)
+    gap = abs(res.value - sol.primal_obj) / (1.0 + abs(res.value) + abs(sol.primal_obj))
+    assert gap <= 10 * opts.tol
+
+
+# ---------------------------------------------------------------------------
+# the anchored solve
+# ---------------------------------------------------------------------------
+
+
+def anchored(inst, d=4):
+    return MomentRelaxation(objective_expand(inst), inst.n, d, rows=inst.quartic_rows())
+
+
+def test_random_witnesses_keep_the_bound_sound_and_the_loop_running():
+    # weak duality holds for any dual point, so 20 random unit witnesses only
+    # loosen the anchored bound: it stays above oracle^4, and far enough
+    # above the value that no attempt stops the loop
+    inst = random_operator("gaussian", 5, 100, 3)
+    relax = anchored(inst)
+    floor = norm_2_to_q_lower(inst, 4, restarts=16, seed=0).value ** 4
+    anchor, rng, bounds = _Anchor(relax), np.random.default_rng(7), []
+
+    def random_witnesses(sol):
+        w = rng.normal(size=(inst.n, 20))
+        point = anchor.pair(sol, w / np.linalg.norm(w, axis=0))
+        bounds.append(sdp._solution(relax.problem, *point[:3], "optimal", sol.iterations).bound)
+        return point
+
+    opts = SolveOptions(tol=1e-9)
+    sol = solve_sdp(relax.problem, opts, anchor=random_witnesses)
+    assert len(bounds) >= 3 and min(bounds) >= floor * (1 - 1e-12)
+    assert sol.witnesses == 0
+    assert_same_solution(sol, solve_sdp(relax.problem, opts))
+
+
+@pytest.mark.parametrize("inst, d", [(random_operator("gaussian", 6, 1800, 0), 4),
+                                     (random_operator("unit", 4, 32, 2), 6),
+                                     (OperatorInstance(np.eye(3)), 4)],
+                         ids=["L4-gaussian-6x1800", "L6-unit-4x32", "L4-identity-3"])
+def test_a_certified_stop_returns_the_moment_matrix_of_a_witness(inst, d):
+    relax = anchored(inst, d)
+    anchor, seen = _Anchor(relax), []
+
+    def spy(sol):
+        seen.append(anchor.witnesses(sol.X[0]))
+        return anchor.pair(sol, seen[-1])
+
+    opts = SolveOptions(tol=1e-9)
+    sol = solve_sdp(relax.problem, opts, anchor=spy)
+    assert sol.status == "optimal" and sol.iterations in ANCHOR_AT
+    assert sol.witnesses == seen[-1].shape[1] >= 1
+    assert_same_solution(sol, relax.solve(opts))
+    x = seen[-1][:, 0]
+    assert abs(x @ x - 1.0) <= 1e-15
+    z = relax._scale * np.prod(x ** np.array(relax.basis), axis=1)
+    assert np.array_equal(sol.X[0], np.outer(z, z))
+    p = float(np.sum((inst.quartic_rows() @ x) ** 4))
+    assert abs(sol.primal_obj - p) <= 1e-14 * p
+    assert sol.bound >= sol.primal_obj
+    assert relax.certificate(sol).residual <= 1e-9
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_the_kernel_repair_is_the_least_norm_matrix_with_zero_class_sums(k):
+    # reference: the least-norm symmetric N, in unit-norm coordinates over its
+    # upper triangle, with zero scaled class sums and N Z = -G Z as rows
+    inst = random_operator("gaussian", 5, 40, 4)
+    relax = anchored(inst)
+    problem, size = relax.problem, len(relax.basis)
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(inst.n, k))
+    x /= np.linalg.norm(x, axis=0)
+    Z = relax._scale[:, None] * np.prod(x.T[:, None, :] ** np.array(relax.basis), axis=2).T
+    g = rng.normal(size=(size, size))
+    # zero class sums make z^T G z = 0 for every witness, so the system is consistent
+    G = problem.null_part((g + g.T).ravel()).reshape(size, size)
+    N = _Anchor(relax)._kernel_fix(G, Z)
+    units = []
+    for i, j in zip(*np.triu_indices(size)):
+        e = np.zeros((size, size))
+        e[i, j] = e[j, i] = 1.0 if i == j else np.sqrt(0.5)
+        units.append(e)
+    system = np.array([np.concatenate([e.ravel() - problem.null_part(e.ravel()), (e @ Z).ravel()])
+                       for e in units]).T
+    rhs = np.concatenate([np.zeros(size * size), -(G @ Z).ravel()])
+    ref = np.tensordot(np.linalg.lstsq(system, rhs, rcond=None)[0], units, axes=1)
+    assert np.abs(N - ref).max() <= 1e-10 * np.abs(ref).max()
+    assert np.abs((G + N) @ Z).max() <= 1e-10 * np.abs(G).max()
+
+
+def test_two_anchored_solves_agree_bitwise():
+    inst = random_operator("sign", 8, 3200, 0)
+    relax = anchored(inst)
+    first, second = relax.solve(SolveOptions(tol=1e-7)), relax.solve(SolveOptions(tol=1e-7))
+    assert first.witnesses >= 1
+    assert_same_solution(second, first)
+    assert a22_value(inst, return_details=True) == a22_value(inst, return_details=True)
+
+
+def test_without_a_hook_the_loop_is_the_reference_loop():
+    # the plain loop on the anchored program runs on: the hook alone stops it early
+    inst = random_operator("gaussian", 6, 1800, 1)
+    relax = anchored(inst)
+    opts = SolveOptions(tol=1e-9)
+    plain = solve_sdp(relax.problem, opts)
+    assert_same_solution(plain, _ref_solve_sdp(relax.problem, opts))
+    assert plain.witnesses == 0
+    assert_same_solution(MomentRelaxation(objective_expand(inst), inst.n, 4).solve(opts), plain)
+    assert relax.solve(opts).iterations < plain.iterations
 
 
 class TestBcy:
