@@ -180,7 +180,12 @@ class _Anchor:
         index = {beta: k for k, beta in enumerate(relax.basis)}
         self.near = np.array([[index[tuple(beta)] for beta in (deltas // 2 + e).tolist()]
                               for e in np.eye(n, dtype=np.intp)], dtype=np.intp)
-        self.pairs = relax.problem.class_projector()
+        # the class projector's entries as (a * N + a', b, b', weight) for
+        # the positions (a, b) and (a', b') of one class
+        p, q, coef = relax.problem.class_projector()
+        size = len(relax.basis)
+        (a, b), (a2, b2) = np.divmod(p, size), np.divmod(q, size)
+        self.pairs = a * size + a2, b, b2, coef
 
     def __call__(self, sol):
         return self.pair(sol, self.witnesses(sol.X[0]))
@@ -221,12 +226,13 @@ class _Anchor:
         T(L) = P_K(sym(L Z^T)) Z = (L Z^T Z + Z L^T Z) / 2 - D(L Z^T) Z = -G Z;
         T's matrix over the entries of L has D's part from the class pairs."""
         size, k = Z.shape
-        p, q, coef = self.pairs
-        (a, b), (a2, b2) = np.divmod(p, size), np.divmod(q, size)
-        i = np.arange(k)
-        rows = (a[:, None, None] * k + i[:, None]) * (size * k) + a2[:, None, None] * k + i
-        entries = coef[:, None, None] * Z[b][:, :, None] * Z[b2][:, None, :]
-        T = -np.bincount(rows.ravel(), entries.ravel(), minlength=(size * k) ** 2).reshape(size * k, size * k)
+        cell, b, b2, coef = self.pairs
+        T = np.empty((size, k, size, k))
+        for i in range(k):
+            zi = coef * Z[b, i]
+            for j in range(k):
+                T[:, i, :, j] = -np.bincount(cell, zi * Z[b2, j], minlength=size * size).reshape(size, size)
+        T = T.reshape(size * k, size * k)
         T += np.kron(np.eye(size), Z.T @ Z) / 2.0
         T += np.einsum("ai,bj->ajbi", Z, Z).reshape(size * k, size * k) / 2.0
         w, v = np.linalg.eigh(T)
