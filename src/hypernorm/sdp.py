@@ -318,9 +318,9 @@ def solve_sdp(problem, opts: SolveOptions | None = None, anchor=None) -> SdpSolu
 
     ``anchor``, optional, is called at the iterations in ``ANCHOR_AT`` with an
     :class:`SdpSolution` holding the loop's X, y and S (S as in the result;
-    its objective values, residuals and bound are not set).  It returns None
-    or ``(X, y, S, count)``: primal blocks in the affine set, a dual point
-    and the count to report as ``witnesses``.  The loop's own state is not
+    its objective values, residuals and bound are not set).  It returns
+    ``(X, y, S, count)``: primal blocks in the affine set, a dual point and
+    the count to report as ``witnesses``.  The loop's own state is not
     touched.  That pair's bound and residuals are computed as for the loop's
     point, and the solve stops on it when the primal and dual infeasibility
     and the gap are all within ``tol``; otherwise the attempt is dropped and
@@ -399,13 +399,12 @@ def solve_sdp(problem, opts: SolveOptions | None = None, anchor=None) -> SdpSolu
             status = "optimal"
             break
         if anchor is not None and it in ANCHOR_AT:
-            point = anchor(SdpSolution(X, y * scale, split(-(rho * scale) * u), math.nan, math.nan,
-                                       {}, status, it, math.nan, math.nan))
-            if point is not None:
-                sol = _solution(P, *point[:3], "optimal", it)
-                if max(sol.residuals[k] for k in GATED) <= opts.tol:
-                    sol.witnesses = point[3]
-                    return sol
+            X_a, y_a, S_a, count = anchor(SdpSolution(X, y * scale, split(-(rho * scale) * u), math.nan,
+                                                      math.nan, {}, status, it, math.nan, math.nan))
+            sol = _solution(P, X_a, y_a, S_a, "optimal", it)
+            if max(sol.residuals[k] for k in GATED) <= opts.tol:
+                sol.witnesses = count
+                return sol
         if it % ADAPT_EVERY == 0 and (rp > 10.0 * rd or rd > 10.0 * rp):
             new = min(rho * 2.0, 1e6) if rp > rd else max(rho / 2.0, 1e-6)
             u *= rho / new

@@ -267,7 +267,7 @@ class TensorSdpResult:
     status: str
     iterations: int
     level: int
-    witnesses: int = 0
+    witnesses: int
 
     def record(self, oracle: float | None = None, seed: int = 0) -> dict:
         return {
@@ -335,7 +335,7 @@ class A22Result:
     status: str
     iterations: int
     residuals: dict
-    witnesses: int = 0
+    witnesses: int
 
 
 def a22_value(instance: OperatorInstance, opts: SolveOptions | None = None,
