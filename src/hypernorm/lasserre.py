@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polybasis import Polynomial, moment_classes, monomial_basis, multilinear_reduce, spread_objective
+from .polybasis import CodeClasses, Polynomial, monomial_basis, multilinear_reduce
 from .pseudoexp import PseudoExpectation, pseudo_expect, validate_pef
 from .sdp import MomentProgram, SolveOptions, solve_sdp
 from .sse import RegularGraph
@@ -90,8 +90,8 @@ def solve_lasserre_maxcut(g: RegularGraph, opts: SolveOptions | None = None):
     sets = _cut_sets(g.n)
     # every diagonal position lies in the class of the empty set, which the
     # row fixes to 1, so tr Y is exactly the number of sets
-    problem = MomentProgram(len(sets), _cut_classes(sets), _cut_gram(g, sets), [{(): 1.0}], [1.0],
-                            trace_bound=len(sets))
+    problem = MomentProgram.from_classes(len(sets), _cut_classes(sets), _cut_gram(g, sets), [{(): 1.0}], [1.0],
+                                         trace_bound=len(sets))
     sol = solve_sdp(problem, opts or SolveOptions(tol=1e-9))
     return sol.primal_obj, sol.X[0], sets, sol
 
@@ -107,6 +107,34 @@ def _cut_objective(g: RegularGraph) -> Polynomial:
     return obj
 
 
+def _sos_program(g: RegularGraph) -> MomentProgram:
+    """The level-4 moment program of Max Cut over the ideal <x_i^2 - 1>: its
+    classes, keyed by the reduced exponent tuples, are those of the monomials'
+    multilinear reductions."""
+    n = g.n
+    basis = np.array(monomial_basis(n, 2)).reshape(-1, n)
+    # a monomial reduces to its odd part, a subset of the variables; as a bit
+    # mask, that of x^(beta_i + beta_j) is the XOR of those of beta_i and beta_j
+    bits = 1 << np.arange(n)
+    mask = basis % 2 @ bits
+    i, j = np.triu_indices(len(basis))
+    classes = CodeClasses(mask[i] ^ mask[j])
+    first = classes.first
+    keys = list(map(tuple, ((basis[i[first]] + basis[j[first]]) % 2).tolist()))
+    objective = multilinear_reduce(_cut_objective(g))
+    terms = np.array(list(objective.terms), dtype=np.intp).reshape(-1, n)
+    c = np.zeros(len(keys))
+    c[classes.of(terms @ bits)] = list(objective.terms.values())
+    # each coefficient spread evenly over the entries of its class
+    weight = np.bincount(classes.labels, np.where(i == j, 1.0, 2.0))
+    C = np.zeros((len(basis), len(basis)))
+    C[i, j] = C[j, i] = (c / weight)[classes.labels]
+    # every diagonal monomial reduces to the constant, so tr X is exactly N
+    R = np.zeros((1, len(keys)))
+    R[0, classes.of(0)] = 1.0
+    return MomentProgram(len(basis), classes.labels, C, R, [1.0], trace_bound=len(basis), keys=keys)
+
+
 def solve_sos_maxcut(g: RegularGraph, opts: SolveOptions | None = None):
     """Level-4 moment relaxation over the ideal <x_i^2 - 1>: moment-matrix
     positions are classed by the multilinear reduction of their monomial.
@@ -117,13 +145,7 @@ def solve_sos_maxcut(g: RegularGraph, opts: SolveOptions | None = None):
     n = g.n
     if n > 8:
         raise ValueError("moment relaxation limited to 8 vertices")
-    basis = monomial_basis(n, 2)
-    classes: dict = {}
-    for mono, pos in moment_classes(basis).items():
-        classes.setdefault(_reduce(mono), []).extend(pos)
-    C = spread_objective(multilinear_reduce(_cut_objective(g)), classes, len(basis))
-    # every diagonal monomial reduces to the constant, so tr X is exactly N
-    problem = MomentProgram(len(basis), classes, C, [{(0,) * n: 1.0}], [1.0], trace_bound=len(basis))
+    problem = _sos_program(g)
     sol = solve_sdp(problem, opts or SolveOptions(tol=1e-9))
     values = problem.values(sol.X[0])
     moments = {mono: values[_reduce(mono)] for mono in monomial_basis(n, 4)}

@@ -99,12 +99,14 @@ def _evr_driver(n: int, complex_: bool):
 
 def _eig_interval(h: np.ndarray, lo: float, hi: float):
     """The eigenpairs of the self-adjoint h whose eigenvalues lie in (lo, hi],
-    ascending.  The driver works on a copy, so h is left unchanged."""
+    ascending, or None where the driver fails (info > 0), as MRRR can on a
+    tightly clustered spectrum.  The driver works on a copy, so h is left
+    unchanged."""
     drv, sizes = _evr_driver(h.shape[0], h.dtype.kind == "c")
     w, v, m, _, info = drv(h, compute_v=1, range="V", lower=1, vl=lo, vu=hi, **sizes)
-    if info:
-        raise np.linalg.LinAlgError(f"LAPACK evr failed (info={info})")
-    return w[:m], v[:, :m]
+    if info < 0:
+        raise np.linalg.LinAlgError(f"LAPACK evr rejected argument {-info}")
+    return None if info else (w[:m], v[:, :m])
 
 
 def psd_project(m: np.ndarray, rank_hint: int | None = None) -> tuple[np.ndarray, int]:
@@ -142,11 +144,14 @@ def _psd_project(h: np.ndarray, rank_hint: int | None = None,
     adj = _conj_transpose if h.dtype.kind == "c" else _transpose
     n = h.shape[0]
     subset = rank_hint is not None and n > 0   # the evr wrappers reject order 0
-    if subset and SUBSET_RATIO * rank_hint <= n:
-        w, v = _eig_interval(h, 0.0, np.inf)
+    # a side whose driver fails falls back to the full eigh below
+    positive = subset and SUBSET_RATIO * rank_hint <= n and _eig_interval(h, 0.0, np.inf)
+    negative = subset and SUBSET_RATIO * (n - rank_hint) <= n and _eig_interval(h, -np.inf, 0.0)
+    if positive:
+        w, v = positive
         out, k = np.matmul(v * w, adj(v), out=out), w.size
-    elif subset and SUBSET_RATIO * (n - rank_hint) <= n:
-        w, v = _eig_interval(h, -np.inf, 0.0)
+    elif negative:
+        w, v = negative
         k = n - w.size
         out = np.matmul(v * w, adj(v), out=out)
         if k:

@@ -109,12 +109,15 @@ class _PowerObjective:
             self.adjoint = matrix.conj().T
 
     @classmethod
-    def for_rows(cls, rows, q):
+    def for_rows(cls, rows, q, gram=None):
         """The lifted form where G, n^(q/2) square, costs no more per point
-        than the rows (n^q <= m n, which makes m >= n^(q/2)); else the rows."""
+        than the rows (n^q <= m n, which makes m >= n^(q/2)); else the rows.
+        ``gram``, when given, is that G, formed by the caller."""
         m, n = rows.shape
         if n**q > m * n:
             return cls(rows, 1, q)
+        if gram is not None:
+            return cls(gram, q // 2, q)
         p = q // 2
         width = n**p
         block = max(width, _LIFT_BLOCK_ENTRIES // width)

@@ -24,9 +24,12 @@ __all__ = [
     "Polynomial",
     "objective_expand",
     "quartic_gram",
+    "quartic_coefficients",
     "multilinear_reduce",
+    "index_codes",
+    "sum_codes",
+    "CodeClasses",
     "moment_classes",
-    "spread_objective",
     "FourierFunction",
     "chi_table",
     "low_degree_projector",
@@ -35,7 +38,31 @@ __all__ = [
 
 def monomial_basis(n: int, r: int) -> list[tuple[int, ...]]:
     """All exponent tuples over n variables with total degree <= r, graded-lex."""
-    return [tuple(alpha) for deg in range(r + 1) for alpha in _exact_degree(n, deg)[1].tolist()]
+    out, index = [], _EMPTY
+    for _ in range(r + 1):
+        out.extend(map(tuple, _exponents(index, n).tolist()))
+        index = _longer(index, n)
+    return out
+
+
+_EMPTY = np.zeros((1, 0), dtype=np.intp)   # the one degree-0 index row
+
+
+def _longer(index: np.ndarray, n: int) -> np.ndarray:
+    """The nondecreasing variable tuples one longer than the rows of
+    ``index``: each row, in order, followed by every variable from its last
+    one on, so lexicographic order is kept."""
+    last = index[:, -1] if index.shape[1] else np.zeros(len(index), dtype=np.intp)
+    counts = n - last
+    step = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - last, counts)
+    return np.concatenate([np.repeat(index, counts, axis=0), step[:, None]], axis=1)
+
+
+def _exponents(index: np.ndarray, n: int) -> np.ndarray:
+    """The exponent rows of the variable-index rows ``index``: row t counts
+    the variables of index row t."""
+    rows = np.arange(len(index))[:, None] * n + index
+    return np.bincount(rows.ravel(), minlength=len(index) * n).reshape(len(index), n)
 
 
 def _exact_degree(n: int, deg: int):
@@ -46,9 +73,10 @@ def _exact_degree(n: int, deg: int):
     exponent array counts its variables.  Each multiset comes once, and that
     order is graded-lex on the exponents.
     """
-    combos = list(itertools.combinations_with_replacement(range(n), deg))
-    index = np.array(combos, dtype=np.intp).reshape(len(combos), deg)
-    return index, (index[:, :, None] == np.arange(n)).sum(axis=1)
+    index = _EMPTY
+    for _ in range(deg):
+        index = _longer(index, n)
+    return index, _exponents(index, n)
 
 
 _FACTORIALS = np.array([math.factorial(k) for k in range(21)])  # 20! is the last one in int64
@@ -149,25 +177,31 @@ def quartic_gram(rows: np.ndarray) -> np.ndarray:
     return pairs.T @ pairs
 
 
+def quartic_coefficients(gram: np.ndarray, index: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """The coefficients of <x (x) x, gram (x (x) x)> at the degree-4 monomials
+    with variable-index rows ``index`` (sorted, as ``_exact_degree`` gives
+    them) and multinomials ``mult``: multinomial(alpha) times the Gram entry
+    at the sorted variable indices of alpha, for a Gram matrix invariant under
+    permutations of the four indices, as ``quartic_gram``'s is."""
+    n = math.isqrt(len(gram))
+    return mult * gram[index[:, 0] * n + index[:, 1], index[:, 2] * n + index[:, 3]]
+
+
 def objective_expand(instance: OperatorInstance) -> Polynomial:
     """Expand the quartic form sum_i w_i <a_i, x>^4 into coefficient form.
 
     The row weights are the exact convention scalings of the instance, so the
     resulting degree-4 polynomial evaluated on counting-unit x equals
-    |A x|_4^4 in the instance's declared convention.  The coefficient of
-    x^alpha is multinomial(alpha) times the quartic Gram entry at the sorted
-    variable indices of alpha; monomials with an exactly zero coefficient are
-    dropped.
+    |A x|_4^4 in the instance's declared convention.  The coefficients are
+    ``quartic_coefficients`` of the quartic Gram matrix; monomials with an
+    exactly zero coefficient are dropped.
     """
     if instance.is_complex:
         raise ValueError("quartic expansion needs a real operator; realify first")
-    n = instance.n
-    gram = quartic_gram(instance.quartic_rows())
-    combos, exps = _exact_degree(n, 4)
-    values = gram[combos[:, 0] * n + combos[:, 1], combos[:, 2] * n + combos[:, 3]]
-    mult = _multinomial(exps)
-    keep = np.flatnonzero(values)
-    return Polynomial(n, dict(zip(map(tuple, exps[keep].tolist()), (mult * values)[keep].tolist())))
+    combos, exps = _exact_degree(instance.n, 4)
+    coef = quartic_coefficients(quartic_gram(instance.quartic_rows()), combos, _multinomial(exps))
+    keep = np.flatnonzero(coef)
+    return Polynomial(instance.n, dict(zip(map(tuple, exps[keep].tolist()), coef[keep].tolist())))
 
 
 def multilinear_reduce(p: Polynomial) -> Polynomial:
@@ -182,34 +216,63 @@ def multilinear_reduce(p: Polynomial) -> Polynomial:
 # ---------------------------------------------------------------------------
 # Moment matrices.  Entry (i, j) of the moment matrix over a basis holds the
 # moment of x^(basis[i] + basis[j]); the upper-triangle positions sharing a
-# monomial form its class, listed in row-major order.
+# monomial form its class, and the classes are numbered in the order they
+# first appear when the upper triangle is read row by row.  A monomial of one
+# degree is found by an integer code of its row of variable indices.
 # ---------------------------------------------------------------------------
 
 
-def moment_classes(basis) -> dict:
-    """Map each monomial to the upper-triangle positions (i, j) that hold it."""
-    exps = np.array(basis, dtype=np.intp).reshape(len(basis), -1)
-    classes: dict = {}
-    for i in range(len(exps)):
-        for j, mono in enumerate((exps[i] + exps[i:]).tolist(), start=i):
-            classes.setdefault(tuple(mono), []).append((i, j))
-    return classes
+def index_codes(index: np.ndarray, n: int) -> np.ndarray:
+    """Each row of variable indices (the last axis) as one integer: the row
+    sorted and read as base-n digits.  Rows of one length get the same code
+    exactly when they name the same multiset of variables, that is, the same
+    monomial; an exponent row over n variables would need base |alpha| + 1
+    per variable, 70 bits at n = 30 and degree 4, where this needs 20."""
+    deg = index.shape[-1]
+    if deg * math.log2(max(n, 2)) >= 63:
+        raise ValueError(f"degree-{deg} monomials over {n} variables do not fit a 64-bit code")
+    return np.sort(index, axis=-1) @ (n ** np.arange(deg - 1, -1, -1, dtype=np.int64))
 
 
-def spread_objective(objective: Polynomial, classes: dict, size: int) -> np.ndarray:
-    """Symmetric C with <C, X> = sum_a c_a x^a on every class-consistent X,
-    each coefficient spread evenly over the entries of its class."""
-    C = np.zeros((size, size))
-    for mono, c in objective.terms.items():
-        pos = classes.get(mono)
-        if pos is None:
-            raise ValueError(f"objective monomial {mono} not representable in the moment matrix")
-        weight = sum(2.0 if i != j else 1.0 for i, j in pos)
-        for i, j in pos:
-            C[i, j] += c / weight
-            if i != j:
-                C[j, i] += c / weight
-    return C
+def sum_codes(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The codes of x^(a_i + b_j) for rows a_i and b_j of variable indices,
+    as a len(a) x len(b) array."""
+    shape = (len(a), len(b))
+    return index_codes(np.concatenate([np.broadcast_to(a[:, None, :], shape + a.shape[1:]),
+                                       np.broadcast_to(b[None, :, :], shape + b.shape[1:])], axis=2), n)
+
+
+class CodeClasses:
+    """The distinct values of an array of integer codes, numbered in the order
+    of their first appearance.  ``labels`` is the class of each code and
+    ``first`` the position where each class first appears."""
+
+    def __init__(self, codes: np.ndarray):
+        self._sorted, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        self._rank = np.empty(len(order), dtype=np.intp)
+        self._rank[order] = np.arange(len(order))
+        self.labels, self.first = self._rank[inverse], first[order]
+
+    def __len__(self) -> int:
+        return len(self.first)
+
+    def of(self, codes: np.ndarray) -> np.ndarray:
+        """The class of each code in ``codes`` (any shape); every code must be
+        one of those numbered."""
+        at = np.minimum(np.searchsorted(self._sorted, codes), len(self._sorted) - 1)
+        if not np.array_equal(self._sorted[at], codes):
+            raise ValueError("a monomial is not representable in the moment matrix")
+        return self._rank[at]
+
+
+def moment_classes(index: np.ndarray, n: int):
+    """The classes of the moment matrix over monomials of one degree, given by
+    their rows of variable indices, as ``(classes, i, j)``: i, j are the
+    upper-triangle positions in row-major order and ``classes`` numbers their
+    monomials x^(beta_i + beta_j)."""
+    i, j = np.triu_indices(len(index))
+    return CodeClasses(index_codes(np.concatenate([index[i], index[j]], axis=1), n)), i, j
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ hook the loop is unchanged.
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 import warnings
@@ -79,28 +78,31 @@ class MomentProgram:
 
     ``blocks`` lists the block sizes, ``C`` the objective blocks and ``scale``
     the positive vectors s_b (all ones by default); a single size, matrix and
-    vector state one block.  ``classes`` maps each key to the upper-triangle
-    positions ``(block, i, j)`` of one class, or ``(i, j)`` for one block;
-    every position lies in exactly one class, and a class may span blocks.
-    ``rows`` are linear equations on the class values, each a dict from class
-    key to coefficient, with right-hand sides ``b``.  A row that depends on
-    earlier rows is dropped with a warning if its b agrees and rejected
-    otherwise; ``m`` counts the rows kept and ``svec_dim`` the classes.
-    ``trace_bound`` bounds tr X over the feasible set.
+    vector state one block.  ``labels`` gives the class index of every
+    upper-triangle position, block after block, each block's positions in
+    row-major order (``np.triu_indices``); the classes are numbered from 0,
+    each holds at least one position, and a class may span blocks.  Row r of
+    ``R`` holds the coefficients of a linear equation on the class values,
+    with right-hand side b[r].  ``keys`` names the classes for :meth:`values`
+    (their indices by default); :meth:`from_classes` states the classes and
+    rows by key instead.  A row that depends on earlier rows is dropped with a
+    warning if its b agrees and rejected otherwise; ``m`` counts the rows kept
+    and ``svec_dim`` the classes.  ``trace_bound`` bounds tr X over the
+    feasible set.
     """
 
-    def __init__(self, blocks, classes, C, rows, b, *, trace_bound, scale=None):
+    def __init__(self, blocks, labels, C, R, b, *, trace_bound, scale=None, keys=None):
         one = np.ndim(blocks) == 0
         if one:
             blocks, C, scale = [blocks], [C], [scale]
         self.blocks = [int(n) for n in blocks]
         self.C = [np.asarray(c, dtype=float) for c in C]
-        b = np.asarray(b, dtype=float)
+        R, b = np.array(R, dtype=float, ndmin=2), np.asarray(b, dtype=float)
         self.trace_bound = float(trace_bound)
         scale = [None] * len(self.blocks) if scale is None else scale
         if not self.blocks or min(self.blocks) < 1:
             raise ValueError("block sizes must be positive")
-        if not (len(self.C) == len(scale) == len(self.blocks) and len(rows) == len(b) > 0):
+        if not (len(self.C) == len(scale) == len(self.blocks) and len(R) == len(b) > 0):
             raise ValueError("need one objective block and scale per block, and one b per row")
         if not (all(np.isfinite(c).all() for c in self.C) and np.isfinite(b).all()):
             raise ValueError("objective blocks and right-hand sides must be finite")
@@ -116,18 +118,13 @@ class MomentProgram:
             ss.append(np.outer(s, s).ravel())
         self._ss = np.concatenate(ss)
         self._ends = np.cumsum([n * n for n in self.blocks])
-        self.keys = list(classes)
-        self._labels = self._label(classes.values(), 2 if one else 3)
+        self.keys = list(range(R.shape[1])) if keys is None else list(keys)
+        self._labels = self._label(np.asarray(labels), R.shape[1])
+        if len(self.keys) != R.shape[1]:
+            raise ValueError("need one key per class")
         # <E_c, E_c> for the scaled class direction E_c = ss * [class c]
         self._weights = self._sums(self._ss * self._ss)
         self._first = np.unique(self._labels, return_index=True)[1]
-        col = {key: k for k, key in enumerate(self.keys)}
-        R = np.zeros((len(rows), len(self.keys)))
-        for r, row in enumerate(rows):
-            for key, c in row.items():
-                if key not in col:
-                    raise ValueError(f"row {r} names {key!r}, which is not a class")
-                R[r, col[key]] += c
         gram = (R / self._weights) @ R.T
         potrf, self._potrs = sla.get_lapack_funcs(("potrf", "potrs"), (gram,))
         # the upper Cholesky factor of the Gram matrix of the rows kept
@@ -137,20 +134,52 @@ class MomentProgram:
             R, b = R[keep], b[keep]
         self.R, self.b, self.m, self.svec_dim = R, b, len(b), len(self.keys)
 
-    def _label(self, classes, width):
-        """Each position's class index, over the blocks raveled end to end."""
-        counts = [len(pos) for pos in classes]
-        pos = np.array(list(itertools.chain.from_iterable(classes)), dtype=np.intp).reshape(-1, width)
+    @classmethod
+    def from_classes(cls, blocks, classes, C, rows, b, *, trace_bound, scale=None):
+        """The program whose ``classes`` map each key to the upper-triangle
+        positions ``(block, i, j)`` of one class, or ``(i, j)`` for one block,
+        every position in exactly one class, and whose ``rows`` are dicts from
+        class key to coefficient."""
+        sizes = [int(blocks)] if np.ndim(blocks) == 0 else [int(n) for n in blocks]
+        keys = list(classes)
+        col = {key: k for k, key in enumerate(keys)}
+        R = np.zeros((len(rows), len(keys)))
+        for r, row in enumerate(rows):
+            for key, c in row.items():
+                if key not in col:
+                    raise ValueError(f"row {r} names {key!r}, which is not a class")
+                R[r, col[key]] += c
+        counts = [len(pos) for pos in classes.values()]
+        width = 2 if np.ndim(blocks) == 0 else 3
+        pos = np.array(list(itertools.chain.from_iterable(classes.values())), dtype=np.intp).reshape(-1, width)
         blk, i, j = (0 * pos[:, 0], *pos.T) if width == 2 else pos.T
+        i, j = np.minimum(i, j), np.maximum(i, j)
         # a block past the end of the list has size 0, so it holds no position
-        n = np.array(self.blocks + [0])[np.minimum(blk, len(self.blocks))]
-        if (pos < 0).any() or (np.maximum(i, j) >= n).any():
+        n = np.array(sizes + [0])[np.minimum(blk, len(sizes))]
+        if (pos < 0).any() or (j >= n).any():
             raise ValueError("a class names a position outside the blocks")
-        labels = np.full(self._ends[-1], -1)
-        start = self._ends[blk] - n * n
-        labels[start + i * n + j] = labels[start + j * n + i] = np.repeat(np.arange(len(counts)), counts)
-        if len(pos) != sum(n * (n + 1) // 2 for n in self.blocks) or (labels < 0).any() or 0 in counts:
+        tri = np.array([n * (n + 1) // 2 for n in sizes])
+        # the row-major index of (i, j) among the upper-triangle positions
+        at = (np.cumsum(tri) - tri)[blk] + i * n - i * (i - 1) // 2 + j - i
+        labels = np.full(tri.sum(), -1)
+        labels[at] = np.repeat(np.arange(len(keys)), counts)
+        if len(pos) != len(labels) or (labels < 0).any():
             raise ValueError("classes must cover every upper-triangle position exactly once")
+        return cls(blocks, labels, C, R, b, trace_bound=trace_bound, scale=scale, keys=keys)
+
+    def _label(self, tri, count):
+        """Each position's class index, over the blocks raveled end to end,
+        from the classes of the upper-triangle positions."""
+        if tri.shape != (sum(n * (n + 1) // 2 for n in self.blocks),) or tri.dtype.kind not in "iu":
+            raise ValueError("need one integer class index per upper-triangle position")
+        if tri.min() < 0 or tri.max() >= count or (np.bincount(tri, minlength=count) == 0).any():
+            raise ValueError(f"class indices must run over 0..{count - 1}, each holding a position")
+        labels, start = np.empty(self._ends[-1], dtype=np.intp), 0
+        for n, end in zip(self.blocks, self._ends):
+            block = labels[end - n * n:end].reshape(n, n)
+            i, j = np.triu_indices(n)
+            block[i, j] = block[j, i] = tri[start:start + len(i)]
+            start += len(i)
         return labels
 
     def _sums(self, flat: np.ndarray) -> np.ndarray:
@@ -166,9 +195,13 @@ class MomentProgram:
         """The sum of the blocks ``mats`` over each class's positions, in key order."""
         return self._sums(_ravel(mats))
 
+    def class_values(self, *X) -> np.ndarray:
+        """The class values of M for the blocks X of the program's form, in class order."""
+        return (_ravel(X) / self._ss)[self._first]
+
     def values(self, *X) -> dict:
         """The class values of M for the blocks X of the program's form, by key."""
-        return dict(zip(self.keys, (_ravel(X) / self._ss)[self._first].tolist()))
+        return dict(zip(self.keys, self.class_values(*X).tolist()))
 
     def project(self, V):
         """Orthogonal projection of V onto the blocks ``ss * m[labels]`` whose
@@ -264,13 +297,16 @@ class SdpProblem(MomentProgram):
 
     def __init__(self, blocks, C, constraints, b, *, trace_bound):
         blocks = [int(n) for n in blocks]
-        classes = {(k, i, j): [(k, i, j)] for k, n in enumerate(blocks)
-                   for i in range(n) for j in range(i, n)}
-        rows = [collections.defaultdict(float) for _ in constraints]
-        for row, entries in zip(rows, constraints):
+        keys = [(k, i, j) for k, n in enumerate(blocks) for i in range(n) for j in range(i, n)]
+        col = {key: t for t, key in enumerate(keys)}
+        R = np.zeros((len(constraints), len(keys)))
+        for r, entries in enumerate(constraints):
             for blk, i, j, c in entries:
-                row[blk, min(i, j), max(i, j)] += c
-        super().__init__(blocks, classes, C, rows, b, trace_bound=trace_bound)
+                key = (blk, min(i, j), max(i, j))
+                if key not in col:
+                    raise ValueError(f"row {r} names {key!r}, which is not a class")
+                R[r, col[key]] += c
+        super().__init__(blocks, np.arange(len(keys)), C, R, b, trace_bound=trace_bound, keys=keys)
 
 
 @dataclass

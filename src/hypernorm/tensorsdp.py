@@ -37,8 +37,10 @@ import numpy as np
 from .core import OperatorInstance
 from .oracles import _newton_finish, _pow2_scaled, _power_ascent, _PowerObjective
 from .oracles import elementary_norms, norm_2_to_q_lower
-from .polybasis import Polynomial, _exact_degree, _multinomial, chi_table, moment_classes
-from .polybasis import monomial_basis, objective_expand, quartic_gram, sphere_poly
+from .polybasis import Polynomial, _exact_degree, _exponents, _multinomial, chi_table, index_codes, moment_classes
+from .polybasis import quartic_coefficients, quartic_gram, sphere_poly, sum_codes
+# the quartic expansion keeps its name here, where perfbench/tracing.py wraps it
+from .polybasis import objective_expand  # noqa: F401
 from .pseudoexp import PseudoExpectation
 from .sdp import MomentProgram, SolveOptions, _dot, solve_sdp
 
@@ -69,69 +71,107 @@ ANCHOR_STEPS = 150
 WITNESS_RTOL = 1e-6
 
 
-def _norm_power(n: int, j: int):
-    """|x|^(2j) = sum_{|delta| = j} (j!/delta!) x^(2 delta): the rows 2 delta and the weights."""
-    deltas = _exact_degree(n, j)[1]
-    return 2 * deltas, _multinomial(deltas)
-
-
 class MomentRelaxation:
     """Level-d moment SDP for maximizing a form of even degree on the unit sphere:
     X = s s^T o M over the degree-d/2 monomials x^beta, M[i, j] = E x^(beta_i + beta_j)
     and s_beta = sqrt((d/2)!/beta!), so that tr X = E |x|^d, the one row.
 
-    ``rows``, when given, are real rows r_i with objective sum_i <r_i, x>^4;
-    :meth:`solve` then looks for a witness-anchored certificate."""
+    The objective is a :class:`Polynomial`, or ``None`` with ``rows``, real
+    rows r_i, for sum_i <r_i, x>^4, whose coefficients are read off the
+    quartic Gram matrix of the rows without a polynomial in between;
+    :meth:`solve` then looks for a witness-anchored certificate.  The build
+    works on arrays: a monomial is found by its integer code
+    (``polybasis.index_codes``), and each degree's monomials are enumerated
+    once per relaxation."""
 
-    def __init__(self, objective: Polynomial, n: int, d: int, rows: np.ndarray | None = None):
+    def __init__(self, objective: Polynomial | None, n: int, d: int, rows: np.ndarray | None = None):
         if d % 2 != 0 or d < 4:
             raise ValueError("level must be even and >= 4")
-        e = objective.degree()
-        if len({sum(alpha) for alpha in objective.terms}) > 1 or e % 2 or e > d:
-            raise ValueError(f"objective must be a form of even degree at most {d}")
+        if (objective is None) == (rows is None):
+            raise ValueError("give either an objective polynomial or the rows of a quartic form")
         self.n, self.d, self.rows = n, d, rows
-        self._exps = exps = _exact_degree(n, d // 2)[1]
-        self.basis = [tuple(beta) for beta in exps.tolist()]
-        self._scale = np.sqrt(_multinomial(exps))
-        classes = moment_classes(self.basis)
-        self._col = {key: t for t, key in enumerate(classes)}
+        self._monomials = {}
+        index, mult = self._degree(d // 2)
+        self._exps = _exponents(index, n)
+        self.basis = [tuple(beta) for beta in self._exps.tolist()]
+        self._scale = np.sqrt(mult)
+        self._classes, i, j = moment_classes(index, n)
+        if rows is None:
+            alphas, coef, e = self._terms(objective)
+        else:
+            if np.iscomplexobj(rows):
+                raise ValueError("quartic expansion needs a real operator; realify first")
+            gram = quartic_gram(rows)
+            alphas, mult4 = self._degree(4)
+            coef, e = quartic_coefficients(gram, alphas, mult4), 4
+            # the anchor's power steps run on the rows scaled by 2^-s; the
+            # lifted form's G is then this Gram matrix scaled exactly by 2^-4s
+            scaled, s = _pow2_scaled(rows)
+            self._power = _PowerObjective.for_rows(scaled, 4, gram=gram * 2.0 ** (-4 * s))
         # the coefficients of p |x|^(d - deg p) over the classes: p on the sphere
-        shifts, w = _norm_power(n, (d - e) // 2)
-        alphas = np.array(list(objective.terms), dtype=np.intp).reshape(-1, n)
-        self._objective_vec = np.zeros(len(classes))
-        np.add.at(self._objective_vec, self._class_of(alphas, shifts),
-                  np.outer(list(objective.terms.values()), w))
+        shifts, w = self._norm_power((d - e) // 2)
+        self._objective_vec = np.bincount(self._class_of(alphas, shifts).ravel(), np.outer(coef, w).ravel(),
+                                          minlength=len(self._classes))
         # C[i, j] = s_i s_j c_g / (d!/g!): sum over beta + beta' = g of
         # (k!/beta!)(k!/beta'!) is (2k)!/g!, so <C, X> = sum_g c_g E x^g, and
         # this C is the representative of least norm in X's metric
-        i, j = np.array(list(itertools.chain.from_iterable(classes.values())), dtype=np.intp).T
-        C = np.zeros((len(exps), len(exps)))
-        c = np.repeat(self._objective_vec / _multinomial(list(classes)), list(map(len, classes.values())))
-        C[i, j] = C[j, i] = c * (self._scale[i] * self._scale[j])
-        shifts, w = _norm_power(n, d // 2)  # E |x|^d = 1, which is tr X
-        self.problem = MomentProgram(len(exps), classes, C, [dict(zip(map(tuple, shifts.tolist()), w))],
-                                     [1.0], trace_bound=1.0, scale=self._scale)
+        first = self._classes.first
+        c = self._objective_vec / _multinomial(self._exps[i[first]] + self._exps[j[first]])
+        C = np.zeros((len(index), len(index)))
+        C[i, j] = C[j, i] = c[self._classes.labels] * (self._scale[i] * self._scale[j])
+        # E |x|^d = 1, which is tr X: the class of x^(2 beta) weighted k!/beta!
+        R = np.zeros((1, len(self._classes)))
+        R[0, self._classes.labels[i == j]] = mult
+        self.problem = MomentProgram(len(index), self._classes.labels, C, R, [1.0],
+                                     trace_bound=1.0, scale=self._scale)
 
     def solve(self, opts: SolveOptions):
         """``solve_sdp`` on the program, anchored on witnesses (see
         :class:`_Anchor`) when the relaxation has ``rows``."""
         return solve_sdp(self.problem, opts, anchor=None if self.rows is None else _Anchor(self))
 
+    def _degree(self, deg: int):
+        """The degree-``deg`` monomials as ``(index, multinomial)`` arrays (see
+        ``polybasis._exact_degree``), enumerated once per relaxation; their
+        exponent rows, 10 MB at n = 30 and degree 4, are not kept."""
+        if deg not in self._monomials:
+            index, exps = _exact_degree(self.n, deg)
+            self._monomials[deg] = index, _multinomial(exps)
+        return self._monomials[deg]
+
+    def _norm_power(self, j: int):
+        """|x|^(2j) = sum_{|delta| = j} (j!/delta!) x^(2 delta): the variable-index
+        rows of 2 delta and the weights."""
+        index, mult = self._degree(j)
+        return np.repeat(index, 2, axis=1), mult
+
+    def _terms(self, objective: Polynomial):
+        """The variable-index rows and coefficients of a form of even degree at
+        most d, and its degree."""
+        e = objective.degree()
+        alphas = np.array(list(objective.terms), dtype=np.intp).reshape(-1, self.n)
+        if len(set(alphas.sum(axis=1).tolist())) > 1 or e % 2 or e > self.d:
+            raise ValueError(f"objective must be a form of even degree at most {self.d}")
+        index = np.repeat(np.tile(np.arange(self.n), len(alphas)), alphas.ravel()).reshape(len(alphas), e)
+        return index, np.array(list(objective.terms.values())), e
+
     def _class_of(self, a, b):
-        """The class of x^(a_i + b_j) for exponent rows a_i, b_j, as a len(a) x len(b) array."""
-        keys = (a[:, None, :] + b[None, :, :]).reshape(-1, self.n).tolist()
-        return np.array([self._col[tuple(g)] for g in keys], dtype=np.intp).reshape(len(a), len(b))
+        """The class of x^(a_i + b_j) for variable-index rows a_i, b_j, as a len(a) x len(b) array."""
+        return self._classes.of(sum_codes(a, b, self.n))
 
     def extract_pseudoexpectation(self, sol) -> PseudoExpectation:
         """E x^alpha = E x^alpha |x|^(d - |alpha|) from the degree-d moments, 0 at
         odd degree: the sphere constraint holds by construction."""
-        top = np.array(list(self.problem.values(sol.X[0]).values()))
-        moments = dict.fromkeys(monomial_basis(self.n, self.d), 0.0)
-        for deg in range(0, self.d + 1, 2):
-            alphas = _exact_degree(self.n, deg)[1]
-            shifts, w = _norm_power(self.n, (self.d - deg) // 2)
-            values = top[self._class_of(alphas, shifts)] @ w
-            moments.update(zip(map(tuple, alphas.tolist()), values.tolist()))
+        top = self.problem.class_values(sol.X[0])
+        moments = {}
+        for deg in range(self.d + 1):
+            index = self._degree(deg)[0]
+            keys = map(tuple, _exponents(index, self.n).tolist())
+            if deg % 2:
+                moments.update(dict.fromkeys(keys, 0.0))
+                continue
+            shifts, w = self._norm_power((self.d - deg) // 2)
+            moments.update(zip(keys, (top[self._class_of(index, shifts)] @ w).tolist()))
         return PseudoExpectation(self.n, self.d, moments, [sphere_poly(self.n)])
 
     def certificate(self, sol) -> "SosCertificate":
@@ -174,12 +214,13 @@ class _Anchor:
     def __init__(self, relax: MomentRelaxation):
         self.relax = relax
         n, d = relax.n, relax.d
-        self.objective = _PowerObjective.for_rows(_pow2_scaled(relax.rows)[0], 4)
-        # E x_i x_j |x|^(d-2) = sum_delta w_delta E x^(e_i + delta) x^(e_j + delta)
-        deltas, self.w = _norm_power(n, (d - 2) // 2)
-        index = {beta: k for k, beta in enumerate(relax.basis)}
-        self.near = np.array([[index[tuple(beta)] for beta in (deltas // 2 + e).tolist()]
-                              for e in np.eye(n, dtype=np.intp)], dtype=np.intp)
+        self.objective = relax._power
+        # E x_i x_j |x|^(d-2) = sum_delta w_delta E x^(e_i + delta) x^(e_j + delta),
+        # and near[i, t] is the basis position of x^(e_i + delta_t): the basis
+        # codes ascend, as _exact_degree lists the sorted index rows in order
+        deltas, self.w = relax._degree((d - 2) // 2)
+        basis = index_codes(relax._degree(d // 2)[0], n)
+        self.near = np.searchsorted(basis, sum_codes(np.arange(n)[:, None], deltas, n))
         # the class projector's entries as (a * N + a', b, b', weight) for
         # the positions (a, b) and (a', b') of one class
         p, q, coef = relax.problem.class_projector()
@@ -293,7 +334,7 @@ def tensor_sdp(instance: OperatorInstance, d: int = 4,
         raise ValueError(f"level must be one of {sorted(SIZE_LIMITS)}")
     if instance.n > SIZE_LIMITS[d]:
         raise ValueError(f"at level {d} the variable count is limited to {SIZE_LIMITS[d]}")
-    relax = MomentRelaxation(objective_expand(instance), instance.n, d, rows=instance.quartic_rows())
+    relax = MomentRelaxation(None, instance.n, d, rows=instance.quartic_rows())
     opts = opts or SolveOptions(tol=1e-9 if len(relax.basis) <= 30 else 1e-8)
     sol = relax.solve(opts)
     if sol.status == "infeasible-suspected":
@@ -359,7 +400,7 @@ def a22_value(instance: OperatorInstance, opts: SolveOptions | None = None,
     n = instance.n
     if n > 30:
         raise ValueError("two-two formulation limited to 30 variables")
-    relax = MomentRelaxation(objective_expand(instance), n, 4, rows=instance.quartic_rows())
+    relax = MomentRelaxation(None, n, 4, rows=instance.quartic_rows())
     opts = opts or SolveOptions(tol=1e-9 if n * n <= 16 else 1e-8, max_iter=50_000)
     sol = relax.solve(opts)
     res = A22Result(sol.primal_obj, sol.bound, sol.status, sol.iterations, sol.residuals, sol.witnesses)

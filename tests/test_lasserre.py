@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from hypernorm import lasserre
-from hypernorm.sdp import SolveOptions
+from hypernorm.polybasis import monomial_basis, multilinear_reduce
+from hypernorm.sdp import MomentProgram, SolveOptions
 from hypernorm.lasserre import lasserre_roundtrip, lasserre_to_pe, solve_lasserre_maxcut, solve_sos_maxcut
 from hypernorm.pseudoexp import validate_pef
 from hypernorm.sse import RegularGraph, complete_graph, cycle_graph
+from tests.test_tensorsdp import dict_moment_classes, same_bits
 
 
 def exact_maxcut(g):
@@ -106,3 +108,39 @@ def test_roundtrip_bounds_are_tight_at_the_optimum():
     rep = lasserre_roundtrip(cycle_graph(5))
     for value, bound in ((rep.lasserre_value, rep.lasserre_bound), (rep.sos_value, rep.sos_bound)):
         assert value - 1e-6 <= bound <= value + 1e-6
+
+
+def dict_spread_objective(objective, classes, size):
+    """C with each coefficient spread evenly over its class's entries, as
+    ``polybasis.spread_objective`` built it from the class dict."""
+    C = np.zeros((size, size))
+    for mono, c in objective.terms.items():
+        pos = classes[mono]
+        weight = sum(2.0 if i != j else 1.0 for i, j in pos)
+        for i, j in pos:
+            C[i, j] += c / weight
+            if i != j:
+                C[j, i] += c / weight
+    return C
+
+
+C8_RELABELLED = [3, 6, 0, 7, 2, 5, 1, 4]
+
+
+@pytest.mark.parametrize("g", [RegularGraph(2, [(0, 1)]), cycle_graph(5), complete_graph(5), cycle_graph(6),
+                               RegularGraph(8, [(C8_RELABELLED[u], C8_RELABELLED[(u + 1) % 8]) for u in range(8)])],
+                         ids=["K2", "C5", "K5", "C6", "C8-relabelled"])
+def test_sos_program_matches_dict_build_bitwise(g):
+    # the reduced classes, grouped from the monomials' dict classes as
+    # solve_sos_maxcut grouped them before integer codes
+    n = g.n
+    basis = monomial_basis(n, 2)
+    classes = {}
+    for mono, pos in dict_moment_classes(basis).items():
+        classes.setdefault(tuple(e % 2 for e in mono), []).extend(pos)
+    C = dict_spread_objective(multilinear_reduce(lasserre._cut_objective(g)), classes, len(basis))
+    ref = MomentProgram.from_classes(len(basis), classes, C, [{(0,) * n: 1.0}], [1.0], trace_bound=len(basis))
+    got = lasserre._sos_program(g)
+    assert got.keys == ref.keys
+    assert same_bits(got._labels, ref._labels)
+    assert same_bits(got.C[0], ref.C[0]) and same_bits(got.R, ref.R) and same_bits(got.b, ref.b)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypernorm import linalg
+from hypernorm import dps, linalg, sdp
 from hypernorm.core import TensorShape
 from hypernorm.linalg import (
     image_basis,
@@ -18,7 +18,7 @@ from hypernorm.linalg import (
     sym_eig,
     sym_isometry,
 )
-from tests.conftest import real_embedding
+from tests.conftest import phi_state, real_embedding
 
 
 # References for the checks below; the package itself needs none of them.
@@ -184,14 +184,47 @@ class TestPsdProject:
         assert linalg._evr_driver.cache_info().currsize == 2
 
     def test_driver_failure_raises(self, rng, monkeypatch):
+        # an illegal argument (info < 0) is a bug, not a spectrum to route around
         def failing(h, **kw):
             n = h.shape[0]
-            return np.zeros(n), np.zeros((n, n)), 0, np.zeros(2 * n, dtype=np.int32), 3
+            return np.zeros(n), np.zeros((n, n)), 0, np.zeros(2 * n, dtype=np.int32), -3
 
         monkeypatch.setattr(linalg, "_evr_driver", lambda n, complex_: (failing, {}))
         m = with_spectrum(np.r_[1.0, -np.ones(29)], rng)
         with pytest.raises(np.linalg.LinAlgError):
             psd_project(m, 1)
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("hint", [1, 29], ids=["positive-side", "negative-side"])
+    def test_driver_that_does_not_converge_falls_back_to_eigh(self, rng, monkeypatch, complex_, hint):
+        # a driver reporting info > 0 hands the block to the full eigh, with its bits
+        calls = []
+
+        def failing(h, **kw):
+            n = h.shape[0]
+            calls.append(n)
+            return np.zeros(n), np.zeros((n, n), dtype=h.dtype), 0, np.zeros(2 * n, dtype=np.int32), 1
+
+        m = with_spectrum(np.r_[rng.uniform(0.5, 2.0, 2), -rng.uniform(0.1, 2.0, 28)], rng, complex_)
+        want, k = psd_project(m)
+        monkeypatch.setattr(linalg, "_evr_driver", lambda n, complex_: (failing, {}))
+        got, k2 = psd_project(m, hint)
+        assert calls == [30] and k2 == k == 2
+        assert np.array_equal(got, want)
+
+    def test_clustered_spectrum_of_a_dps_block(self):
+        # the loop's first projection of the Phi_4, r=2 PPT program has a 64 x 64
+        # block with 4 distinct eigenvalues, on which the positive-side evr
+        # fails (info=1); the full eigh takes it
+        P = dps._dps_program(phi_state(4), 4, 2, True)
+        c = sdp._ravel(P.C)
+        t = c / max(1.0, math.sqrt(c @ c))
+        X, _ = P.project([b.reshape(n, n) for b, n in zip(np.split(t, np.cumsum([n * n for n in P.blocks])[:-1]),
+                                                          P.blocks)])
+        want, k = psd_project(X[1])
+        for hint in (0, 1):
+            got, k2 = psd_project(X[1], hint)
+            assert k2 == k and np.array_equal(got, want)
 
     @given(st.integers(12, 60), st.floats(0.0, 1.0), st.one_of(st.none(), st.integers(0, 60)),
            st.booleans(), st.integers(0, 2**32 - 1))

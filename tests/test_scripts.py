@@ -60,3 +60,14 @@ def test_psd_crossover():
                                            ("12", "1"), ("12", "2"), ("12", "3"), ("12", "4"), ("12", "6")]
     for r in body:
         assert all(float(x) > 0 for x in r[2:])
+
+
+def test_relaxation_build_cost():
+    rows = run_script("relaxation_build_cost.py", "--a22-sizes", "3", "--reps", "1")
+    assert rows[0] == ["case", "n", "d", "m", "build_s", "anchor_s", "extract_s", "peak_kib"]
+    body = rows[1:]
+    assert [r[0] for r in body] == ["a22-gauss-n3-m36", "L4-gauss-n4-m800", "L4-sign-n8-m3200", "L4-gauss-n8-m64",
+                                    "L6-gauss-n6-m36", "L8-gauss-n4-m16", "L4-hyper-l4-d2"]
+    assert [(r[1], r[2], r[3]) for r in body][-1] == ("11", "4", "16")
+    for r in body:
+        assert all(float(v) > 0 for v in r[4:])

@@ -142,8 +142,8 @@ def rows_program(C=np.eye(2), b=(1.0,), trace_bound=1.0):
 
 def classes_program(C=np.eye(2), b=(1.0,), trace_bound=1.0):
     """The same program with every position its own class."""
-    return MomentProgram(2, {0: [(0, 0)], 1: [(0, 1)], 2: [(1, 1)]}, C, [{0: 1.0, 2: 1.0}], list(b),
-                         trace_bound=trace_bound)
+    return MomentProgram.from_classes(2, {0: [(0, 0)], 1: [(0, 1)], 2: [(1, 1)]}, C, [{0: 1.0, 2: 1.0}],
+                                      list(b), trace_bound=trace_bound)
 
 
 PROGRAM_TYPES = pytest.mark.parametrize("build", [rows_program, classes_program],
@@ -175,9 +175,10 @@ def classes_with(pos):
     """A class program whose last class is ``pos``: (i, j) in one block of size 2, or
     (block, i, j) in two blocks of size 1."""
     if len(pos) == 2:
-        return MomentProgram(2, {0: [(0, 0)], 1: [(0, 1)], 2: [pos]}, np.eye(2), [{0: 1.0}], [1.0],
-                             trace_bound=1.0)
-    return MomentProgram([1, 1], {0: [(0, 0, 0)], 1: [pos]}, [np.eye(1)] * 2, [{0: 1.0}], [1.0], trace_bound=1.0)
+        return MomentProgram.from_classes(2, {0: [(0, 0)], 1: [(0, 1)], 2: [pos]}, np.eye(2), [{0: 1.0}], [1.0],
+                                          trace_bound=1.0)
+    return MomentProgram.from_classes([1, 1], {0: [(0, 0, 0)], 1: [pos]}, [np.eye(1)] * 2, [{0: 1.0}], [1.0],
+                                      trace_bound=1.0)
 
 
 @pytest.mark.parametrize("build, good, bad", [
@@ -222,7 +223,7 @@ def dependent_classes_program(extra):
     rows, b = list(CLASS_ROWS), [1.0, -0.1]
     if extra is not None:
         rows, b = rows + [{"d01": 3.0, "d2": 0.0, "o01": 1.0}], b + [extra]
-    return MomentProgram(3, classes, DEPENDENT_C, rows, b, trace_bound=1.0)
+    return MomentProgram.from_classes(3, classes, DEPENDENT_C, rows, b, trace_bound=1.0)
 
 
 @pytest.mark.parametrize("build", [dependent_rows_program, dependent_classes_program],
@@ -252,8 +253,8 @@ class TestSeveralBlocks:
         c0, c1 = (c0 + c0.T) / 2, (c1 + c1.T) / 2
         s = rng.uniform(0.5, 2.0, size=self.n)
         classes = {(i, j): [(0, i, j), (1, i, j)] for i in range(self.n) for j in range(i, self.n)}
-        p = MomentProgram([self.n, self.n], classes, [c0, c1], [{(i, i): 1.0 for i in range(self.n)}], [1.0],
-                          trace_bound=1.0 + float(np.max(s)) ** 2, scale=[None, s])
+        p = MomentProgram.from_classes([self.n, self.n], classes, [c0, c1], [{(i, i): 1.0 for i in range(self.n)}],
+                                       [1.0], trace_bound=1.0 + float(np.max(s)) ** 2, scale=[None, s])
         return p, np.outer(s, s)
 
     def test_projection_and_dual_slack_contract(self):
@@ -296,8 +297,8 @@ def random_moment_program(seed, size=7, nclasses=9, nrows=3, scale=None):
         key = int(rng.integers(nclasses)) if p >= nclasses else p
         classes.setdefault(key, []).append((int(i), int(j)))
     rows = [{key: float(rng.normal()) for key in classes} for _ in range(nrows)]
-    p = MomentProgram(size, classes, np.eye(size), rows, rng.normal(size=nrows), trace_bound=1.0,
-                      scale=scale)
+    p = MomentProgram.from_classes(size, classes, np.eye(size), rows, rng.normal(size=nrows), trace_bound=1.0,
+                                   scale=scale)
     return p, classes, rows
 
 
@@ -385,8 +386,8 @@ class TestMomentProgram:
         c = (c + c.T) / 2
         rows_form = SdpProblem([n], [c], [[(0, i, i, 1.0) for i in range(n)]], [1.0], trace_bound=1.0)
         classes = {(i, j): [(i, j)] for i in range(n) for j in range(i, n)}
-        moment_form = MomentProgram(n, classes, c, [{(i, i): 1.0 for i in range(n)}], [1.0],
-                                    trace_bound=1.0)
+        moment_form = MomentProgram.from_classes(n, classes, c, [{(i, i): 1.0 for i in range(n)}], [1.0],
+                                                 trace_bound=1.0)
         opts = SolveOptions(tol=1e-9)
         a, b = solve_sdp(rows_form, opts), solve_sdp(moment_form, opts)
         assert a.status == b.status == "optimal"
@@ -397,7 +398,26 @@ class TestMomentProgram:
 
     def test_rejects_classes_that_miss_positions(self):
         with pytest.raises(ValueError):
-            MomentProgram(2, {0: [(0, 0)], 1: [(1, 1)]}, np.eye(2), [{0: 1.0}], [1.0], trace_bound=1.0)
+            MomentProgram.from_classes(2, {0: [(0, 0)], 1: [(1, 1)]}, np.eye(2), [{0: 1.0}], [1.0], trace_bound=1.0)
+
+    @pytest.mark.parametrize("labels", [[0, 1], [0, 1, 1, 2], [0, 1, 3], [0, -1, 2], [0, 2, 2], [0.0, 1.0, 2.0]],
+                             ids=["short", "long", "past-the-classes", "negative", "empty-class", "not-integer"])
+    def test_rejects_bad_labels(self, labels):
+        # one integer class index per upper-triangle position, every class of R's columns used
+        MomentProgram(2, np.array([0, 1, 2]), np.eye(2), [[1.0, 0.0, 1.0]], [1.0], trace_bound=1.0)
+        with pytest.raises(ValueError):
+            MomentProgram(2, np.array(labels), np.eye(2), [[1.0, 0.0, 1.0]], [1.0], trace_bound=1.0)
+
+    def test_labels_and_classes_state_the_same_program(self):
+        p, classes, rows = random_moment_program(3)
+        keys = list(classes)
+        tri = np.empty(28, dtype=np.intp)
+        for k, pos in enumerate(classes.values()):
+            for i, j in pos:
+                tri[i * 7 - i * (i - 1) // 2 + j - i] = k
+        R = [[row.get(key, 0.0) for key in keys] for row in rows]
+        q = MomentProgram(7, tri, np.eye(7), R, p.b, trace_bound=1.0, keys=keys)
+        assert np.array_equal(q._labels, p._labels) and np.array_equal(q.R, p.R) and q.keys == p.keys
 
 
 def a22_program(n=8):

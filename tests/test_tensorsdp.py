@@ -1,10 +1,14 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from hypernorm import tensorsdp
 from hypernorm.core import OperatorInstance, random_operator
 from hypernorm.linalg import sym_isometry
-from hypernorm.oracles import norm_2_to_q_lower
-from hypernorm.polybasis import Polynomial, objective_expand, sphere_poly
+from hypernorm.oracles import _pow2_scaled, _PowerObjective, norm_2_to_q_lower
+from hypernorm.polybasis import (Polynomial, _exact_degree, _multinomial, monomial_basis, objective_expand,
+                                  sphere_poly)
 from hypernorm.pseudoexp import pseudo_expect, validate_pef
 from hypernorm import sdp
 from hypernorm.sdp import ANCHOR_AT, MomentProgram, SolveOptions, solve_sdp
@@ -229,7 +233,7 @@ def index_class_a22(instance, opts):
             classes.setdefault(key, []).append((p, q))
             if p == q:
                 trace[key] = trace.get(key, 0.0) + 1.0
-    problem = MomentProgram(n * n, classes, a22_matrix(instance), [trace], [1.0], trace_bound=1.0)
+    problem = MomentProgram.from_classes(n * n, classes, a22_matrix(instance), [trace], [1.0], trace_bound=1.0)
     sol = solve_sdp(problem, opts)
     return sol, sol.bound
 
@@ -264,7 +268,7 @@ def test_sym2_form_keeps_the_index_class_iterates(inst):
 
 
 def anchored(inst, d=4):
-    return MomentRelaxation(objective_expand(inst), inst.n, d, rows=inst.quartic_rows())
+    return MomentRelaxation(None, inst.n, d, rows=inst.quartic_rows())
 
 
 def test_random_witnesses_keep_the_bound_sound_and_the_loop_running():
@@ -363,6 +367,153 @@ def test_without_a_hook_the_loop_is_the_reference_loop():
     assert plain.witnesses == 0
     assert_same_solution(MomentRelaxation(objective_expand(inst), inst.n, 4).solve(opts), plain)
     assert relax.solve(opts).iterations < plain.iterations
+
+
+# ---------------------------------------------------------------------------
+# the build on integer monomial codes against the per-monomial dict build
+# ---------------------------------------------------------------------------
+
+
+def dict_moment_classes(basis):
+    """Each monomial's upper-triangle positions (i, j), in row-major order, as
+    ``polybasis.moment_classes`` stated them before integer codes."""
+    exps = np.array(basis, dtype=np.intp).reshape(len(basis), -1)
+    classes = {}
+    for i in range(len(exps)):
+        for j, mono in enumerate((exps[i] + exps[i:]).tolist(), start=i):
+            classes.setdefault(tuple(mono), []).append((i, j))
+    return classes
+
+
+def dict_norm_power(n, j):
+    deltas = _exact_degree(n, j)[1]
+    return 2 * deltas, _multinomial(deltas)
+
+
+class DictRelaxation:
+    """``MomentRelaxation``'s build, extraction and anchor set-up as they were
+    stated with per-monomial dicts, kept as the reference for the build on
+    integer codes."""
+
+    def __init__(self, objective, n, d):
+        self.n, self.d = n, d
+        exps = _exact_degree(n, d // 2)[1]
+        self.basis = [tuple(beta) for beta in exps.tolist()]
+        scale = np.sqrt(_multinomial(exps))
+        classes = dict_moment_classes(self.basis)
+        self.keys = list(classes)
+        self.col = {key: t for t, key in enumerate(classes)}
+        shifts, w = dict_norm_power(n, (d - objective.degree()) // 2)
+        alphas = np.array(list(objective.terms), dtype=np.intp).reshape(-1, n)
+        self.objective_vec = np.zeros(len(classes))
+        np.add.at(self.objective_vec, self.class_of(alphas, shifts), np.outer(list(objective.terms.values()), w))
+        i, j = np.array([p for pos in classes.values() for p in pos], dtype=np.intp).T
+        C = np.zeros((len(exps), len(exps)))
+        c = np.repeat(self.objective_vec / _multinomial(self.keys), [len(pos) for pos in classes.values()])
+        C[i, j] = C[j, i] = c * (scale[i] * scale[j])
+        shifts, w = dict_norm_power(n, d // 2)
+        self.problem = MomentProgram.from_classes(len(exps), classes, C, [dict(zip(map(tuple, shifts.tolist()), w))],
+                                                  [1.0], trace_bound=1.0, scale=scale)
+
+    def class_of(self, a, b):
+        keys = (a[:, None, :] + b[None, :, :]).reshape(-1, self.n).tolist()
+        return np.array([self.col[tuple(g)] for g in keys], dtype=np.intp).reshape(len(a), len(b))
+
+    def moments(self, X):
+        top = np.array(list(self.problem.values(X).values()))
+        moments = dict.fromkeys(monomial_basis(self.n, self.d), 0.0)
+        for deg in range(0, self.d + 1, 2):
+            alphas = _exact_degree(self.n, deg)[1]
+            shifts, w = dict_norm_power(self.n, (self.d - deg) // 2)
+            moments.update(zip(map(tuple, alphas.tolist()), (top[self.class_of(alphas, shifts)] @ w).tolist()))
+        return moments
+
+    def near(self):
+        deltas = dict_norm_power(self.n, (self.d - 2) // 2)[0]
+        index = {beta: k for k, beta in enumerate(self.basis)}
+        return np.array([[index[tuple(beta)] for beta in (deltas // 2 + e).tolist()]
+                         for e in np.eye(self.n, dtype=np.intp)], dtype=np.intp)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def relabelled(inst, seed):
+    """The same norm problem under a signed permutation of the variables and
+    a permutation of the rows."""
+    rng = np.random.default_rng(seed)
+    a = inst.matrix
+    signs = rng.choice([-1.0, 1.0], size=a.shape[1])
+    return OperatorInstance(a[rng.permutation(a.shape[0])][:, rng.permutation(a.shape[1])] * signs,
+                            inst.convention)
+
+
+BUILD_CASES = {
+    "n1-L4": (lambda: random_operator("gaussian", 1, 3, 0), 4),
+    "n2-L4": (lambda: random_operator("gaussian", 2, 8, 1), 4),
+    "n4-L8": (lambda: random_operator("gaussian", 4, 16, 2), 8),
+    "n6-L6": (lambda: random_operator("unit", 6, 36, 3), 6),
+    "n8-L4": (lambda: random_operator("sign", 8, 64, 4), 4),
+    "hyper-4-2-relabelled": (lambda: relabelled(low_degree_instance(4, 2), 5), 4),
+    "a22-n30": (lambda: random_operator("gaussian", 30, 60, 6), 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUILD_CASES))
+def test_code_build_matches_dict_build_bitwise(case):
+    make, d = BUILD_CASES[case]
+    inst = make()
+    n, rows = inst.n, inst.quartic_rows()
+    ref = DictRelaxation(objective_expand(inst), n, d)
+    relax = MomentRelaxation(None, n, d, rows=rows)
+    for got in (relax, MomentRelaxation(objective_expand(inst), n, d)):
+        i, j = np.triu_indices(len(got.basis))
+        first = got._classes.first
+        assert list(map(tuple, (got._exps[i[first]] + got._exps[j[first]]).tolist())) == ref.keys
+        assert got.basis == ref.basis
+        P, Q = got.problem, ref.problem
+        assert same_bits(P._labels, Q._labels) and same_bits(P._ss, Q._ss)
+        assert same_bits(P.C[0], Q.C[0]) and same_bits(P.R, Q.R) and same_bits(P.b, Q.b)
+        assert same_bits(got._objective_vec, ref.objective_vec)
+    # extraction reads the same moments from any X of the program's form
+    x = np.random.default_rng(0).normal(size=(len(relax.basis),) * 2)
+    X = relax.problem.project([x + x.T])[0][0]
+    got = relax.extract_pseudoexpectation(SimpleNamespace(X=[X])).moments
+    want = ref.moments(X)
+    assert list(got) == list(want) and same_bits(list(got.values()), list(want.values()))
+    anchor = _Anchor(relax)
+    assert same_bits(anchor.near, ref.near())
+    p, q, coef = ref.problem.class_projector()
+    size = len(ref.basis)
+    (a, b), (a2, b2) = np.divmod(p, size), np.divmod(q, size)
+    assert all(same_bits(u, v) for u, v in zip(anchor.pairs, (a * size + a2, b, b2, coef)))
+    # the power objective reuses the relaxation's quartic Gram matrix
+    form = _PowerObjective.for_rows(_pow2_scaled(rows)[0], 4)
+    assert anchor.objective.lift == form.lift
+    assert np.allclose(anchor.objective.matrix, form.matrix, rtol=1e-14, atol=1e-14 * np.abs(form.matrix).max())
+
+
+def test_build_reads_each_degree_once(monkeypatch):
+    # a level-6 build with its extraction and anchor enumerates degrees 0..6 once each
+    calls = []
+    real = tensorsdp._exact_degree
+    monkeypatch.setattr(tensorsdp, "_exact_degree", lambda n, deg: calls.append(deg) or real(n, deg))
+    relax = MomentRelaxation(None, 4, 6, rows=random_operator("gaussian", 4, 32, 0).quartic_rows())
+    relax.extract_pseudoexpectation(SimpleNamespace(X=[np.eye(len(relax.basis))]))
+    _Anchor(relax)
+    assert sorted(calls) == list(range(7))
+
+
+def test_relaxation_takes_an_objective_or_rows():
+    inst = random_operator("gaussian", 3, 9, 0)
+    with pytest.raises(ValueError, match="either"):
+        MomentRelaxation(objective_expand(inst), 3, 4, rows=inst.quartic_rows())
+    with pytest.raises(ValueError, match="either"):
+        MomentRelaxation(None, 3, 4)
+    with pytest.raises(ValueError, match="real operator"):
+        MomentRelaxation(None, 3, 4, rows=inst.quartic_rows() * 1j)
 
 
 class TestBcy:
