@@ -213,7 +213,10 @@ def _cmd_lasserre(args):
     rep = lasserre_roundtrip(g, _opts(args))
     ok = rep.lasserre_status == rep.sos_status == "optimal"
     kind = ("lasserre_bound and sos_bound are the weak-duality upper bounds on the two relaxations; "
-            "lasserre_value and sos_value are the primal objectives of the solver's points")
+            "lasserre_value and sos_value are the primal objectives of the solver's points: where "
+            "lasserre_witnesses or sos_witnesses is positive, that solve stopped on a pair anchored on "
+            "that many optimal cuts, and its value is that of an optimal cut's rank-one moment matrix; "
+            "where it is 0, the loop's own point")
     return {**rep.__dict__, "bound_kind": kind}, 0 if ok else 3
 
 

@@ -11,6 +11,16 @@ positions (S, T) with S ^ T the monomial's support (the class constraints make
 them equal), reducing general monomials modulo x_i^2 = 1; a moment solution
 restricted to multilinear monomials of degree at most 2 is itself a Gram
 matrix for the vector program.
+
+Both solves are anchored on the graph's optimal cuts, enumerated exactly (at
+most 8 vertices, so at most 256 sign vectors): on a tight relaxation the lift
+z(x) of every optimal cut x lies in the kernel of the optimal dual slack, so
+``sdp.KernelRepair`` turns the loop's rough dual point into one whose slack
+vanishes on those lifts, and the solver stops when that pair passes its own
+weak-duality test.  The value is then that of an optimal cut's rank-one
+moment matrix z z^T, the exact cut value; the bound needs no witness to hold.
+Where the relaxation is not tight (K5: 0.625 against 0.6) no attempt passes
+and the loop's own point is returned, bitwise as without the hook.
 """
 
 from __future__ import annotations
@@ -22,10 +32,13 @@ import numpy as np
 
 from .polybasis import CodeClasses, Polynomial, monomial_basis, multilinear_reduce
 from .pseudoexp import PseudoExpectation, pseudo_expect, validate_pef
-from .sdp import MomentProgram, SolveOptions, solve_sdp
+from .sdp import KernelRepair, MomentProgram, SolveOptions, solve_sdp
 from .sse import RegularGraph
 
 __all__ = ["lasserre_roundtrip", "RoundtripReport", "solve_lasserre_maxcut", "solve_sos_maxcut"]
+
+# the vertex limit of every solve here, which bounds the cut enumeration
+MAX_VERTICES = 8
 
 
 def _cut_sets(n):
@@ -81,18 +94,70 @@ def _reduce(mono):
     return tuple(e % 2 for e in mono)
 
 
-def solve_lasserre_maxcut(g: RegularGraph, opts: SolveOptions | None = None):
-    """Vector relaxation over {v_S : |S| <= 2} with consistent inner products.
+def _optimal_cuts(g: RegularGraph) -> np.ndarray:
+    """Every x in {+-1}^n of maximal integer cut count, both signs, as the
+    columns of an array."""
+    x = 1.0 - 2.0 * ((np.arange(2 ** g.n)[:, None] >> np.arange(g.n)) & 1)
+    u, v = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
+    cut = (x[:, u] != x[:, v]).sum(axis=1)
+    return x[cut == cut.max()].T
 
-    Returns the value, the Gram matrix, its row sets and the solution, whose
-    ``bound`` is the weak-duality bound of the solver's dual point.
-    """
+
+class _CutAnchor:
+    """The anchor hook of one Max Cut solve, anchored on the sign vectors in
+    the columns of ``cuts``: their lifts z(x) = x^beta over the exponent rows
+    ``exps``, an orthonormal basis of whose span is the repair's kernel set,
+    and the rank-one moment matrix of the first lift as the primal point.  The
+    witnesses do not change, so the ``sdp.KernelRepair`` is built once, at
+    the first attempt.  The hook returns ``(X, y, S, witnesses)``."""
+
+    def __init__(self, problem: MomentProgram, exps: np.ndarray, cuts: np.ndarray):
+        self.problem, self.count = problem, cuts.shape[1]
+        self.lifts = np.prod(cuts.T[:, None, :] ** exps, axis=2).T
+        self.repair = None
+
+    def __call__(self, sol):
+        if self.repair is None:
+            # the eigenvectors of Z Z^T of nonzero eigenvalue span the lifts
+            w, u = np.linalg.eigh(self.lifts @ self.lifts.T)
+            self.repair = KernelRepair(self.problem, u[:, w > w[-1] * len(w) * np.finfo(float).eps])
+        return self.repair(sol, self.lifts[:, 0], self.count)
+
+
+def _gram_program(g: RegularGraph) -> MomentProgram:
+    """The vector program over ``_cut_sets(g.n)``: Gram matrices constant on
+    the symmetric-difference classes, with the empty set's class fixed to 1."""
     sets = _cut_sets(g.n)
     # every diagonal position lies in the class of the empty set, which the
     # row fixes to 1, so tr Y is exactly the number of sets
-    problem = MomentProgram.from_classes(len(sets), _cut_classes(sets), _cut_gram(g, sets), [{(): 1.0}], [1.0],
-                                         trace_bound=len(sets))
-    sol = solve_sdp(problem, opts or SolveOptions(tol=1e-9))
+    return MomentProgram.from_classes(len(sets), _cut_classes(sets), _cut_gram(g, sets), [{(): 1.0}], [1.0],
+                                      trace_bound=len(sets))
+
+
+def _check_size(g: RegularGraph, what: str):
+    if g.n > MAX_VERTICES:
+        raise ValueError(f"{what} limited to {MAX_VERTICES} vertices")
+
+
+def _solve_anchored(g: RegularGraph, problem: MomentProgram, exps: np.ndarray, opts: SolveOptions | None):
+    """``solve_sdp`` on a Max Cut program whose lifts have the exponent rows
+    ``exps``, anchored on the optimal cuts of ``g``."""
+    return solve_sdp(problem, opts or SolveOptions(tol=1e-9), anchor=_CutAnchor(problem, exps, _optimal_cuts(g)))
+
+
+def solve_lasserre_maxcut(g: RegularGraph, opts: SolveOptions | None = None):
+    """Vector relaxation over {v_S : |S| <= 2} with consistent inner products,
+    anchored on the optimal cuts (see the module docstring).
+
+    Returns the value, the Gram matrix, its row sets and the solution, whose
+    ``bound`` is the weak-duality bound of its dual point and whose
+    ``witnesses`` counts the optimal cuts of a certified stop (0 for the
+    loop's own point).
+    """
+    _check_size(g, "vector relaxation")
+    sets = _cut_sets(g.n)
+    exps = np.array([[int(i in s) for i in range(g.n)] for s in sets]).reshape(-1, g.n)
+    sol = _solve_anchored(g, _gram_program(g), exps, opts)
     return sol.primal_obj, sol.X[0], sets, sol
 
 
@@ -138,15 +203,17 @@ def _sos_program(g: RegularGraph) -> MomentProgram:
 def solve_sos_maxcut(g: RegularGraph, opts: SolveOptions | None = None):
     """Level-4 moment relaxation over the ideal <x_i^2 - 1>: moment-matrix
     positions are classed by the multilinear reduction of their monomial.
+    The solve is anchored on the optimal cuts (see the module docstring).
 
     Returns the value, the pseudo-expectation and the solution, whose
-    ``bound`` is the weak-duality bound of the solver's dual point.
+    ``bound`` is the weak-duality bound of its dual point and whose
+    ``witnesses`` counts the optimal cuts of a certified stop (0 for the
+    loop's own point).
     """
     n = g.n
-    if n > 8:
-        raise ValueError("moment relaxation limited to 8 vertices")
+    _check_size(g, "moment relaxation")
     problem = _sos_program(g)
-    sol = solve_sdp(problem, opts or SolveOptions(tol=1e-9))
+    sol = _solve_anchored(g, problem, np.array(monomial_basis(n, 2)).reshape(-1, n), opts)
     values = problem.values(sol.X[0])
     moments = {mono: values[_reduce(mono)] for mono in monomial_basis(n, 4)}
     return sol.primal_obj, PseudoExpectation(n, 4, moments, _cube_ideal(n)), sol
@@ -188,12 +255,15 @@ class RoundtripReport:
     converted_gram_min_eig: float
     lasserre_status: str
     sos_status: str
+    lasserre_iterations: int
+    sos_iterations: int
+    lasserre_witnesses: int
+    sos_witnesses: int
 
 
 def lasserre_roundtrip(g: RegularGraph, opts: SolveOptions | None = None) -> RoundtripReport:
     """Solve both relaxations independently and convert each optimum across."""
-    if g.n > 8:
-        raise ValueError("roundtrip limited to 8 vertices")
+    _check_size(g, "roundtrip")
     lass_val, y, sets, lass_sol = solve_lasserre_maxcut(g, opts)
     sos_val, pe, sos_sol = solve_sos_maxcut(g, opts)
 
@@ -217,4 +287,8 @@ def lasserre_roundtrip(g: RegularGraph, opts: SolveOptions | None = None) -> Rou
         converted_gram_min_eig=float(np.linalg.eigvalsh(y_from_pe)[0]),
         lasserre_status=lass_sol.status,
         sos_status=sos_sol.status,
+        lasserre_iterations=lass_sol.iterations,
+        sos_iterations=sos_sol.iterations,
+        lasserre_witnesses=lass_sol.witnesses,
+        sos_witnesses=sos_sol.witnesses,
     )

@@ -10,6 +10,7 @@ conditions E[P * x^g] = 0 for all multipliers g of admissible degree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,11 +44,25 @@ class PseudoExpectation:
     def __post_init__(self):
         if self.level % 2 != 0 or self.level < 2:
             raise ValueError("level must be even and >= 2")
-        need = monomial_basis(self.n, self.level)
-        missing = [a for a in need if tuple(a) not in self.moments]
-        if missing:
-            raise ValueError(f"moment table incomplete; first missing monomial {missing[0]}")
         self.moments = {tuple(a): float(v) for a, v in self.moments.items()}
+        if not self._counted_complete():
+            missing = next((a for a in monomial_basis(self.n, self.level) if a not in self.moments), None)
+            if missing is not None:
+                raise ValueError(f"moment table incomplete; first missing monomial {missing}")
+
+    def _counted_complete(self) -> bool:
+        """Whether the table holds every monomial of degree at most ``level``,
+        found without enumerating them: the keys are distinct, so it does when
+        C(n + level, level) of them are tuples of n non-negative Python ints of
+        sum at most ``level``.  False only means the count does not show it."""
+        n, level, keys = self.n, self.level, self.moments
+        try:
+            degrees = list(map(sum, keys))
+        except TypeError:   # a key with entries that are not numbers
+            return False
+        valid = sum(1 for a, d in zip(keys, degrees)
+                    if type(d) is int and d <= level and len(a) == n and min(a, default=0) >= 0)
+        return valid == math.comb(n + level, level)
 
     @staticmethod
     def from_distribution(points, level: int, weights=None, constraints=None) -> "PseudoExpectation":

@@ -34,7 +34,8 @@ A caller may pass an anchor hook, which proposes a primal-dual pair built
 from the loop's point at iterations ``ANCHOR_AT`` without changing the loop;
 the solver judges the pair with the same weak-duality bound and residuals as
 its own point, and stops on it only if it passes the same test.  Without a
-hook the loop is unchanged.
+hook the loop is unchanged.  :class:`KernelRepair` builds such a pair for a
+single-block moment program from the lifts of witnesses of the maximum.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import scipy.linalg as sla
 
 from .linalg import SELF_ADJOINT_TOL, _check_self_adjoint, _psd_project
 
-__all__ = ["SdpProblem", "MomentProgram", "SdpSolution", "SolveOptions", "solve_sdp"]
+__all__ = ["SdpProblem", "MomentProgram", "SdpSolution", "SolveOptions", "KernelRepair", "solve_sdp"]
 
 ADAPT_EVERY = 100      # iterations between penalty updates
 DEPENDENT = 1e-12      # squared pivot over squared norm of a dependent row
@@ -226,21 +227,27 @@ class MomentProgram:
         vanish, so adding it to a dual slack keeps it on the dual affine set."""
         return v - self._ss * (self._sums(self._ss * v) / self._weights)[self._labels]
 
-    def class_projector(self):
+    def class_pairs(self):
         """The orthogonal projection onto the span of the scaled class
-        directions E_c, which :meth:`null_part` subtracts, as a sparse matrix
-        over the positions of the blocks raveled end to end: the entries
-        ``(p, q, ss_p ss_q / <E_c, E_c>)`` for every ordered pair of positions
-        p, q of one class c."""
+        directions E_c of a single-block program, which :meth:`null_part`
+        subtracts, by its entries: ``(a * N + a2, b, b2, ss_p ss_q / <E_c, E_c>)``
+        for every ordered pair of positions p = (a, b), q = (a2, b2) of one
+        class c, N the block size."""
         order = np.argsort(self._labels, kind="stable")
         sizes = np.bincount(self._labels)
         label = self._labels[order]
         reps = sizes[label]
         p = np.repeat(order, reps)
         # the k-th partner of a position is the k-th position of its class
-        k = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-        q = order[np.repeat(np.cumsum(sizes)[label] - sizes[label], reps) + k]
-        return p, q, self._ss[p] * self._ss[q] / self._weights[self._labels[p]]
+        q = order[np.repeat(np.cumsum(sizes)[label] - sizes[label], reps)
+                  + (np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps))]
+        coef = self._ss[p] * self._ss[q] / self._weights[self._labels[p]]
+        # the split below sets the peak memory (tens of MB at a22 n = 30), so
+        # the position- and class-length arrays go first
+        del order, sizes, label, reps
+        size = self.blocks[0]
+        (a, b), (a2, b2) = np.divmod(p, size), np.divmod(q, size)
+        return a * size + a2, b, b2, coef
 
     def dual_slack(self, sol):
         """The solver's slack S moved onto the dual affine set: dual
@@ -328,6 +335,66 @@ class SdpSolution:
     slack_shift: float
     bound: float
     witnesses: int = 0
+
+
+class KernelRepair:
+    """The witness-anchored pair of a single-block :class:`MomentProgram`
+    whose feasible X all have tr X = ``trace_bound`` (Kaltofen, Li, Yang and
+    Zhi 2008), for the kernel vectors in the columns of ``K``: the lifts z(x)
+    of witnesses x of the maximum, or a basis of their span.
+
+    Called with the loop's point (y', S'), a lift z whose rank-one X = z z^T
+    is feasible, and the count to report, it returns ``(X, y, S, count)`` for
+    ``solve_sdp`` to test.  With lam = <C, X> and T = ``trace_bound``,
+    G1 = S' + (lam - y') I / T has the class sums of the dual point lam; N is
+    the least-norm matrix with zero scaled class sums and (G1 + N) K = 0 in
+    the least-squares sense; and S = G1 + N + mu I, y = lam + T mu with
+    mu = max(0, -lambda_min(G1 + N)).  The bound is weak duality for any K.
+
+    N = P(sym(L K^T)), P = I - D the projection ``null_part``, for the
+    multipliers L that solve the normal equations
+    A(L) = P(sym(L K^T)) K = (L K^T K + K L^T K) / 2 - D(L K^T) K = -G1 K.
+    A's matrix depends only on K and the class pairs (D's part, from
+    ``pairs``, by default ``problem.class_pairs()``), so it is assembled and
+    factored once, here.
+    """
+
+    def __init__(self, problem: MomentProgram, K: np.ndarray, pairs=None):
+        size, k = K.shape
+        cell, b, b2, coef = problem.class_pairs() if pairs is None else pairs
+        # U is A's transpose in C order, that is A in Fortran order, which
+        # LAPACK factors in place (no copy of A, and its eigenvectors overwrite it)
+        U = np.empty((size, k, size, k))
+        for i in range(k):
+            zi = coef * K[b, i]
+            for j in range(k):
+                U[:, j, :, i] = -np.bincount(cell, zi * K[b2, j], minlength=size * size).reshape(size, size).T
+        U = U.reshape(size * k, size * k)
+        U += np.kron(np.eye(size), (K.T @ K).T) / 2.0
+        # the term K[a, i] K[b, j] at ((a, j), (b, i)) is symmetric
+        U += np.einsum("ai,bj->ajbi", K, K).reshape(size * k, size * k) / 2.0
+        w, v = sla.eigh(U.T, overwrite_a=True, check_finite=False, driver="evd")
+        kept = w > np.finfo(float).eps * len(w) * w[-1]
+        self.problem, self.K = problem, K
+        self._v, self._w = v[:, kept], w[kept]
+
+    def __call__(self, sol, z: np.ndarray, count: int):
+        P, size = self.problem, len(z)
+        X = np.outer(z, z)
+        lam = _dot(P.C[0].ravel(), X.ravel())
+        G = P.dual_slack(sol)[0] + (lam - sol.y[0]) / P.trace_bound * np.eye(size)
+        G += self.fix(G)
+        G = (G + G.T) / 2.0
+        mu = max(0.0, -float(np.linalg.eigvalsh(G)[0]))
+        G.flat[::size + 1] += mu
+        return [X], np.array([lam + P.trace_bound * mu]), [G], count
+
+    def fix(self, G: np.ndarray) -> np.ndarray:
+        """The least-norm N with zero scaled class sums and N K = -G K, in
+        the least-squares sense."""
+        size, K = len(G), self.K
+        L = (self._v @ ((self._v.T @ -(G @ K).ravel()) / self._w)).reshape(size, -1) @ K.T
+        return self.problem.null_part(((L + L.T) / 2.0).ravel()).reshape(size, size)
 
 
 def solve_sdp(problem, opts: SolveOptions | None = None, anchor=None) -> SdpSolution:

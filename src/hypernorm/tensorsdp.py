@@ -19,7 +19,8 @@ with an explicit polynomial identity
 whose residual is reported; on the unit sphere its left side is bound - p(x).
 The dual point is the solver loop's own, or, where ``MomentRelaxation.solve``
 certifies an early stop, one anchored on witnesses x^ of the maximum: the
-loop's dual slack with z(x^) forced into its kernel (see :class:`_Anchor`).
+loop's dual slack with z(x^) forced into its kernel (see :class:`_Anchor` and
+``sdp.KernelRepair``).
 The value is then p at the best witness, the value of a feasible point (its
 rank-one moment matrix), and the certified stop needs the bound within the
 solver's tol of it.  Otherwise the value is <C, X> at the loop's last iterate,
@@ -42,7 +43,7 @@ from .polybasis import quartic_coefficients, quartic_gram, sphere_poly, sum_code
 # the quartic expansion keeps its name here, where perfbench/tracing.py wraps it
 from .polybasis import objective_expand  # noqa: F401
 from .pseudoexp import PseudoExpectation
-from .sdp import MomentProgram, SolveOptions, _dot, solve_sdp
+from .sdp import KernelRepair, MomentProgram, SolveOptions, solve_sdp
 
 __all__ = [
     "MomentRelaxation",
@@ -201,13 +202,9 @@ class _Anchor:
     eigenvectors of the degree-2 pseudo-moments E x_i x_j |x|^(d-2) of the
     loop's X, and the Newton finish of every point within WITNESS_RTOL of the
     best value, give the unit witnesses x_k, distinct up to sign, best first.
-    The primal point is X = z z^T with z = s o x_1^beta, the rank-one moment
-    matrix of the best witness, of value lam = <C, X>.  The dual point: with
-    (y', S') the loop's multiplier and dual slack, G1 = S' + (lam - y') I has
-    the class sums of lam |x|^d - p |x|^(d - deg p); N is the least-norm
-    matrix with zero scaled class sums such that (G1 + N) z_k = 0 for every
-    witness; and S = G1 + N + mu I, y = lam + mu with
-    mu = max(0, -lambda_min(G1 + N)).  The hook returns
+    Their lifts z_k = s o x_k^beta are the kernel vectors of a new
+    ``sdp.KernelRepair`` at every attempt, since the witnesses change; the
+    primal point is the rank-one moment matrix of the best.  The hook returns
     ``(X, y, S, witnesses)``.
     """
 
@@ -221,12 +218,7 @@ class _Anchor:
         deltas, self.w = relax._degree((d - 2) // 2)
         basis = index_codes(relax._degree(d // 2)[0], n)
         self.near = np.searchsorted(basis, sum_codes(np.arange(n)[:, None], deltas, n))
-        # the class projector's entries as (a * N + a', b, b', weight) for
-        # the positions (a, b) and (a', b') of one class
-        p, q, coef = relax.problem.class_projector()
-        size = len(relax.basis)
-        (a, b), (a2, b2) = np.divmod(p, size), np.divmod(q, size)
-        self.pairs = a * size + a2, b, b2, coef
+        self.pairs = relax.problem.class_pairs()
 
     def __call__(self, sol):
         return self.pair(sol, self.witnesses(sol.X[0]))
@@ -249,37 +241,9 @@ class _Anchor:
     def pair(self, sol, witnesses):
         """The anchored ``(X, y, S, count)`` for the loop's point ``sol`` and
         the unit witnesses in the columns of ``witnesses``, X from the first."""
-        problem, s = self.relax.problem, self.relax._scale
+        s = self.relax._scale
         Z = s[:, None] * np.prod(witnesses.T[:, None, :] ** self.relax._exps, axis=2).T
-        X = np.outer(Z[:, 0], Z[:, 0])
-        lam = _dot(problem.C[0].ravel(), X.ravel())
-        G = problem.dual_slack(sol)[0] + (lam - sol.y[0]) * np.eye(len(s))
-        G += self._kernel_fix(G, Z)
-        G = (G + G.T) / 2.0
-        mu = max(0.0, -float(np.linalg.eigvalsh(G)[0]))
-        G.flat[::len(s) + 1] += mu
-        return [X], np.array([lam + mu]), [G], Z.shape[1]
-
-    def _kernel_fix(self, G, Z):
-        """The least-norm N with zero scaled class sums and N Z = -G Z, in the
-        least-squares sense.  N = P_K(sym(L Z^T)), P_K = I - D the projection
-        ``null_part``, for the multipliers L that solve the normal equations
-        T(L) = P_K(sym(L Z^T)) Z = (L Z^T Z + Z L^T Z) / 2 - D(L Z^T) Z = -G Z;
-        T's matrix over the entries of L has D's part from the class pairs."""
-        size, k = Z.shape
-        cell, b, b2, coef = self.pairs
-        T = np.empty((size, k, size, k))
-        for i in range(k):
-            zi = coef * Z[b, i]
-            for j in range(k):
-                T[:, i, :, j] = -np.bincount(cell, zi * Z[b2, j], minlength=size * size).reshape(size, size)
-        T = T.reshape(size * k, size * k)
-        T += np.kron(np.eye(size), Z.T @ Z) / 2.0
-        T += np.einsum("ai,bj->ajbi", Z, Z).reshape(size * k, size * k) / 2.0
-        w, v = np.linalg.eigh(T)
-        kept = w > np.finfo(float).eps * len(w) * w[-1]
-        L = (v[:, kept] @ ((v[:, kept].T @ -(G @ Z).ravel()) / w[kept])).reshape(size, k) @ Z.T
-        return self.relax.problem.null_part(((L + L.T) / 2.0).ravel()).reshape(size, size)
+        return KernelRepair(self.relax.problem, Z, self.pairs)(sol, Z[:, 0], Z.shape[1])
 
 
 @dataclass

@@ -145,6 +145,26 @@ def test_lasserre_reports_bounds(files, capsys):
     assert res["sos_bound"] >= res["sos_value"] - 1e-6
 
 
+def test_lasserre_report_schema(files, capsys):
+    code, rep = run(["lasserre", "--graph", str(files / "c5.txt")], capsys)
+    res = rep["results"]
+    assert set(res) == {"lasserre_value", "sos_value", "lasserre_bound", "sos_bound", "value_gap",
+                        "max_moment_discrepancy", "lasserre_converted_objective", "sos_converted_objective",
+                        "converted_pe_valid", "converted_gram_min_eig", "lasserre_status", "sos_status",
+                        "lasserre_iterations", "sos_iterations", "lasserre_witnesses", "sos_witnesses",
+                        "bound_kind"}
+    # C5 is tight: both solves stop on the first attempt, anchored on its 10 optimal cuts
+    assert code == 0 and res["lasserre_iterations"] == res["sos_iterations"] == 10
+    assert res["lasserre_witnesses"] == res["sos_witnesses"] == 10
+    assert "rank-one moment matrix" in res["bound_kind"]
+
+
+def test_lasserre_rejects_a_graph_past_eight_vertices(files, capsys):
+    (files / "c9.txt").write_text(graph_to_text(cycle_graph(9)))
+    code, rep = run(["lasserre", "--graph", str(files / "c9.txt")], capsys)
+    assert code == 2 and "limited to 8 vertices" in rep["error"]
+
+
 def test_random_suite_small(files, capsys):
     code, rep = run(["random-suite", "--dist", "sign", "--n", "3", "--m", "45",
                      "--seeds", "2", "--restarts", "16"], capsys)

@@ -3,12 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from hypernorm import lasserre
+from hypernorm import lasserre, sdp
 from hypernorm.polybasis import monomial_basis, multilinear_reduce
-from hypernorm.sdp import MomentProgram, SolveOptions
+from hypernorm.sdp import ANCHOR_AT, MomentProgram, SolveOptions, solve_sdp
 from hypernorm.lasserre import lasserre_roundtrip, lasserre_to_pe, solve_lasserre_maxcut, solve_sos_maxcut
 from hypernorm.pseudoexp import validate_pef
 from hypernorm.sse import RegularGraph, complete_graph, cycle_graph
+from tests.test_sdp import assert_same_solution
 from tests.test_tensorsdp import dict_moment_classes, same_bits
 
 
@@ -77,11 +78,12 @@ def test_lasserre_to_pe_reports_an_inconsistent_pair():
     _, y, sets, _ = solve_lasserre_maxcut(cycle_graph(5))
     idx = {s: k for k, s in enumerate(sets)}
     a, b = idx[frozenset([0])], idx[frozenset([0, 1])]
+    # an anchored Gram matrix has entries exactly +-1, where 2^-10 is exact
     bumped = y.copy()
-    bumped[a, b] += 1e-3
-    bumped[b, a] += 1e-3
+    bumped[a, b] += 2.0 ** -10
+    bumped[b, a] += 2.0 ** -10
     assert lasserre_to_pe(y, sets, 5)[1] <= 1e-6
-    assert lasserre_to_pe(bumped, sets, 5)[1] >= 1e-3
+    assert lasserre_to_pe(bumped, sets, 5)[1] >= 2.0 ** -10
 
 
 @pytest.mark.parametrize("n", [6, 8])
@@ -144,3 +146,95 @@ def test_sos_program_matches_dict_build_bitwise(g):
     assert got.keys == ref.keys
     assert same_bits(got._labels, ref._labels)
     assert same_bits(got.C[0], ref.C[0]) and same_bits(got.R, ref.R) and same_bits(got.b, ref.b)
+
+
+# ---------------------------------------------------------------------------
+# the solves anchored on the optimal cuts
+# ---------------------------------------------------------------------------
+
+
+def cuts_of_size(g, count):
+    """The sign vectors cutting exactly ``count`` edges, as columns."""
+    return np.array([x for x in itertools.product([-1.0, 1.0], repeat=g.n)
+                     if sum(x[u] != x[v] for u, v in g.edges) == count]).T
+
+
+def program_and_exponents(g, kind):
+    """A Max Cut program and the exponent rows of its lifts z(x) = x^beta."""
+    if kind == "gram":
+        rows = [[int(i in s) for i in range(g.n)] for s in lasserre._cut_sets(g.n)]
+        return lasserre._gram_program(g), np.array(rows)
+    return lasserre._sos_program(g), np.array(monomial_basis(g.n, 2))
+
+
+def anchored_solve(g, kind, opts):
+    """``solve_lasserre_maxcut`` or ``solve_sos_maxcut``, as its solution."""
+    return solve_lasserre_maxcut(g, opts)[3] if kind == "gram" else solve_sos_maxcut(g, opts)[2]
+
+
+def test_the_optimal_cuts_are_enumerated_with_both_signs():
+    cuts = lasserre._optimal_cuts(cycle_graph(5))
+    assert cuts.shape == (5, 10)
+    assert {tuple(x) for x in cuts.T} == {tuple(x) for x in cuts_of_size(cycle_graph(5), 4).T}
+    assert {tuple(x) for x in lasserre._optimal_cuts(cycle_graph(6)).T} == {(1.0, -1.0) * 3, (-1.0, 1.0) * 3}
+
+
+@pytest.mark.parametrize("kind", ["gram", "moment"])
+@pytest.mark.parametrize("g", [cycle_graph(5), cycle_graph(6), complete_graph(4), cycle_graph(7)],
+                         ids=["C5", "C6", "K4", "C7"])
+def test_a_tight_relaxation_stops_at_the_first_attempt_on_an_optimal_cut(g, kind):
+    exact = exact_maxcut(g)
+    sol = anchored_solve(g, kind, SolveOptions(tol=1e-8))
+    assert sol.status == "optimal" and sol.iterations == min(ANCHOR_AT) == 10
+    assert sol.witnesses == lasserre._optimal_cuts(g).shape[1]
+    # the value is that of a cut's rank-one moment matrix, up to the rounding of <C, X>
+    assert abs(sol.primal_obj - exact) <= 1e-15
+    assert np.linalg.matrix_rank(sol.X[0]) == 1 and set(np.abs(np.diag(sol.X[0]))) == {1.0}
+    assert sol.bound >= exact
+
+
+@pytest.mark.parametrize("kind", ["gram", "moment"])
+def test_k5_is_not_tight_and_its_anchored_solve_is_the_loops(kind):
+    g = complete_graph(5)
+    opts = SolveOptions(tol=1e-8)
+    sol = anchored_solve(g, kind, opts)
+    assert sol.witnesses == 0 and sol.iterations > 100
+    assert sol.primal_obj >= 0.625 - 1e-6 > exact_maxcut(g)
+    assert_same_solution(sol, solve_sdp(program_and_exponents(g, kind)[0], opts))
+
+
+@pytest.mark.parametrize("max_iter", [10, 30, 100])
+@pytest.mark.parametrize("kind", ["gram", "moment"])
+def test_an_anchor_on_non_optimal_cuts_keeps_the_bound_and_never_stops(kind, max_iter):
+    # a cut of a cycle severs an even number of edges, so C5's non-optimal
+    # cuts sever 2 (value 0.4 < 0.8): every anchored pair's bound is weak
+    # duality, so it stays above the exact cut, and no attempt passes
+    g = cycle_graph(5)
+    problem, exps = program_and_exponents(g, kind)
+    hook, bounds = lasserre._CutAnchor(problem, exps, cuts_of_size(g, 2)), []
+
+    def spy(sol):
+        pair = hook(sol)
+        bounds.append(sdp._solution(problem, *pair[:3], "optimal", sol.iterations).bound)
+        return pair
+
+    opts = SolveOptions(tol=1e-9, max_iter=max_iter)
+    sol = solve_sdp(problem, opts, anchor=spy)
+    assert len(bounds) == len([k for k in ANCHOR_AT if k <= max_iter]) >= 1
+    assert min(bounds) >= exact_maxcut(g)
+    assert sol.witnesses == 0 and sol.iterations == max_iter and sol.bound >= exact_maxcut(g)
+    assert_same_solution(sol, solve_sdp(problem, opts))
+
+
+def test_every_solve_stops_at_eight_vertices():
+    g = cycle_graph(9)
+    for solve in (solve_lasserre_maxcut, solve_sos_maxcut, lasserre_roundtrip):
+        with pytest.raises(ValueError, match="limited to 8 vertices"):
+            solve(g)
+
+
+def test_the_roundtrip_reports_iterations_and_witnesses():
+    # C5's anchored stop is pinned through the CLI report in tests/test_cli.py
+    rep = lasserre_roundtrip(complete_graph(5), SolveOptions(tol=1e-8))
+    assert rep.lasserre_witnesses == rep.sos_witnesses == 0
+    assert (rep.lasserre_iterations, rep.sos_iterations) == (147, 188)

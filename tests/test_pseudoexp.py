@@ -39,6 +39,36 @@ class TestPseudoExpect:
             pseudo_expect(point_mass([1.0]), Polynomial(1, {(5,): 1.0}))
 
 
+class TestMomentTable:
+    def table(self, n=3, level=4):
+        return {a: 0.5 for a in monomial_basis(n, level)}
+
+    def test_a_complete_table_is_kept_bitwise(self):
+        moments = {a: float(v) for a, v in zip(monomial_basis(3, 4), np.random.default_rng(0).normal(size=35))}
+        pe = PseudoExpectation(3, 4, moments)
+        assert list(pe.moments) == list(moments) and list(pe.moments.values()) == list(moments.values())
+        # moments past the level ride along, as before
+        assert (5, 0, 0) in PseudoExpectation(3, 4, {**moments, (5, 0, 0): 1.0}).moments
+
+    @pytest.mark.parametrize("change", ["drop", "drop-add-high", "drop-add-negative", "drop-add-float",
+                                        "drop-add-short", "drop-add-text"])
+    def test_an_incomplete_table_is_rejected(self, change):
+        # each extra key keeps the count at C(n + level, level), so only the
+        # monomials themselves show the gap
+        moments = self.table()
+        del moments[(1, 1, 0)]
+        extra = {"drop": None, "drop-add-high": (5, 0, 0), "drop-add-negative": (-1, 2, 0),
+                 "drop-add-float": (0.5, 0.5, 0), "drop-add-short": (1, 1), "drop-add-text": ("a", "b", "c")}[change]
+        if extra is not None:
+            moments[extra] = 0.5
+        with pytest.raises(ValueError, match=r"incomplete; first missing monomial \(1, 1, 0\)"):
+            PseudoExpectation(3, 4, moments)
+
+    def test_an_odd_level_is_rejected(self):
+        with pytest.raises(ValueError, match="even"):
+            PseudoExpectation(3, 3, self.table(level=3))
+
+
 class TestValidate:
     def test_point_mass_rank_one(self):
         pe = point_mass([1.0, 2.0])

@@ -419,6 +419,18 @@ class TestMomentProgram:
         q = MomentProgram(7, tri, np.eye(7), R, p.b, trace_bound=1.0, keys=keys)
         assert np.array_equal(q._labels, p._labels) and np.array_equal(q.R, p.R) and q.keys == p.keys
 
+    def test_class_pairs_state_the_projection_that_null_part_subtracts(self):
+        p, _, _ = random_moment_program(5, scale=random_scales(5)[1])
+        size = p.blocks[0]
+        cell, b, b2, coef = p.class_pairs()
+        # the entry (a * N + a2, b, b2, w) is D[(a, b), (a2, b2)] = w
+        a, a2 = np.divmod(cell, size)
+        D = np.zeros((size * size, size * size))
+        np.add.at(D, (a * size + b, a2 * size + b2), coef)
+        v = np.random.default_rng(1).normal(size=size * size)
+        assert np.allclose(D @ v, v - p.null_part(v), rtol=0, atol=1e-12)
+        assert np.allclose(D @ D, D, rtol=0, atol=1e-12) and np.allclose(D, D.T, rtol=0, atol=0)
+
 
 def a22_program(n=8):
     """The value, bound, status and iterations of an a22 solve (N = n(n+1)/2)."""

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hypernorm import tensorsdp
+from hypernorm import lasserre, tensorsdp
 from hypernorm.core import OperatorInstance, random_operator
 from hypernorm.linalg import sym_isometry
 from hypernorm.oracles import _pow2_scaled, _PowerObjective, norm_2_to_q_lower
@@ -12,7 +12,7 @@ from hypernorm.polybasis import (Polynomial, _exact_degree, _multinomial, monomi
 from hypernorm.pseudoexp import pseudo_expect, validate_pef
 from hypernorm import sdp
 from hypernorm.sdp import ANCHOR_AT, MomentProgram, SolveOptions, solve_sdp
-from hypernorm.sse import RegularGraph, cycle_graph, subspace_instance, top_projector_norm
+from hypernorm.sse import RegularGraph, complete_graph, cycle_graph, subspace_instance, top_projector_norm
 from hypernorm.tensorsdp import (
     MomentRelaxation,
     _Anchor,
@@ -320,21 +320,10 @@ def test_a_certified_stop_returns_the_moment_matrix_of_a_witness(inst, d):
     assert relax.certificate(sol).residual <= 1e-9
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_the_kernel_repair_is_the_least_norm_matrix_with_zero_class_sums(k):
-    # reference: the least-norm symmetric N, in unit-norm coordinates over its
-    # upper triangle, with zero scaled class sums and N Z = -G Z as rows
-    inst = random_operator("gaussian", 5, 40, 4)
-    relax = anchored(inst)
-    problem, size = relax.problem, len(relax.basis)
-    rng = np.random.default_rng(2)
-    x = rng.normal(size=(inst.n, k))
-    x /= np.linalg.norm(x, axis=0)
-    Z = relax._scale[:, None] * np.prod(x.T[:, None, :] ** np.array(relax.basis), axis=2).T
-    g = rng.normal(size=(size, size))
-    # zero class sums make z^T G z = 0 for every witness, so the system is consistent
-    G = problem.null_part((g + g.T).ravel()).reshape(size, size)
-    N = _Anchor(relax)._kernel_fix(G, Z)
+def dense_least_norm_repair(problem, G, Z):
+    """The least-norm symmetric N, in unit-norm coordinates over its upper
+    triangle, with zero scaled class sums and N Z = -G Z, as one lstsq."""
+    size = len(G)
     units = []
     for i, j in zip(*np.triu_indices(size)):
         e = np.zeros((size, size))
@@ -343,9 +332,55 @@ def test_the_kernel_repair_is_the_least_norm_matrix_with_zero_class_sums(k):
     system = np.array([np.concatenate([e.ravel() - problem.null_part(e.ravel()), (e @ Z).ravel()])
                        for e in units]).T
     rhs = np.concatenate([np.zeros(size * size), -(G @ Z).ravel()])
-    ref = np.tensordot(np.linalg.lstsq(system, rhs, rcond=None)[0], units, axes=1)
+    return np.tensordot(np.linalg.lstsq(system, rhs, rcond=None)[0], units, axes=1)
+
+
+def zero_class_sums(problem, rng):
+    size = problem.blocks[0]
+    g = rng.normal(size=(size, size))
+    return problem.null_part((g + g.T).ravel()).reshape(size, size)
+
+
+def tensor_lifts(k, rng):
+    """A level-4 program (trace bound 1) and the lifts of k random unit witnesses."""
+    inst = random_operator("gaussian", 5, 40, 4)
+    relax = anchored(inst)
+    x = rng.normal(size=(inst.n, k))
+    x /= np.linalg.norm(x, axis=0)
+    return relax.problem, relax._scale[:, None] * np.prod(x.T[:, None, :] ** np.array(relax.basis), axis=2).T
+
+
+def cut_lifts(rng):
+    """The vector Max Cut program of K5, whose feasible X have tr X = 16, and
+    the lifts of two random cuts."""
+    cuts = rng.choice([-1.0, 1.0], size=(5, 2))
+    Z = np.array([[np.prod(x[sorted(s)]) for x in cuts.T] for s in lasserre._cut_sets(5)])
+    return lasserre._gram_program(complete_graph(5)), Z
+
+
+@pytest.mark.parametrize("case", [1, 2, "K5-cuts"])
+def test_the_kernel_repair_is_the_least_norm_matrix_with_zero_class_sums(case):
+    rng = np.random.default_rng(2)
+    problem, Z = cut_lifts(rng) if case == "K5-cuts" else tensor_lifts(case, rng)
+    assert problem.trace_bound == (16.0 if case == "K5-cuts" else 1.0)
+    # zero class sums make z^T G z = 0 for every witness, so the system is consistent
+    G = zero_class_sums(problem, rng)
+    repair = sdp.KernelRepair(problem, Z)
+    N = repair.fix(G)
+    ref = dense_least_norm_repair(problem, G, Z)
     assert np.abs(N - ref).max() <= 1e-10 * np.abs(ref).max()
     assert np.abs((G + N) @ Z).max() <= 1e-10 * np.abs(G).max()
+    # the pair from a rough dual point lies on the dual affine set (the slack
+    # moves by (lam - y') I / T and y by T mu), and its bound is weak duality:
+    # at least the value of the point it anchors on
+    point = SimpleNamespace(y=np.array([0.3]), S=[zero_class_sums(problem, rng)])
+    X, y, S, count = repair(point, Z[:, 0], 7)
+    assert count == 7 and np.array_equal(X[0], np.outer(Z[:, 0], Z[:, 0]))
+    on_set = problem.dual_slack(SimpleNamespace(y=y, S=S))[0]
+    assert np.abs(on_set - S[0]).max() <= 1e-12 * max(1.0, np.abs(S[0]).max())
+    sol = sdp._solution(problem, X, y, S, "optimal", 1)
+    assert sol.bound >= sol.primal_obj
+    assert np.linalg.eigvalsh(S[0])[0] >= -1e-12 * max(1.0, np.abs(S[0]).max())
 
 
 def test_two_anchored_solves_agree_bitwise():
@@ -485,10 +520,7 @@ def test_code_build_matches_dict_build_bitwise(case):
     assert list(got) == list(want) and same_bits(list(got.values()), list(want.values()))
     anchor = _Anchor(relax)
     assert same_bits(anchor.near, ref.near())
-    p, q, coef = ref.problem.class_projector()
-    size = len(ref.basis)
-    (a, b), (a2, b2) = np.divmod(p, size), np.divmod(q, size)
-    assert all(same_bits(u, v) for u, v in zip(anchor.pairs, (a * size + a2, b, b2, coef)))
+    assert all(same_bits(u, v) for u, v in zip(anchor.pairs, ref.problem.class_pairs()))
     # the power objective reuses the relaxation's quartic Gram matrix
     form = _PowerObjective.for_rows(_pow2_scaled(rows)[0], 4)
     assert anchor.objective.lift == form.lift
