@@ -17,9 +17,9 @@ is the power step of Kolda and Mayo's shifted power method on the PSD
 flattening.  It converges only linearly, so they finish the best start with
 Riemannian Newton steps on the sphere (:func:`_newton_finish`), taken only
 where the tangent Hessian is negative definite and the step short, and
-quadratically convergent there; a degenerate or complex best point gets the
-line search polish instead.  ``inj3_lower`` alternates over stacked factors
-with one product per update, and ``h_sep_lower`` runs a stacked seesaw.
+quadratically convergent there; a degenerate or complex best point stays
+as the ascent left it.  ``inj3_lower`` alternates over stacked factors with
+one product per update, and ``h_sep_lower`` runs a stacked seesaw.
 """
 
 from __future__ import annotations
@@ -46,6 +46,9 @@ GRID_POINTS = 10_000
 HSEP_PSD_TOL = 1e-9
 # A start counts as improving when it beats every earlier one by more than this, relative.
 IMPROVING_RTOL = 1e-12
+# A seesaw start stops after _SEESAW_STEPS steps, or at a gain of at most _SEESAW_RTOL relative.
+_SEESAW_STEPS = 300
+_SEESAW_RTOL = 1e-14
 
 
 @dataclass
@@ -217,13 +220,14 @@ def _best_start(vals):
 
 # The Newton finish takes at most _NEWTON_STEPS steps, each only where the
 # tangent Hessian is below -_NEWTON_MARGIN times the value and the step is at
-# most _NEWTON_RADIUS long.
+# most _NEWTON_RADIUS long; _NEWTON_RTOL is its stop rule.
 _NEWTON_STEPS = 8
 _NEWTON_MARGIN = 1e-6
 _NEWTON_RADIUS = 0.1
+_NEWTON_RTOL = 1e-14
 
 
-def _newton_finish(objective, x, rtol=1e-14):
+def _newton_finish(objective, x):
     """Riemannian Newton steps on the unit sphere from the real unit point x
     (Absil, Mahony and Sepulchre 2008, ch. 6): the final point, the steps
     taken, and whether a step met the stop rule.
@@ -236,15 +240,16 @@ def _newton_finish(objective, x, rtol=1e-14):
     below f, and the step then solves (f I - B) xi = d - f x, which is
     tangent since f I - B maps x to f x.  A step is taken only where that
     eigenvalue is below (1 - _NEWTON_MARGIN) f and |xi| <= _NEWTON_RADIUS,
-    and kept if the value rises.  The finish stops at the first step that
-    is declined, and at the first that moves the value by no more than rtol
+    and kept if the value rises.  The finish stops at the first step that is
+    declined, and at the first that moves the value by at most _NEWTON_RTOL
     relative either way: that meets the stop rule, and the step is kept even
     if the value fell by that much, since the value can no longer resolve
     the distance to the maximum and Newton's point is the nearer one.  Near
     a strict local maximum it converges quadratically; at a degenerate one
     the Hessian test declines and x is returned unchanged.  A point whose
     tangent gradient is exactly zero (every point at n = 1) meets the stop
-    rule with no step.
+    rule with no step.  This is the one finish of both oracles and of the
+    moment relaxation's witnesses.
     """
     q = objective.q
     val, d, product = objective.evaluate(x[:, None])
@@ -262,51 +267,12 @@ def _newton_finish(objective, x, rtol=1e-14):
             return x, k, False
         y = _unit(x + xi)
         new, d_new, p_new = objective.evaluate(y[:, None])
-        if new[0] <= f * (1 + rtol):
-            # no gain beyond rtol: converged, unless the value fell by more
-            done = new[0] >= f * (1 - rtol)
+        if new[0] <= f * (1 + _NEWTON_RTOL):
+            # no gain beyond _NEWTON_RTOL: converged, unless the value fell by more
+            done = bool(new[0] >= f * (1 - _NEWTON_RTOL))
             return (y if done else x), k + 1, done
         x, val, d, product = y, new, d_new, p_new
     return x, _NEWTON_STEPS, False
-
-
-def _polish(objective, x, fun, grad):
-    """The best start refined, and the Newton steps that took: the Newton
-    finish on ``objective`` (the ascent's) where it meets its stop rule,
-    else the line search of :func:`_linesearch_polish` from where the finish
-    stopped.  A complex point, or one where the Hessian test declines at
-    once, gets the line search alone, as before the finish existed."""
-    taken = 0
-    if not np.iscomplexobj(x):
-        x, taken, done = _newton_finish(objective, x)
-        if done:
-            return x, taken
-    return _unit(_linesearch_polish(fun, grad, x)[0]), taken
-
-
-def _linesearch_polish(fun, grad, x, iters=60):
-    """Projected gradient on the sphere with doubling/halving step search."""
-    val = fun(x)
-    step = 1.0
-    for _ in range(iters):
-        g = grad(x)
-        g = g - np.real(np.vdot(x, g)) * x
-        gn = np.linalg.norm(g)
-        if gn < 1e-15 * max(1.0, abs(val)):
-            break
-        improved = False
-        while step > 1e-18:
-            cand = _unit(x + step * g)
-            cv = fun(cand)
-            if cv > val:
-                x, val = cand, cv
-                improved = True
-                step *= 2.0
-                break
-            step /= 2.0
-        if not improved:
-            break
-    return x, val
 
 
 def _fibonacci_sphere(k):
@@ -353,13 +319,14 @@ def norm_2_to_q_lower(instance: OperatorInstance, q: int = 4, restarts: int = 64
     """Lower bound on the 2->q norm (declared convention) by multistart ascent.
 
     Every start runs in one batched power ascent (see :class:`_PowerObjective`
-    for the lifted form it uses on tall inputs); the best is finished by
-    Newton steps on the same form (:func:`_polish`), or polished by line
-    search on the rows where those decline.  The trace gives the ``form``,
-    ``starts``, ``improving_starts`` (starts that beat every earlier one by
-    more than ``IMPROVING_RTOL``), power ``steps`` over all starts and the
-    finish's ``newton_steps``.  For real inputs with at most 3 columns a
-    deterministic coarse grid is run first, which makes those cases
+    for the lifted form it uses on tall inputs); a real best start is
+    finished by Newton steps on the same form (:func:`_newton_finish`), else
+    kept as the ascent left it, and its value is computed on the rows.  The
+    trace gives the ``form``, ``starts``, ``improving_starts`` (starts that
+    beat every earlier one by more than ``IMPROVING_RTOL``), power ``steps``
+    over all starts, the finish's ``newton_steps`` and ``newton_converged``
+    (False where it declined or did not run).  For real inputs with at most
+    3 columns a deterministic coarse grid is run first, which makes those cases
     effectively exhaustive.  The rows are scaled by a power of two near their
     largest entry, which is exact and keeps the q-th powers in range.
     """
@@ -383,19 +350,13 @@ def norm_2_to_q_lower(instance: OperatorInstance, q: int = 4, restarts: int = 64
     xs, vals, steps = _power_ascent(objective, np.stack(starts, axis=1))
     best_s, improvements = _best_start(vals)
 
-    on_rows = _PowerObjective(rows, 1, q)
-
-    def fun(x):
-        return float(on_rows(x[:, None])[0][0])
-
-    def grad(x):
-        return q * on_rows(x[:, None])[1][:, 0]
-
-    best_x, newton_steps = _polish(objective, xs[:, best_s], fun, grad)
-    value = np.ldexp(fun(best_x) ** (1.0 / q), exp)
+    best_x, newton_steps, converged = xs[:, best_s], 0, False
+    if not instance.is_complex:
+        best_x, newton_steps, converged = _newton_finish(objective, best_x)
+    value = np.ldexp(float(_PowerObjective(rows, 1, q)(best_x[:, None])[0][0]) ** (1.0 / q), exp)
     trace = {"objective_power": q, "form": objective.form, "starts": len(starts),
              "improving_starts": improvements, "steps": int(steps.sum()),
-             "newton_steps": newton_steps, "grid_pass": grid is not None}
+             "newton_steps": newton_steps, "newton_converged": converged, "grid_pass": grid is not None}
     return OracleResult(float(value), (best_x,), restarts, trace=trace)
 
 
@@ -416,8 +377,9 @@ def inj_sym4_lower(t: np.ndarray, restarts: int = 64, seed: int = 0) -> OracleRe
     on Sym^2 and both vanish on Alt^2, so sigma = 1.5 max(0, -lambda_min(s T22))
     makes P PSD; being index-symmetric too, P makes each step monotone (the
     fixed-shift power method of Kolda and Mayo).  The best point is finished
-    by Newton steps on its sign's P, or polished by line search where they
-    decline; the trace gives ``starts``, power ``steps`` and ``newton_steps``.
+    by Newton steps on its sign's P, and returned as the ascent left it where
+    they decline; the value is |<x(x)x, s T22 x(x)x>|.  The trace gives
+    ``starts``, power ``steps``, ``newton_steps`` and ``newton_converged``.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -451,19 +413,12 @@ def inj_sym4_lower(t: np.ndarray, restarts: int = 64, seed: int = 0) -> OracleRe
         if vals[s] - sigma > best:
             best, best_sign, best_x, best_objective = vals[s] - sigma, sign, xs[:, s], objective
 
-    signed = best_sign * t22
-
-    def fun(x):
-        xx = np.kron(x, x)
-        return float(xx @ signed @ xx)
-
-    def grad(x):
-        return 4.0 * (signed @ np.kron(x, x)).reshape(n, n) @ x
-
-    best_x, newton_steps = _polish(best_objective, best_x, fun, grad)
-    value = np.ldexp(abs(fun(best_x)), exp)
+    best_x, newton_steps, converged = _newton_finish(best_objective, best_x)
+    xx = np.kron(best_x, best_x)
+    value = np.ldexp(abs(float(xx @ (best_sign * t22) @ xx)), exp)
     return OracleResult(float(value), (best_x,), restarts,
-                        trace={"starts": n_starts, "steps": n_steps, "newton_steps": newton_steps})
+                        trace={"starts": n_starts, "steps": n_steps, "newton_steps": newton_steps,
+                               "newton_converged": converged})
 
 
 def _unit_rows(w):
@@ -531,7 +486,7 @@ def _outer_rows(a, b):
     return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], a.shape[1] * b.shape[1])
 
 
-def _seesaw(pair, x, y, iters=300, rtol=1e-14):
+def _seesaw(pair, x, y):
     """Seesaw on every row of x (S, na) and y (S, nb) at once.
 
     pair[(a, b), (j, l)] = H[(a, j), (b, l)] for a Hermitian H.  The rows
@@ -540,9 +495,9 @@ def _seesaw(pair, x, y, iters=300, rtol=1e-14):
     on the first.  Each step sets x, then y, to the top eigenvector of its
     operator (one product and one stacked eigh per half-step); the top
     eigenvalue after the y half-step is <x (x) y, H x (x) y>, the step's value.
-    A row stops when a step gains no more than rtol relative, or after iters
-    steps, and leaves the active set.  Returns the final points, their values
-    and the steps each row took.
+    A row stops when a step gains no more than _SEESAW_RTOL relative, or
+    after _SEESAW_STEPS steps, and leaves the active set.  Returns the final
+    points, their values and the steps each row took.
     """
     x, y = x.copy(), y.copy()
     na, nb = x.shape[1], y.shape[1]
@@ -550,13 +505,13 @@ def _seesaw(pair, x, y, iters=300, rtol=1e-14):
     val = np.real(np.sum((_outer_rows(x.conj(), x) @ pair) * oy, axis=1))
     steps = np.zeros(x.shape[0], dtype=int)
     active = np.arange(x.shape[0])
-    for _ in range(iters):
+    for _ in range(_SEESAW_STEPS):
         if active.size == 0:
             break
         x_new = np.linalg.eigh((oy @ pair.T).reshape(-1, na, na))[1][:, :, -1]
         w, v = np.linalg.eigh((_outer_rows(x_new.conj(), x_new) @ pair).reshape(-1, nb, nb))
         y_new, new = v[:, :, -1], w[:, -1]
-        go_on = new - val[active] > rtol * np.maximum(1.0, np.abs(new))
+        go_on = new - val[active] > _SEESAW_RTOL * np.maximum(1.0, np.abs(new))
         x[active], y[active], val[active] = x_new, y_new, new
         steps[active] += 1
         active = active[go_on]

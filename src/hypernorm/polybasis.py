@@ -283,12 +283,20 @@ def moment_classes(index: np.ndarray, n: int):
 
 
 def cube_points(l: int) -> np.ndarray:
-    """The 2^l x l matrix of +-1 coordinates in enumeration order."""
-    pts = np.empty((2**l, l))
-    for w in range(2**l):
-        for k in range(l):
-            pts[w, k] = 1.0 if (w >> (l - 1 - k)) & 1 == 0 else -1.0
-    return pts
+    """The 2^l x l matrix of +-1 coordinates in enumeration order: row w
+    holds the bits of w, most significant first, bit b as 1 - 2b."""
+    w = np.arange(2**l)
+    return 1.0 - 2.0 * ((w[:, None] >> np.arange(l - 1, -1, -1)) & 1)
+
+
+def _check_cube(l: int, d: int):
+    """Reject a cube dimension l or a degree d that is negative, or d > l."""
+    if l < 0:
+        raise ValueError(f"cube dimension must be >= 0, got {l}")
+    if d < 0:
+        raise ValueError(f"degree must be >= 0, got {d}")
+    if d > l:
+        raise ValueError(f"degree {d} exceeds cube dimension {l}")
 
 
 def chi_table(l: int, max_degree: int | None = None):
@@ -298,8 +306,7 @@ def chi_table(l: int, max_degree: int | None = None):
     (size, sorted members).
     """
     d = l if max_degree is None else max_degree
-    if d > l:
-        raise ValueError(f"degree {d} exceeds cube dimension {l}")
+    _check_cube(l, d)
     pts = cube_points(l)
     subsets = []
     for size in range(d + 1):

@@ -39,7 +39,7 @@ from .core import OperatorInstance
 from .oracles import _newton_finish, _pow2_scaled, _power_ascent, _PowerObjective
 from .oracles import elementary_norms, norm_2_to_q_lower
 from .polybasis import Polynomial, _exact_degree, _exponents, _multinomial, chi_table, index_codes, moment_classes
-from .polybasis import quartic_coefficients, quartic_gram, sphere_poly, sum_codes
+from .polybasis import _check_cube, quartic_coefficients, quartic_gram, sphere_poly, sum_codes
 # the quartic expansion keeps its name here, where perfbench/tracing.py wraps it
 from .polybasis import objective_expand  # noqa: F401
 from .pseudoexp import PseudoExpectation
@@ -443,6 +443,7 @@ def certify_hypercontractivity(l: int, d: int, restarts: int = 64, seed: int = 0
     The relaxation variables are the Fourier coefficients up to degree d; the
     claimed bound is 9^d times the squared second moment.
     """
+    _check_cube(l, d)
     nvars = sum(math.comb(l, j) for j in range(d + 1))
     if nvars > SIZE_LIMITS[4]:
         raise ValueError(f"coefficient space of size {nvars} exceeds the level-4 limit")

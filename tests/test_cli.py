@@ -118,12 +118,13 @@ def test_norm24_and_lasserre(files, capsys):
     code, rep = run(["norm24", "--in", str(files / "I2.json")], capsys)
     assert code == 0 and abs(rep["results"]["norm_lower"] - 1.0) <= 1e-9
     search = rep["results"]["search"]
-    assert set(search) == {"form", "starts", "steps", "newton_steps", "improving_starts"}
+    assert set(search) == {"form", "starts", "steps", "newton_steps", "newton_converged", "improving_starts"}
     # I2 has 2 columns: the 8 best points of the start grid plus 2 rows, the
     # top singular vector and 64 random starts
     assert search["form"] == "rows" and search["starts"] == 8 + 2 + 1 + 64
     assert search["starts"] <= search["steps"] <= 300 * search["starts"]
     assert search["newton_steps"] >= 0 and 1 <= search["improving_starts"] <= search["starts"]
+    assert isinstance(search["newton_converged"], bool)
     code, rep = run(["lasserre", "--graph", str(files / "c5.txt")], capsys)
     assert code == 0
     assert abs(rep["results"]["lasserre_value"] - rep["results"]["sos_value"]) <= 1e-5
@@ -214,6 +215,8 @@ def test_malformed_input_file_exit_code(capsys, tmp_path, command, name, text, w
     (["quantum", "hsep", "--in", "phi2.json", "--na", "-2"], "--na must be >= 1, got -2"),
     (["random-suite", "--dist", "sign", "--n", "2", "--m", "8", "--seeds", "0"], "--seeds must be >= 1, got 0"),
     (["random-suite", "--dist", "sign", "--n", "2", "--m", "8", "--seeds", "-1"], "--seeds must be >= 1, got -1"),
+    (["certify-hyper", "--l", "3", "--d", "-1"], "degree must be >= 0, got -1"),
+    (["certify-hyper", "--l", "-1", "--d", "0"], "cube dimension must be >= 0, got -1"),
 ])
 def test_bad_size_exit_code(files, capsys, args, words):
     args = [str(files / a) if a.endswith(".json") else a for a in args]

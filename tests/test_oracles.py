@@ -311,17 +311,32 @@ def _riemannian_gradient(rows, x, q):
     return g - (x @ g) * x
 
 
-def _power_only_best(instance, q, restarts, seed):
-    """The largest value over the oracle's own starts of the power ascent run
-    to convergence (no step cap in practice), on the oracle's scaled rows."""
+def _oracle_starts(instance, q, restarts, seed):
+    """The 2->q oracle's scaled rows, their scale exponent, its objective and
+    its starts as columns, recomputed from its own pieces."""
     rows, exp = oracles._pow2_scaled(instance.quartic_rows(q))
     objective = _PowerObjective.for_rows(rows, q)
     starts = _starts(rows, instance.n, restarts, seed, instance.is_complex)
-    grid = oracles._grid_starts(instance.n)
+    grid = None if instance.is_complex else oracles._grid_starts(instance.n)
     if grid is not None:
         vals, _ = objective(grid.T)
         starts = [grid[i] for i in np.argsort(vals)[::-1][:8]] + starts
-    _, vals, _ = _power_ascent(objective, np.stack(starts, axis=1), iters=100_000)
+    return rows, exp, objective, np.stack(starts, axis=1)
+
+
+def _ascent_best(instance, q, restarts, seed):
+    """The oracle's scaled rows, their scale exponent, its objective and the
+    best column of its power ascent."""
+    rows, exp, objective, x0 = _oracle_starts(instance, q, restarts, seed)
+    xs, vals, _ = _power_ascent(objective, x0)
+    return rows, exp, objective, xs[:, _best_start(vals)[0]]
+
+
+def _power_only_best(instance, q, restarts, seed):
+    """The largest value over the oracle's own starts of the power ascent run
+    to convergence (no step cap in practice), on the oracle's scaled rows."""
+    _, exp, objective, x0 = _oracle_starts(instance, q, restarts, seed)
+    _, vals, _ = _power_ascent(objective, x0, iters=100_000)
     return np.ldexp(vals.max() ** (1.0 / q), exp)
 
 
@@ -342,7 +357,7 @@ def test_newton_finish_reaches_the_converged_power_optimum(name, seed):
     dist, n, m, q, form = FINISH_CASES[name]
     inst = random_operator(dist, n, m, seed)
     res = norm_2_to_q_lower(inst, q, restarts=16, seed=seed)
-    assert res.trace["form"] == form and res.trace["newton_steps"] >= 1
+    assert res.trace["form"] == form and res.trace["newton_steps"] >= 1 and res.trace["newton_converged"] is True
     assert res.value >= _power_only_best(inst, q, 16, seed) * (1 - 1e-12)
     rows, x = inst.quartic_rows(q), res.witness[0]
     f = np.sum((rows @ x) ** q)
@@ -369,7 +384,8 @@ def test_newton_finish_on_inj_sym4_for_both_signs(seed, sign):
     x = res.witness[0]
     signed = np.einsum("abcd,a,b,c,d->", t, x, x, x, x)
     assert np.sign(signed) == sign and abs(abs(signed) - res.value) <= 1e-12 * res.value
-    assert set(res.trace) == {"starts", "steps", "newton_steps"} and res.trace["newton_steps"] >= 1
+    assert set(res.trace) == {"starts", "steps", "newton_steps", "newton_converged"}
+    assert res.trace["newton_steps"] >= 1 and res.trace["newton_converged"] is True
     grad = 4.0 * np.einsum("abcd,b,c,d->a", t, x, x, x)
     assert np.linalg.norm(grad - (x @ grad) * x) <= 1e-9 * res.value
     # against the power ascent run to convergence on the same starts and
@@ -407,16 +423,23 @@ def _circle_plateau():
     return OperatorInstance(np.vstack([rows, [[0.0, 0.0, 1.0]]]))
 
 
+def _assert_ascent_witness(res, inst, q, restarts, seed):
+    """The witness is the ascent's best column bit for bit, and the value is
+    the rows' value there."""
+    rows, exp, _, x = _ascent_best(inst, q, restarts, seed)
+    assert np.array_equal(res.witness[0], x)
+    f = np.ldexp(_ref_quartic_value(rows, x, q) ** (1.0 / q), exp)
+    assert abs(res.value - f) <= 1e-14 * f
+
+
 @pytest.mark.parametrize("make", [_c12_instance, _circle_plateau], ids=["C12", "circle"])
-def test_degenerate_maximum_declines_newton(make, monkeypatch):
+def test_degenerate_maximum_declines_newton(make):
     # the tangent Hessian at the best point is singular: the finish takes no
-    # step and the result is the line-search polish's, bit for bit
+    # step, and the witness is the ascent's best column as it stands
     inst = make()
     res = norm_2_to_q_lower(inst, 4, restarts=16, seed=3)
-    assert res.trace["newton_steps"] == 0
-    monkeypatch.setattr(oracles, "_newton_finish", lambda objective, x: (x, 0, False))
-    ref = norm_2_to_q_lower(inst, 4, restarts=16, seed=3)
-    assert res.value == ref.value and np.array_equal(res.witness[0], ref.witness[0])
+    assert res.trace["newton_steps"] == 0 and res.trace["newton_converged"] is False
+    _assert_ascent_witness(res, inst, 4, 16, 3)
 
 
 def test_newton_finish_declines_on_the_plateau_itself():
@@ -432,7 +455,7 @@ def test_one_column_finishes_with_no_step(monkeypatch):
     # and the result is the one with the finish removed
     inst = OperatorInstance(np.arange(1.0, 11.0)[:, None])
     res = norm_2_to_q_lower(inst, 4, restarts=8)
-    assert res.trace["newton_steps"] == 0
+    assert res.trace["newton_steps"] == 0 and res.trace["newton_converged"] is True
     assert abs(res.value ** 4 - np.sum(np.arange(1.0, 11.0) ** 4)) <= 1e-12 * res.value ** 4
     monkeypatch.setattr(oracles, "_newton_finish", lambda objective, x: (x, 0, False))
     ref = norm_2_to_q_lower(inst, 4, restarts=8)
@@ -442,7 +465,8 @@ def test_one_column_finishes_with_no_step(monkeypatch):
 def test_complex_inputs_skip_the_finish(rng, monkeypatch):
     a = rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3))
     res = norm_2_to_q_lower(OperatorInstance(a), 4, restarts=8, seed=2)
-    assert res.trace["newton_steps"] == 0
+    assert res.trace["newton_steps"] == 0 and res.trace["newton_converged"] is False
+    _assert_ascent_witness(res, OperatorInstance(a), 4, 8, 2)
 
     def fail(*args):
         raise AssertionError("the Newton finish ran on a complex point")
@@ -450,6 +474,75 @@ def test_complex_inputs_skip_the_finish(rng, monkeypatch):
     monkeypatch.setattr(oracles, "_newton_finish", fail)
     ref = norm_2_to_q_lower(OperatorInstance(a), 4, restarts=8, seed=2)
     assert res.value == ref.value and np.array_equal(res.witness[0], ref.witness[0])
+
+
+def _ref_linesearch_polish(fun, grad, x, iters=60):
+    """The projected-gradient polish with a doubling/halving step search that
+    ran where the Newton finish declines, kept as the reference."""
+    val = fun(x)
+    step = 1.0
+    for _ in range(iters):
+        g = grad(x)
+        g = g - np.real(np.vdot(x, g)) * x
+        gn = np.linalg.norm(g)
+        if gn < 1e-15 * max(1.0, abs(val)):
+            break
+        improved = False
+        while step > 1e-18:
+            cand = oracles._unit(x + step * g)
+            cv = fun(cand)
+            if cv > val:
+                x, val = cand, cv
+                improved = True
+                step *= 2.0
+                break
+            step /= 2.0
+        if not improved:
+            break
+    return x, val
+
+
+def _ref_polished_value(inst, q, restarts, seed):
+    """The 2->q oracle's value as it was with the line-search polish: the
+    Newton finish where it met its stop rule, else the polish on the rows
+    from where it stopped (from the ascent's point on complex inputs)."""
+    rows, exp, objective, x = _ascent_best(inst, q, restarts, seed)
+    on_rows = _PowerObjective(rows, 1, q)
+
+    def fun(x):
+        return float(on_rows(x[:, None])[0][0])
+
+    def grad(x):
+        return q * on_rows(x[:, None])[1][:, 0]
+
+    done = False
+    if not inst.is_complex:
+        x, _, done = _newton_finish(objective, x)
+    if not done:
+        x = oracles._unit(_ref_linesearch_polish(fun, grad, x)[0])
+    return np.ldexp(fun(x) ** (1.0 / q), exp)
+
+
+def _gate_case(name, rng):
+    if name == "C12":
+        return _c12_instance(), 4
+    if name == "circle":
+        return _circle_plateau(), 4
+    make, q, _ = PARITY_CASES[name]
+    return OperatorInstance(make(rng)), q
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_CASES) + ["C12", "circle"])
+def test_no_value_lost_without_the_line_search(name, rng):
+    # dropping the polish loses at most rounding where the finish declines or
+    # does not run, and changes no bit where it converges
+    inst, q = _gate_case(name, rng)
+    res = norm_2_to_q_lower(inst, q, restarts=16, seed=3)
+    ref = _ref_polished_value(inst, q, 16, 3)
+    assert res.value >= ref * (1 - 1e-13)
+    assert res.trace["newton_converged"] is (not inst.is_complex and name not in ("C12", "circle"))
+    if res.trace["newton_converged"]:
+        assert res.value == ref
 
 
 class TestNorm2ToQ:
@@ -510,6 +603,7 @@ class TestNorm2ToQ:
             assert res.trace["starts"] <= res.trace["steps"] <= 300 * res.trace["starts"]
             assert 1 <= res.trace["improving_starts"] <= res.trace["starts"]
             assert 0 <= res.trace["newton_steps"] <= oracles._NEWTON_STEPS
+            assert isinstance(res.trace["newton_converged"], bool)
 
     def test_bad_q(self):
         with pytest.raises(ValueError):

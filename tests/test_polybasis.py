@@ -245,6 +245,32 @@ class TestFourier:
             assert np.isclose(g.coeffs[a], f.coeffs[a])
 
 
+def _ref_cube_points(l):
+    """The entry-by-entry loop that the shift expression replaced, kept as the
+    reference."""
+    pts = np.empty((2**l, l))
+    for w in range(2**l):
+        for k in range(l):
+            pts[w, k] = 1.0 if (w >> (l - 1 - k)) & 1 == 0 else -1.0
+    return pts
+
+
+class TestCube:
+    @pytest.mark.parametrize("l", [0, 1, 2, 5, 12])
+    def test_points_match_the_loop_bit_for_bit(self, l):
+        pts, ref = cube_points(l), _ref_cube_points(l)
+        assert pts.dtype == ref.dtype and pts.shape == ref.shape
+        assert pts.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("l,d,words", [
+        (3, -1, "degree must be >= 0, got -1"),
+        (-1, 0, "cube dimension must be >= 0, got -1"),
+    ])
+    def test_chi_table_rejects_a_bad_cube(self, l, d, words):
+        with pytest.raises(ValueError, match=words):
+            chi_table(l, d)
+
+
 class TestLowDegreeProjector:
     def test_full_degree_is_identity(self):
         assert np.allclose(low_degree_projector(3, 3), np.eye(8))
