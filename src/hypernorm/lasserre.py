@@ -5,12 +5,20 @@ ideal, together with the conversions between them.
 Cut value is expectation-normalized: the mean over edges of (x_i - x_j)^2 / 4
 for cube-valued x, so a graph whose best cut severs every edge scores 1.
 
-The conversions: a Gram solution induces a level-4 functional by reading the
-moment of a multilinear monomial off its symmetric-difference class, the Gram
-positions (S, T) with S ^ T the monomial's support (the class constraints make
-them equal), reducing general monomials modulo x_i^2 = 1; a moment solution
-restricted to multilinear monomials of degree at most 2 is itself a Gram
-matrix for the vector program.
+Both are one program over a basis of monomials x^beta, given by its exponent
+rows: the moment matrix's positions (i, j) are classed by the odd part of
+x^(beta_i + beta_j), its reduction modulo x_i^2 = 1, whose bit mask is the XOR
+of the rows' masks; the constant's class is fixed to 1; and the objective is
+L / (4|E|) on the degree-1 rows, L the graph's Laplacian.  The moment
+program's basis is every monomial of degree at most 2; the vector program's
+is the multilinear ones, the subsets of at most two vertices, so it is the
+moment program's principal block on those rows (Laurent 2003).
+
+The conversions read the classes by mask too: a Gram (or moment) matrix
+induces a level-4 functional whose moment of x^alpha is the mean of the
+matrix over the class of alpha's odd part (the class constraints make its
+entries equal), and a functional determines the Gram matrix by one moment per
+class.
 
 Both solves are anchored on the graph's optimal cuts, enumerated exactly (at
 most 8 vertices, so at most 256 sign vectors): on a tight relaxation the lift
@@ -30,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polybasis import CodeClasses, Polynomial, monomial_basis, multilinear_reduce
-from .pseudoexp import PseudoExpectation, pseudo_expect, validate_pef
+from .polybasis import CodeClasses, Polynomial, monomial_basis
+from .pseudoexp import PseudoExpectation, validate_pef
 from .sdp import KernelRepair, MomentProgram, SolveOptions, solve_sdp
 from .sse import RegularGraph
 
@@ -48,40 +56,48 @@ def _cut_sets(n):
     return sets
 
 
-def _cut_classes(sets) -> dict:
-    """Map each symmetric difference S ^ T to the Gram positions (a, b), a <= b,
-    whose inner product <v_S, v_T> it determines."""
-    classes: dict = {}
-    for a in range(len(sets)):
-        for b in range(a, len(sets)):
-            classes.setdefault(tuple(sorted(sets[a] ^ sets[b])), []).append((a, b))
-    return classes
+def _rows(sets, n):
+    """The exponent rows of the multilinear monomials prod_{i in S} x_i, S in ``sets``."""
+    return np.array([[int(i in s) for i in range(n)] for s in sets]).reshape(-1, n)
 
 
-def _class_spread(y: np.ndarray, classes: dict) -> tuple[dict, float]:
-    """The mean of y over each class's positions, by key, and the largest
-    spread of y within one class."""
-    means, spread = {}, 0.0
-    for key, pos in classes.items():
-        vals = y[tuple(np.asarray(pos).T)]
-        means[key] = float(np.mean(vals))
-        spread = max(spread, float(np.max(vals) - np.min(vals)))
-    return means, spread
+def _masks(exps):
+    """The odd part of each exponent row, the variables of odd exponent, as a bit mask."""
+    return exps % 2 @ (1 << np.arange(exps.shape[1]))
 
 
-def _cut_gram(g: RegularGraph, sets) -> np.ndarray:
-    """C with <C, Y> the cut value of the Gram matrix Y over ``sets``: the
-    mean over edges of |v_u - v_v|^2 / 4."""
-    idx = {s: k for k, s in enumerate(sets)}
-    C = np.zeros((len(sets), len(sets)))
-    w = 1.0 / (4.0 * len(g.edges))
-    for u, v in g.edges:
-        iu, iv = idx[frozenset([u])], idx[frozenset([v])]
-        C[iu, iu] += w
-        C[iv, iv] += w
-        C[iu, iv] -= w
-        C[iv, iu] -= w
-    return C
+def _classes(exps):
+    """The upper-triangle positions (i, j) of a matrix over the monomials with
+    exponent rows ``exps``, classed by the odd part of x^(beta_i + beta_j),
+    which as a bit mask is the XOR of the rows' masks: ``(classes, i, j,
+    keys)``, the keys the classes' odd parts as exponent tuples."""
+    mask = _masks(exps)
+    i, j = np.triu_indices(len(exps))
+    classes = CodeClasses(mask[i] ^ mask[j])
+    first = classes.first
+    return classes, i, j, list(map(tuple, ((exps[i[first]] + exps[j[first]]) % 2).tolist()))
+
+
+def _cut_matrix(g: RegularGraph, exps) -> np.ndarray:
+    """C with <C, X> the cut value of the moment matrix X over the monomials
+    with exponent rows ``exps``, the mean over edges of E (x_u - x_v)^2 / 4:
+    L / (4|E|) on the degree-1 rows, L the Laplacian of ``g``."""
+    u, v = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
+    # the coefficients of x_u - x_v on the rows, one row per edge
+    d = (exps.sum(axis=1) == 1) * (exps[:, u] - exps[:, v]).T
+    return d.T @ d / (4.0 * len(g.edges))
+
+
+def _cut_program(g: RegularGraph, exps) -> MomentProgram:
+    """The Max Cut program over the monomials with exponent rows ``exps``, the
+    constant among them: moment matrices constant on the classes of
+    :func:`_classes`, with the constant's class fixed to 1, and the objective
+    of :func:`_cut_matrix`."""
+    classes, _, _, keys = _classes(exps)
+    R = np.zeros((1, len(classes)))
+    R[0, classes.of(0)] = 1.0
+    # every diagonal monomial reduces to the constant, so tr X is exactly N
+    return MomentProgram(len(exps), classes.labels, _cut_matrix(g, exps), R, [1.0], trace_bound=len(exps), keys=keys)
 
 
 def _cube_ideal(n):
@@ -90,8 +106,21 @@ def _cube_ideal(n):
             for i in range(n)]
 
 
-def _reduce(mono):
-    return tuple(e % 2 for e in mono)
+def _pseudo_expectation(y: np.ndarray, exps) -> tuple[PseudoExpectation, float]:
+    """The level-4 functional that the matrix ``y`` over the monomials with
+    exponent rows ``exps`` induces, each moment the mean of y over the class
+    of its monomial's odd part, and the largest spread of y within one class,
+    which a matrix constant on the classes keeps at 0."""
+    n = exps.shape[1]
+    classes, i, j, _ = _classes(exps)
+    vals = y[i, j]
+    hi, lo = np.full(len(classes), -np.inf), np.full(len(classes), np.inf)
+    np.maximum.at(hi, classes.labels, vals)
+    np.minimum.at(lo, classes.labels, vals)
+    mean = np.bincount(classes.labels, vals) / np.bincount(classes.labels)
+    basis = monomial_basis(n, 4)
+    moments = mean[classes.of(_masks(np.array(basis).reshape(-1, n)))]
+    return PseudoExpectation(n, 4, dict(zip(basis, moments.tolist())), _cube_ideal(n)), float((hi - lo).max())
 
 
 def _optimal_cuts(g: RegularGraph) -> np.ndarray:
@@ -124,25 +153,15 @@ class _CutAnchor:
         return self.repair(sol, self.lifts[:, 0], self.count)
 
 
-def _gram_program(g: RegularGraph) -> MomentProgram:
-    """The vector program over ``_cut_sets(g.n)``: Gram matrices constant on
-    the symmetric-difference classes, with the empty set's class fixed to 1."""
-    sets = _cut_sets(g.n)
-    # every diagonal position lies in the class of the empty set, which the
-    # row fixes to 1, so tr Y is exactly the number of sets
-    return MomentProgram.from_classes(len(sets), _cut_classes(sets), _cut_gram(g, sets), [{(): 1.0}], [1.0],
-                                      trace_bound=len(sets))
-
-
-def _check_size(g: RegularGraph, what: str):
+def _solve_anchored(g: RegularGraph, basis, what: str, opts: SolveOptions | None):
+    """``solve_sdp`` on the Max Cut program over the exponent rows
+    ``basis(g.n)``, anchored on the optimal cuts of ``g``, and those rows;
+    the rows are built only once ``g`` has passed the size check."""
     if g.n > MAX_VERTICES:
         raise ValueError(f"{what} limited to {MAX_VERTICES} vertices")
-
-
-def _solve_anchored(g: RegularGraph, problem: MomentProgram, exps: np.ndarray, opts: SolveOptions | None):
-    """``solve_sdp`` on a Max Cut program whose lifts have the exponent rows
-    ``exps``, anchored on the optimal cuts of ``g``."""
-    return solve_sdp(problem, opts or SolveOptions(tol=1e-9), anchor=_CutAnchor(problem, exps, _optimal_cuts(g)))
+    exps = basis(g.n)
+    problem = _cut_program(g, exps)
+    return solve_sdp(problem, opts or SolveOptions(tol=1e-9), anchor=_CutAnchor(problem, exps, _optimal_cuts(g))), exps
 
 
 def solve_lasserre_maxcut(g: RegularGraph, opts: SolveOptions | None = None):
@@ -154,50 +173,8 @@ def solve_lasserre_maxcut(g: RegularGraph, opts: SolveOptions | None = None):
     ``witnesses`` counts the optimal cuts of a certified stop (0 for the
     loop's own point).
     """
-    _check_size(g, "vector relaxation")
-    sets = _cut_sets(g.n)
-    exps = np.array([[int(i in s) for i in range(g.n)] for s in sets]).reshape(-1, g.n)
-    sol = _solve_anchored(g, _gram_program(g), exps, opts)
-    return sol.primal_obj, sol.X[0], sets, sol
-
-
-def _cut_objective(g: RegularGraph) -> Polynomial:
-    n = g.n
-    obj = Polynomial.constant(n, 0.0)
-    w = 1.0 / (4.0 * len(g.edges))
-    for u, v in g.edges:
-        xu, xv = Polynomial.variable(n, u), Polynomial.variable(n, v)
-        d = xu - xv
-        obj = obj + w * (d * d)
-    return obj
-
-
-def _sos_program(g: RegularGraph) -> MomentProgram:
-    """The level-4 moment program of Max Cut over the ideal <x_i^2 - 1>: its
-    classes, keyed by the reduced exponent tuples, are those of the monomials'
-    multilinear reductions."""
-    n = g.n
-    basis = np.array(monomial_basis(n, 2)).reshape(-1, n)
-    # a monomial reduces to its odd part, a subset of the variables; as a bit
-    # mask, that of x^(beta_i + beta_j) is the XOR of those of beta_i and beta_j
-    bits = 1 << np.arange(n)
-    mask = basis % 2 @ bits
-    i, j = np.triu_indices(len(basis))
-    classes = CodeClasses(mask[i] ^ mask[j])
-    first = classes.first
-    keys = list(map(tuple, ((basis[i[first]] + basis[j[first]]) % 2).tolist()))
-    objective = multilinear_reduce(_cut_objective(g))
-    terms = np.array(list(objective.terms), dtype=np.intp).reshape(-1, n)
-    c = np.zeros(len(keys))
-    c[classes.of(terms @ bits)] = list(objective.terms.values())
-    # each coefficient spread evenly over the entries of its class
-    weight = np.bincount(classes.labels, np.where(i == j, 1.0, 2.0))
-    C = np.zeros((len(basis), len(basis)))
-    C[i, j] = C[j, i] = (c / weight)[classes.labels]
-    # every diagonal monomial reduces to the constant, so tr X is exactly N
-    R = np.zeros((1, len(keys)))
-    R[0, classes.of(0)] = 1.0
-    return MomentProgram(len(basis), classes.labels, C, R, [1.0], trace_bound=len(basis), keys=keys)
+    sol, _ = _solve_anchored(g, lambda n: _rows(_cut_sets(n), n), "vector relaxation", opts)
+    return sol.primal_obj, sol.X[0], _cut_sets(g.n), sol
 
 
 def solve_sos_maxcut(g: RegularGraph, opts: SolveOptions | None = None):
@@ -210,34 +187,24 @@ def solve_sos_maxcut(g: RegularGraph, opts: SolveOptions | None = None):
     ``witnesses`` counts the optimal cuts of a certified stop (0 for the
     loop's own point).
     """
-    n = g.n
-    _check_size(g, "moment relaxation")
-    problem = _sos_program(g)
-    sol = _solve_anchored(g, problem, np.array(monomial_basis(n, 2)).reshape(-1, n), opts)
-    values = problem.values(sol.X[0])
-    moments = {mono: values[_reduce(mono)] for mono in monomial_basis(n, 4)}
-    return sol.primal_obj, PseudoExpectation(n, 4, moments, _cube_ideal(n)), sol
+    sol, exps = _solve_anchored(g, lambda n: np.array(monomial_basis(n, 2)).reshape(-1, n), "moment relaxation", opts)
+    return sol.primal_obj, _pseudo_expectation(sol.X[0], exps)[0], sol
 
 
 def lasserre_to_pe(y: np.ndarray, sets, n: int) -> tuple[PseudoExpectation, float]:
     """Read a level-4 functional off the Gram matrix, each moment from the
     symmetric-difference class of its multilinear reduction; also report the
     largest spread within a class, which a consistent Gram matrix keeps at 0."""
-    means, spread = _class_spread(y, _cut_classes(sets))
-    moments = {alpha: means[tuple(i for i, e in enumerate(alpha) if e % 2)]
-               for alpha in monomial_basis(n, 4)}
-    return PseudoExpectation(n, 4, moments, _cube_ideal(n)), spread
+    return _pseudo_expectation(y, _rows(sets, n))
 
 
 def pe_to_lasserre(pe: PseudoExpectation):
     """The Gram matrix over multilinear sets of size <= 2 that the moments
     determine: one moment per symmetric-difference class."""
-    n = pe.n
-    sets = _cut_sets(n)
+    sets = _cut_sets(pe.n)
+    classes, i, j, keys = _classes(_rows(sets, pe.n))
     y = np.empty((len(sets), len(sets)))
-    for key, pos in _cut_classes(sets).items():
-        i, j = np.asarray(pos).T
-        y[i, j] = y[j, i] = pe.moments[tuple(int(k in key) for k in range(n))]
+    y[i, j] = y[j, i] = np.array([pe.moments[key] for key in keys])[classes.labels]
     return y, sets
 
 
@@ -262,18 +229,13 @@ class RoundtripReport:
 
 
 def lasserre_roundtrip(g: RegularGraph, opts: SolveOptions | None = None) -> RoundtripReport:
-    """Solve both relaxations independently and convert each optimum across."""
-    _check_size(g, "roundtrip")
+    """Solve both relaxations independently and convert each optimum across;
+    each converted objective is <C, Y> of the vector program's objective."""
     lass_val, y, sets, lass_sol = solve_lasserre_maxcut(g, opts)
     sos_val, pe, sos_sol = solve_sos_maxcut(g, opts)
-
+    C = _cut_matrix(g, _rows(sets, g.n))
     pe_from_lass, spread = lasserre_to_pe(y, sets, g.n)
-    lass_conv_obj = pseudo_expect(pe_from_lass, _cut_objective(g))
-    rep = validate_pef(pe_from_lass, tol=1e-6)
-
-    y_from_pe, sets = pe_to_lasserre(pe)
-    sos_conv_obj = float(np.vdot(_cut_gram(g, sets), y_from_pe))
-
+    y_from_pe, _ = pe_to_lasserre(pe)
     return RoundtripReport(
         lasserre_value=lass_val,
         sos_value=sos_val,
@@ -281,9 +243,9 @@ def lasserre_roundtrip(g: RegularGraph, opts: SolveOptions | None = None) -> Rou
         sos_bound=sos_sol.bound,
         value_gap=abs(lass_val - sos_val),
         max_moment_discrepancy=spread,
-        lasserre_converted_objective=lass_conv_obj,
-        sos_converted_objective=sos_conv_obj,
-        converted_pe_valid=rep.passed,
+        lasserre_converted_objective=float(np.vdot(C, pe_to_lasserre(pe_from_lass)[0])),
+        sos_converted_objective=float(np.vdot(C, y_from_pe)),
+        converted_pe_valid=validate_pef(pe_from_lass, tol=1e-6).passed,
         converted_gram_min_eig=float(np.linalg.eigvalsh(y_from_pe)[0]),
         lasserre_status=lass_sol.status,
         sos_status=sos_sol.status,

@@ -336,8 +336,6 @@ def norm_2_to_q_lower(instance: OperatorInstance, q: int = 4, restarts: int = 64
         raise ValueError("need at least one restart")
     rows = instance.quartic_rows(q)
     n = instance.n
-    if not np.any(rows):
-        return OracleResult(0.0, (np.zeros(n),), restarts)
     rows, exp = _pow2_scaled(rows)
 
     objective = _PowerObjective.for_rows(rows, q)

@@ -61,6 +61,10 @@ __all__ = [
 
 SIZE_LIMITS = {4: 20, 6: 10, 8: 6}
 
+# The largest cube dimension certify_hypercontractivity takes: its instance
+# has one row per cube point, 2^l of them.
+MAX_CUBE_DIM = 15
+
 # An anchored attempt runs up to ANCHOR_STEPS power steps from the top
 # ANCHOR_STARTS eigenvectors of the degree-2 pseudo-moments, and the points
 # within WITNESS_RTOL of the best value are the witnesses; two whose inner
@@ -444,6 +448,8 @@ def certify_hypercontractivity(l: int, d: int, restarts: int = 64, seed: int = 0
     claimed bound is 9^d times the squared second moment.
     """
     _check_cube(l, d)
+    if l > MAX_CUBE_DIM:
+        raise ValueError(f"cube dimension {l} exceeds the limit {MAX_CUBE_DIM}")
     nvars = sum(math.comb(l, j) for j in range(d + 1))
     if nvars > SIZE_LIMITS[4]:
         raise ValueError(f"coefficient space of size {nvars} exceeds the level-4 limit")

@@ -130,6 +130,16 @@ def test_norm24_and_lasserre(files, capsys):
     assert abs(rep["results"]["lasserre_value"] - rep["results"]["sos_value"]) <= 1e-5
 
 
+def test_norm24_on_a_zero_matrix_reports_zero(capsys, tmp_path):
+    # the zero operator once returned an empty trace, and the report died on it
+    (tmp_path / "zero.json").write_text('{"rows": 2, "cols": 2, "scalar": "real", "data": [[0.0, 0.0], [0.0, 0.0]]}')
+    code, rep = run(["norm24", "--in", str(tmp_path / "zero.json")], capsys)
+    assert code == 0 and rep["results"]["norm_lower"] == 0.0
+    search = rep["results"]["search"]
+    assert set(search) == {"form", "starts", "steps", "newton_steps", "newton_converged", "improving_starts"}
+    assert search["steps"] == 0
+
+
 def test_lasserre_statuses_and_exit_code(files, capsys):
     code, rep = run(["lasserre", "--graph", str(files / "c5.txt")], capsys)
     assert code == 0
@@ -217,6 +227,7 @@ def test_malformed_input_file_exit_code(capsys, tmp_path, command, name, text, w
     (["random-suite", "--dist", "sign", "--n", "2", "--m", "8", "--seeds", "-1"], "--seeds must be >= 1, got -1"),
     (["certify-hyper", "--l", "3", "--d", "-1"], "degree must be >= 0, got -1"),
     (["certify-hyper", "--l", "-1", "--d", "0"], "cube dimension must be >= 0, got -1"),
+    (["certify-hyper", "--l", "30", "--d", "0"], "cube dimension 30 exceeds the limit 15"),
 ])
 def test_bad_size_exit_code(files, capsys, args, words):
     args = [str(files / a) if a.endswith(".json") else a for a in args]

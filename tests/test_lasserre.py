@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from hypernorm import lasserre, sdp
-from hypernorm.polybasis import monomial_basis, multilinear_reduce
+from hypernorm.polybasis import Polynomial, monomial_basis, multilinear_reduce
 from hypernorm.sdp import ANCHOR_AT, MomentProgram, SolveOptions, solve_sdp
 from hypernorm.lasserre import lasserre_roundtrip, lasserre_to_pe, solve_lasserre_maxcut, solve_sos_maxcut
 from hypernorm.pseudoexp import validate_pef
 from hypernorm.sse import RegularGraph, complete_graph, cycle_graph
 from tests.test_sdp import assert_same_solution
 from tests.test_tensorsdp import dict_moment_classes, same_bits
+
+
+# the complete bipartite graph K3,3, whose optimal cut severs every edge
+K33 = RegularGraph(6, [(u, v) for u in range(3) for v in range(3, 6)])
 
 
 def exact_maxcut(g):
@@ -112,26 +116,26 @@ def test_roundtrip_bounds_are_tight_at_the_optimum():
         assert value - 1e-6 <= bound <= value + 1e-6
 
 
-def dict_spread_objective(objective, classes, size):
-    """C with each coefficient spread evenly over its class's entries, as
-    ``polybasis.spread_objective`` built it from the class dict."""
-    C = np.zeros((size, size))
-    for mono, c in objective.terms.items():
-        pos = classes[mono]
-        weight = sum(2.0 if i != j else 1.0 for i, j in pos)
-        for i, j in pos:
-            C[i, j] += c / weight
-            if i != j:
-                C[j, i] += c / weight
-    return C
+def cut_polynomial(g):
+    """The cut value as a polynomial, the mean over edges of (x_u - x_v)^2 / 4,
+    expanded edge by edge."""
+    n = g.n
+    obj = Polynomial.constant(n, 0.0)
+    w = 1.0 / (4.0 * len(g.edges))
+    for u, v in g.edges:
+        d = Polynomial.variable(n, u) - Polynomial.variable(n, v)
+        obj = obj + w * (d * d)
+    return obj
 
 
 C8_RELABELLED = [3, 6, 0, 7, 2, 5, 1, 4]
+PROGRAM_GRAPHS = pytest.mark.parametrize(
+    "g", [RegularGraph(2, [(0, 1)]), cycle_graph(5), complete_graph(5), cycle_graph(6),
+          RegularGraph(8, [(C8_RELABELLED[u], C8_RELABELLED[(u + 1) % 8]) for u in range(8)])],
+    ids=["K2", "C5", "K5", "C6", "C8-relabelled"])
 
 
-@pytest.mark.parametrize("g", [RegularGraph(2, [(0, 1)]), cycle_graph(5), complete_graph(5), cycle_graph(6),
-                               RegularGraph(8, [(C8_RELABELLED[u], C8_RELABELLED[(u + 1) % 8]) for u in range(8)])],
-                         ids=["K2", "C5", "K5", "C6", "C8-relabelled"])
+@PROGRAM_GRAPHS
 def test_sos_program_matches_dict_build_bitwise(g):
     # the reduced classes, grouped from the monomials' dict classes as
     # solve_sos_maxcut grouped them before integer codes
@@ -140,12 +144,37 @@ def test_sos_program_matches_dict_build_bitwise(g):
     classes = {}
     for mono, pos in dict_moment_classes(basis).items():
         classes.setdefault(tuple(e % 2 for e in mono), []).extend(pos)
-    C = dict_spread_objective(multilinear_reduce(lasserre._cut_objective(g)), classes, len(basis))
-    ref = MomentProgram.from_classes(len(basis), classes, C, [{(0,) * n: 1.0}], [1.0], trace_bound=len(basis))
-    got = lasserre._sos_program(g)
+    zero = np.zeros((len(basis), len(basis)))
+    ref = MomentProgram.from_classes(len(basis), classes, zero, [{(0,) * n: 1.0}], [1.0], trace_bound=len(basis))
+    got = program_and_exponents(g, "moment")[0]
     assert got.keys == ref.keys
     assert same_bits(got._labels, ref._labels)
-    assert same_bits(got.C[0], ref.C[0]) and same_bits(got.R, ref.R) and same_bits(got.b, ref.b)
+    assert same_bits(got.R, ref.R) and same_bits(got.b, ref.b)
+    # C sits on the degree-1 rows, not spread over the classes, so it is
+    # checked by its class sums: the coefficients of the reduced polynomial
+    terms = multilinear_reduce(cut_polynomial(g)).terms
+    sums = dict(zip(got.keys, got.class_sums(got.C[0]).tolist()))
+    assert sums == {key: terms.get(key, 0.0) for key in got.keys}
+
+
+@PROGRAM_GRAPHS
+def test_the_vector_program_is_the_moment_programs_block_on_the_multilinear_rows(g):
+    vector, rows = program_and_exponents(g, "gram")
+    moment, basis = program_and_exponents(g, "moment")
+    at = np.flatnonzero(basis.max(axis=1) <= 1)
+    assert np.array_equal(basis[at], rows)
+    block = np.ix_(at, at)
+    assert same_bits(vector.C[0], moment.C[0][block])
+    # the same partition of the block's positions: each vector class is one
+    # moment class, and every moment class shows in the block
+    size = len(basis)
+    labels = vector._labels.reshape(len(rows), len(rows))
+    image = moment._labels.reshape(size, size)[block]
+    pairs = np.unique(np.stack([labels.ravel(), image.ravel()]), axis=1)
+    assert pairs.shape[1] == vector.svec_dim == moment.svec_dim
+    assert np.array_equal(pairs[0], np.arange(vector.svec_dim))
+    assert [moment.keys[c] for c in pairs[1]] == vector.keys
+    assert same_bits(vector.R, moment.R[:, pairs[1]]) and same_bits(vector.b, moment.b)
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +191,10 @@ def cuts_of_size(g, count):
 def program_and_exponents(g, kind):
     """A Max Cut program and the exponent rows of its lifts z(x) = x^beta."""
     if kind == "gram":
-        rows = [[int(i in s) for i in range(g.n)] for s in lasserre._cut_sets(g.n)]
-        return lasserre._gram_program(g), np.array(rows)
-    return lasserre._sos_program(g), np.array(monomial_basis(g.n, 2))
+        rows = lasserre._rows(lasserre._cut_sets(g.n), g.n)
+    else:
+        rows = np.array(monomial_basis(g.n, 2))
+    return lasserre._cut_program(g, rows), rows
 
 
 def anchored_solve(g, kind, opts):
@@ -180,8 +210,8 @@ def test_the_optimal_cuts_are_enumerated_with_both_signs():
 
 
 @pytest.mark.parametrize("kind", ["gram", "moment"])
-@pytest.mark.parametrize("g", [cycle_graph(5), cycle_graph(6), complete_graph(4), cycle_graph(7)],
-                         ids=["C5", "C6", "K4", "C7"])
+@pytest.mark.parametrize("g", [cycle_graph(5), cycle_graph(6), complete_graph(4), cycle_graph(7), K33],
+                         ids=["C5", "C6", "K4", "C7", "K33"])
 def test_a_tight_relaxation_stops_at_the_first_attempt_on_an_optimal_cut(g, kind):
     exact = exact_maxcut(g)
     sol = anchored_solve(g, kind, SolveOptions(tol=1e-8))

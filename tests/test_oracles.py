@@ -580,6 +580,10 @@ class TestNorm2ToQ:
     def test_zero_matrix(self):
         res = norm_2_to_q_lower(OperatorInstance(np.zeros((3, 3))), 4)
         assert res.value == 0.0
+        # the ordinary path: a full trace, and a unit start as the witness
+        assert res.trace.keys() == norm_2_to_q_lower(OperatorInstance(np.eye(3)), 4).trace.keys()
+        assert res.trace["steps"] == 0
+        assert np.linalg.norm(res.witness[0]) == pytest.approx(1.0)
 
     def test_q6(self, rng):
         res = norm_2_to_q_lower(OperatorInstance(np.eye(3)), 6, restarts=8)

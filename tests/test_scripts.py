@@ -31,6 +31,11 @@ def test_hyper_certificate_table():
         assert float(r[7]) <= 1e-6
 
 
+def test_hyper_certificate_table_skips_the_pairs_it_cannot_certify():
+    rows = run_script("hyper_certificate_table.py", "--max-l", "17", "--max-d", "0", "--restarts", "2")
+    assert [(r[0], r[1]) for r in rows[1:]] == [(str(l), "0") for l in range(2, 16)]
+
+
 def test_random_operator_sweep():
     rows = run_script("random_operator_sweep.py", "--n", "4", "--seeds", "1", "--ratio", "5")
     assert rows[0] == ["dist", "n", "m", "seed", "a22", "upper", "iterations", "witnesses",

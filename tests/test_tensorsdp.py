@@ -355,7 +355,7 @@ def cut_lifts(rng):
     the lifts of two random cuts."""
     cuts = rng.choice([-1.0, 1.0], size=(5, 2))
     Z = np.array([[np.prod(x[sorted(s)]) for x in cuts.T] for s in lasserre._cut_sets(5)])
-    return lasserre._gram_program(complete_graph(5)), Z
+    return lasserre._cut_program(complete_graph(5), lasserre._rows(lasserre._cut_sets(5), 5)), Z
 
 
 @pytest.mark.parametrize("case", [1, 2, "K5-cuts"])
@@ -607,3 +607,9 @@ class TestHyper:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             certify_hypercontractivity(10, 2)
+
+    @pytest.mark.parametrize("l,d", [(16, 0), (19, 1), (30, 0)])
+    def test_cube_dimension_guard(self, l, d):
+        # checked before the 2^l cube points are built
+        with pytest.raises(ValueError, match=f"cube dimension {l} exceeds the limit 15"):
+            certify_hypercontractivity(l, d)
